@@ -9,6 +9,8 @@ so every identity, branch inequality and Khovanskii-Teissier chain can be
 checked numerically with signed margins.
 """
 
+from types import ModuleType as _ModuleType
+
 from .charge import (
     IntersectionProfile,
     WindingReport,
@@ -65,54 +67,9 @@ from .suites import identity_suite, kt_suite, theorem_suite
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Branch",
-    "ConsistencyReport",
-    "ConvergenceError",
-    "DegeneratePathError",
-    "DomainError",
-    "EigenTuple",
-    "HermitianPair",
-    "InequalityEntry",
-    "InequalityReport",
-    "IntersectionProfile",
-    "InvalidPairError",
-    "PhaseOutsideBranchError",
-    "SamplingExhaustedError",
-    "UndefinedAngleError",
-    "WindingReport",
-    "analytic_angle_from_integrals",
-    "blowup_p3",
-    "branch_check",
-    "branch_for_phase",
-    "check_chern_n3",
-    "check_chern_n4",
-    "compare",
-    "complete_tuple",
-    "consistency_suite",
-    "constant_model",
-    "eigensystem",
-    "elementary_all",
-    "factorization_identity",
-    "gamma_cone",
-    "general_kt",
-    "identity_suite",
-    "integrated_sigma_chain",
-    "intersection_number",
-    "jacobi_hermitian",
-    "kt_chain",
-    "kt_suite",
-    "lagrangian_phase",
-    "level_set_sample",
-    "mixed_sigma",
-    "path_polynomials",
-    "phase_components",
-    "phase_of_pair",
-    "relative_spectrum",
-    "sample_level_set_batch",
-    "sigma",
-    "theorem_suite",
-    "weighted_model",
-    "winding_report",
-    "z_of_t",
-]
+#: the public API is exactly the names imported above
+__all__ = sorted(
+    name
+    for name, obj in globals().items()
+    if not name.startswith("_") and not isinstance(obj, _ModuleType)
+)

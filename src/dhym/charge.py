@@ -21,11 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .eigen import as_eigen, gamma_cone, mixed_sigma
+from .eigen import TWO_PI, as_eigen, gamma_cone, mixed_sigma
 from .errors import DegeneratePathError, DomainError, UndefinedAngleError
-from .reports import InequalityReport, compare
-
-TWO_PI = 2.0 * math.pi
+from .reports import InequalityReport, compare, evaluate
 
 #: |Z| below DEGENERACY_REL * max|d_k| / n! counts as an origin hit
 DEGENERACY_REL = 1e-10
@@ -269,18 +267,19 @@ def _lift_anchor(n: int) -> float:
     return (math.pi - 0.5 * n * math.pi) % TWO_PI or TWO_PI
 
 
-def _first_crossing(p: IntersectionProfile):
-    """First Im-zero t > 1 in closed form (the candidate real-axis crossing)."""
-    d = p.d
-    if p.n == 4:
-        if d[1] > 0.0 and d[3] > 0.0:
-            t = math.sqrt(d[3] / d[1])
-            return t if t > 1.0 else None
-        return None
-    if d[2] > 0.0:
-        t = math.sqrt(3.0 * d[2] / d[0])
-        return t if t > 1.0 else None
-    return None
+def _first_crossing(n: int, d) -> np.ndarray:
+    """First Im-zero t > 1 in closed form (the candidate real-axis crossing)
+    of one profile d or of each row of d (m, n+1); NaN where there is none."""
+    d = np.asarray(d, dtype=float)
+    if n == 4:
+        num, den = d[..., 3], d[..., 1]
+        ok = (den > 0.0) & (num > 0.0)
+    else:
+        num, den = 3.0 * d[..., 2], d[..., 0]
+        ok = num > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.sqrt(num / den)
+    return np.where(ok & (t > 1.0), t, np.nan)
 
 
 def winding_report(p: IntersectionProfile, samples: int = 129) -> WindingReport:
@@ -329,10 +328,11 @@ def winding_report(p: IntersectionProfile, samples: int = 129) -> WindingReport:
         (float(t), float(r), float(v), float(a))
         for t, r, v, a in zip(ts, re_v, im_v, lift)
     )
+    t_star = float(_first_crossing(p.n, p.d))
     return WindingReport(
         n=p.n,
         theta_alg=float(lift[0] - anchor),
-        t_star=_first_crossing(p),
+        t_star=None if math.isnan(t_star) else t_star,
         origin_hit=None,
         t_max=t_hi,
         anchor=anchor,
@@ -372,24 +372,14 @@ def check_chern_n4(p: IntersectionProfile) -> InequalityReport:
     """
     if p.n != 4:
         raise DomainError(f"4-fold check on an n={p.n} profile")
-    d = p.d
-    sym = d[0] * d[3] ** 2 + d[1] ** 2 * d[4]
-    entries = (
-        compare("first", d[3], d[1]),
-        compare("second", 6.0 * d[1] * d[2] * d[3], sym),
-        compare("kahler2", 2.0 * d[1] * d[2] * d[3], sym, ">="),
-    )
-    return InequalityReport("chern_n4", entries)
+    return evaluate("chern_n4", np.array([p.d])).report()
 
 
 def check_chern_n3(p: IntersectionProfile) -> InequalityReport:
     """3-fold Chern-number inequality 9 d_1 d_2 > d_0 d_3 (strict)."""
     if p.n != 3:
         raise DomainError(f"3-fold check on an n={p.n} profile")
-    d = p.d
-    return InequalityReport(
-        "chern_n3", (compare("chern3", 9.0 * d[1] * d[2], d[0] * d[3]),)
-    )
+    return evaluate("chern_n3", np.array([p.d])).report()
 
 
 def kt_chain(p: IntersectionProfile) -> InequalityReport:
@@ -403,19 +393,7 @@ def kt_chain(p: IntersectionProfile) -> InequalityReport:
     """
     if p.n != 4:
         raise DomainError(f"KT chain needs an n=4 profile, got n={p.n}")
-    d = p.d
-    entries = [
-        compare(f"k{k}", d[k] ** 2, d[k - 1] * d[k + 1], ">=") for k in (1, 2, 3)
-    ]
-    entries.append(compare("eqn12", d[1] * d[2], d[0] * d[3], ">="))
-    entries.append(compare("eqn23", d[2] * d[3], d[1] * d[4], ">="))
-    if d[1] != 0.0 and d[3] != 0.0:
-        entries.append(
-            compare(
-                "combined", 2.0 * d[2], d[0] * d[3] / d[1] + d[1] * d[4] / d[3], ">="
-            )
-        )
-    return InequalityReport("kt_chain", tuple(entries))
+    return evaluate("kt_chain", np.array([p.d])).report()
 
 
 def intersection_number(lam, mu, j: int, k: int) -> float:

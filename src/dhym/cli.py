@@ -10,6 +10,7 @@ bytes on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -37,8 +38,13 @@ EXIT_VIOLATION = 1
 EXIT_INVALID = 2
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("DHYM_SEED", "0"))
+def _seed(args) -> int:
+    """--seed if given, else DHYM_SEED, else 0."""
+    seed = os.environ.get("DHYM_SEED", "0") if args.seed is None else args.seed
+    try:
+        return int(seed)
+    except ValueError:
+        raise DomainError(f"DHYM_SEED must be an integer, got {seed!r}") from None
 
 
 def _print_json(obj) -> None:
@@ -87,14 +93,14 @@ def _cmd_angle(args) -> int:
 
 def _cmd_sample(args) -> int:
     report = theorem_suite(
-        args.count, args.seed, theta_lo=args.theta, theta_hi=args.theta
+        args.count, _seed(args), theta_lo=args.theta, theta_hi=args.theta
     )
     _print_json(report.to_dict())
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
 def _cmd_identity(args) -> int:
-    report = identity_suite(args.count, args.seed)
+    report = identity_suite(args.count, _seed(args))
     _print_json(report.to_dict())
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
@@ -107,7 +113,7 @@ def _cmd_kt(args) -> int:
             {"profile": profile.to_dict(), "reports": [r.to_dict() for r in reports]}
         )
         return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
-    report = kt_suite(args.count, args.seed)
+    report = kt_suite(args.count, _seed(args))
     _print_json(report.to_dict())
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
@@ -160,18 +166,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="level-set Monte Carlo theorem suite")
     p.add_argument("--theta", type=float, required=True, help="target lifted angle")
     p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, help="default: $DHYM_SEED, else 0")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("identity", help="random-tuple identity suite")
     p.add_argument("--count", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, help="default: $DHYM_SEED, else 0")
     p.set_defaults(func=_cmd_identity)
 
     p = sub.add_parser("kt", help="Khovanskii-Teissier chains")
     p.add_argument("--profile", help="profile JSON; omit to run the random suite")
     p.add_argument("--count", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, help="default: $DHYM_SEED, else 0")
     p.set_defaults(func=_cmd_kt)
 
     p = sub.add_parser("model", help="materialise a profile from a model spec")
@@ -191,9 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: building it takes about as long as a 1000-sample suite
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DegeneratePathError as exc:

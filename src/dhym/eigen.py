@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
+import numpy as np
+
 from .errors import DomainError, PhaseOutsideBranchError
-from .reports import InequalityReport, compare
+from .reports import InequalityReport, Margins, evaluate
 
 TWO_PI = 2.0 * math.pi
 
@@ -80,20 +82,26 @@ class Branch(Enum):
         return lo < theta < hi
 
 
-def elementary_all(values) -> list[float]:
-    """All elementary symmetric polynomials [sigma_0, ..., sigma_n].
+def sigma_rows(lam) -> np.ndarray:
+    """Elementary symmetric polynomials row-wise: shape (m, n) -> (m, n+1).
 
     Uses the stable one-pass recurrence e_k += v * e_{k-1}; tests compare
     it against direct subset enumeration.
     """
-    vals = tuple(values)
-    n = len(vals)
-    e = [0.0] * (n + 1)
-    e[0] = 1.0
-    for j, v in enumerate(vals, start=1):
-        for k in range(min(j, n), 0, -1):
-            e[k] += v * e[k - 1]
+    lam = np.asarray(lam, dtype=float)
+    m, n = lam.shape
+    e = np.zeros((m, n + 1))
+    e[:, 0] = 1.0
+    for j in range(n):
+        v = lam[:, j]
+        for k in range(min(j + 1, n), 0, -1):
+            e[:, k] += v * e[:, k - 1]
     return e
+
+
+def elementary_all(values) -> list[float]:
+    """All elementary symmetric polynomials [sigma_0, ..., sigma_n] of one tuple."""
+    return sigma_rows([tuple(values)])[0].tolist()
 
 
 def sigma(lam, k: int) -> float:
@@ -105,8 +113,28 @@ def sigma(lam, k: int) -> float:
 
 
 def lagrangian_phase(lam) -> float:
-    """Lagrangian phase theta = sum(arctan lambda_j), in (-n*pi/2, n*pi/2)."""
-    return sum(math.atan(v) for v in as_eigen(lam).values)
+    """Lagrangian phase theta = sum(arctan lambda_j), in (-n*pi/2, n*pi/2).
+
+    Summed left to right, which phase_rows reproduces bit for bit.
+    """
+    theta = 0.0
+    for v in as_eigen(lam).values:
+        theta += math.atan(v)
+    return theta
+
+
+def phase_rows(lam: np.ndarray) -> np.ndarray:
+    """lagrangian_phase of each row of a (m, n) array, bit for bit.
+
+    The arctangents come from math.atan: np.arctan differs from it in the
+    last bit on about 0.1 % of doubles.
+    """
+    atan = np.fromiter(map(math.atan, lam.ravel().tolist()), float, lam.size)
+    atan = atan.reshape(lam.shape)
+    theta = np.zeros(lam.shape[0])
+    for j in range(lam.shape[1]):
+        theta += atan[:, j]
+    return theta
 
 
 def phase_components(lam) -> tuple[float, float]:
@@ -185,77 +213,13 @@ def mixed_sigma(lam, mu, j: int, k: int) -> float:
     return total
 
 
-def _supercritical_entries(t: EigenTuple):
-    pair_min = min(a * b for a, b in combinations(t.values, 2))
-    e = elementary_all(t.values)
-    return (
-        compare("min_eigenvalue", min(t.values), 0.0),
-        compare("min_pair_product", pair_min, 1.0),
-        compare("sigma3_minus_sigma1", e[3], e[1]),
-    )
-
-
-def _mid_entries(t: EigenTuple):
-    e = elementary_all(t.values)
-    l1, l2, l3, l4 = t.values
-    return (
-        compare("sigma1", e[1], 0.0),
-        compare("sigma2", e[2], 0.0),
-        compare("sigma3", e[3], 0.0),
-        compare("sigma3_minus_sigma1", e[3], e[1]),
-        compare("sigma2_minus_sigma4_minus_1", e[2], e[4] + 1.0),
-        compare("sigma2_minus_2", e[2], 2.0),
-        compare("lambda2_lambda4", l2 * l4, 1.0),
-        compare("lambda3_lambda4", l3 * l4, 1.0),
-    )
-
-
-def _full_entries(t: EigenTuple):
-    # facts valid on all of (pi, 2*pi): the sign of sigma_2 - sigma_4 - 1
-    # flips at 3*pi/2, so it is deliberately absent here.
-    e = elementary_all(t.values)
-    l1, l2, l3, l4 = t.values
-    return (
-        compare("sigma1", e[1], 0.0),
-        compare("sigma2", e[2], 0.0),
-        compare("sigma3", e[3], 0.0),
-        compare("sigma3_minus_sigma1", e[3], e[1]),
-        compare("sigma2_minus_2", e[2], 2.0),
-        compare("lambda2_lambda4", l2 * l4, 1.0),
-        compare("lambda3_lambda4", l3 * l4, 1.0),
-    )
-
-
-def _n3_entries(t: EigenTuple):
-    e = elementary_all(t.values)
-    return (
-        compare("sigma1", e[1], 0.0),
-        compare("sigma2", e[2], 0.0),
-        compare("sigma2_minus_1", e[2], 1.0),
-    )
-
-
-_BRANCH_DIMENSION = {
-    Branch.SUPERCRITICAL: 4,
-    Branch.MID: 4,
-    Branch.FULL: 4,
-    Branch.N3: 3,
-}
-
-_BRANCH_ENTRIES = {
-    Branch.SUPERCRITICAL: _supercritical_entries,
-    Branch.MID: _mid_entries,
-    Branch.FULL: _full_entries,
-    Branch.N3: _n3_entries,
-}
-
-
 def branch_check(lam, branch: Branch) -> InequalityReport:
     """Check the pointwise inequalities asserted on a phase branch.
 
     Requires lagrangian_phase(lam) to lie in the open branch interval;
     raises PhaseOutsideBranchError naming the actual phase otherwise.
-    Returns each asserted inequality with its signed margin:
+    Returns each asserted inequality with its signed margin, from the
+    margin table row that branch_blocks evaluates for the suites:
 
     * SUPERCRITICAL: min lambda_i > 0, min pairwise product > 1 (which
       forces sigma_3 > sigma_1, also reported);
@@ -266,13 +230,38 @@ def branch_check(lam, branch: Branch) -> InequalityReport:
     * N3 (3-folds): sigma_1 > 0, sigma_2 > 0 and sigma_2 > 1.
     """
     t = as_eigen(lam)
-    need = _BRANCH_DIMENSION[branch]
+    need = 3 if branch is Branch.N3 else 4
     if t.n != need:
         raise DomainError(f"branch {branch.name} expects {need} eigenvalues, got {t.n}")
     theta = lagrangian_phase(t)
     if not branch.contains(theta):
         raise PhaseOutsideBranchError(theta, branch)
-    return InequalityReport(f"branch_{branch.name.lower()}", _BRANCH_ENTRIES[branch](t))
+    return _branch_margins(np.array([t.values]), branch).report()
+
+
+def _branch_margins(lam: np.ndarray, branch: Branch) -> Margins:
+    return evaluate(f"branch_{branch.name.lower()}", lam, sigma_rows(lam))
+
+
+def branch_blocks(lam: np.ndarray, thetas: np.ndarray, phase: np.ndarray):
+    """Branch margins of 4-fold rows, grouped by the branch of each target.
+
+    Row i, with thetas[i] in (pi, 2*pi), is checked on
+    branch_for_phase(thetas[i]) against its actual phase ``phase[i]``; the
+    PhaseOutsideBranchError names the first row outside its branch, as
+    branch_check sample by sample would.  Returns (rows, margins) for each
+    branch that occurs.
+    """
+    half = Branch.MID.value[1]
+    kinds = (Branch.SUPERCRITICAL, Branch.MID, Branch.FULL)
+    which = np.where(thetas > half, 0, np.where(thetas < half, 1, 2))
+    lo, hi = np.array([b.value for b in kinds])[which].T
+    outside = ~((lo < phase) & (phase < hi))
+    if outside.any():
+        i = outside.argmax()
+        raise PhaseOutsideBranchError(float(phase[i]), kinds[which[i]])
+    groups = [(b, np.flatnonzero(which == k)) for k, b in enumerate(kinds)]
+    return [(rows, _branch_margins(lam[rows], b)) for b, rows in groups if rows.size]
 
 
 def branch_for_phase(theta: float, n: int = 4) -> Branch:

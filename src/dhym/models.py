@@ -19,10 +19,8 @@ from .charge import (
     winding_report,
     z_of_t,
 )
-from .eigen import EigenTuple, as_eigen, elementary_all, lagrangian_phase
+from .eigen import TWO_PI, EigenTuple, as_eigen, elementary_all, lagrangian_phase
 from .errors import DegeneratePathError, DomainError
-
-TWO_PI = 2.0 * math.pi
 
 #: tolerance on the weight sum of a weighted model
 WEIGHT_SUM_TOL = 1e-12

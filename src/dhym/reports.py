@@ -1,4 +1,4 @@
-"""Named-inequality reports with signed margins.
+"""Named-inequality reports with signed margins, and the table they come from.
 
 Every check's margin is the inequality rewritten as ``margin > 0`` (or
 ``>= 0`` for the non-strict ones), so a report never loses the distance to
@@ -7,14 +7,27 @@ the boundary.  Margins within ``BOUNDARY_REL`` of zero, relative to
 silently rounded to a verdict.  The scale is purely relative: entries of a
 profile scaled by c > 0 scale uniformly, so verdicts are invariant under
 rescaling the underlying classes.
+
+The margin expressions of every pointwise and Chern/KT check live in one
+table, ``MARGINS``, evaluated over arrays of rows: sorted eigenvalue rows
+with their sigma rows for the branch checks, profile rows ``d`` for the
+rest.  A scalar check is the table on one row; the suites evaluate it once
+over all their samples and reduce the columns with ``tally``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from typing import NamedTuple
+
+import numpy as np
 
 #: relative tolerance for boundary / equality detection
 BOUNDARY_REL = 1e-12
+
+#: failures a suite report lists before it stops recording them
+FAILURE_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -38,26 +51,6 @@ class InequalityEntry:
             "relation": self.relation,
             "boundary": self.boundary,
         }
-
-
-def compare(name: str, lhs: float, rhs: float, relation: str = ">") -> InequalityEntry:
-    """Build an entry for ``lhs relation rhs`` with a signed margin.
-
-    relation is one of ``">"`` (strict), ``">="`` (non-strict, roundoff
-    tolerated) or ``"=="`` (equality within the boundary tolerance).
-    """
-    margin = lhs - rhs
-    scale = max(abs(lhs), abs(rhs))
-    boundary = abs(margin) <= BOUNDARY_REL * scale
-    if relation == ">":
-        passed = margin > 0.0
-    elif relation == ">=":
-        passed = margin >= -BOUNDARY_REL * scale
-    elif relation == "==":
-        passed = boundary
-    else:
-        raise ValueError(f"unknown relation {relation!r}")
-    return InequalityEntry(name, lhs, rhs, margin, passed, relation, boundary)
 
 
 @dataclass(frozen=True)
@@ -89,3 +82,174 @@ class InequalityReport:
             "pass": self.passed,
             "entries": {e.name: e.to_dict() for e in self.entries},
         }
+
+
+class Margin(NamedTuple):
+    """One entry of a check as columns over its rows; ``rhs`` may be a
+    constant, and ``present`` marks the rows the entry exists on."""
+
+    name: str
+    lhs: np.ndarray
+    rhs: np.ndarray | float
+    relation: str = ">"
+    present: np.ndarray | None = None
+
+
+class Margins(NamedTuple):
+    """One check over m rows: column k of each (m, K) array is entry names[k]."""
+
+    label: str
+    names: tuple[str, ...]
+    relations: tuple[str, ...]
+    lhs: np.ndarray
+    rhs: np.ndarray
+    margin: np.ndarray
+    passed: np.ndarray
+    boundary: np.ndarray
+    present: np.ndarray
+
+    def report(self, i: int = 0) -> InequalityReport:
+        """Row i as a report, its absent entries left out."""
+        lhs, rhs, margin, passed, boundary, present = (a[i].tolist() for a in self[3:])
+        cols = zip(self.names, lhs, rhs, margin, passed, self.relations, boundary, present)
+        return InequalityReport(self.label, tuple(InequalityEntry(*c[:7]) for c in cols if c[7]))
+
+
+def compare_rows(label: str, entries) -> Margins:
+    """Signed margins of every entry over the rows.
+
+    A relation is ``">"`` (strict), ``">="`` (non-strict, roundoff
+    tolerated) or ``"=="`` (equality within the boundary tolerance).
+    """
+    shape = (len(entries[0].lhs), len(entries))
+    lhs, rhs, present = np.empty(shape), np.empty(shape), np.ones(shape, dtype=bool)
+    for k, entry in enumerate(entries):
+        if entry.relation not in (">", ">=", "=="):
+            raise ValueError(f"unknown relation {entry.relation!r}")
+        lhs[:, k], rhs[:, k] = entry.lhs, entry.rhs
+        if entry.present is not None:
+            present[:, k] = entry.present
+    margin = lhs - rhs
+    tol = BOUNDARY_REL * np.maximum(np.abs(lhs), np.abs(rhs))
+    boundary = np.abs(margin) <= tol
+    names, relations = (tuple(x) for x in zip(*((e.name, e.relation) for e in entries)))
+    strict, loose = (np.array([r == rel for r in relations]) for rel in (">", ">="))
+    passed = np.where(strict, margin > 0.0, np.where(loose, margin >= -tol, boundary))
+    return Margins(label, names, relations, lhs, rhs, margin, passed, boundary, present)
+
+
+def compare(name: str, lhs: float, rhs: float, relation: str = ">") -> InequalityEntry:
+    """Build an entry for ``lhs relation rhs``: compare_rows on one row."""
+    return compare_rows("", [Margin(name, [lhs], rhs, relation)]).report().entries[0]
+
+
+def _sq(x):
+    # rounds like Python's x ** 2 (both call pow); x * x differs in the last
+    # bit on about 0.1 % of doubles, which moves cancelling margins
+    return np.float_power(x, 2.0)
+
+
+def _mid(lam, e):
+    return (
+        Margin("sigma1", e[:, 1], 0.0),
+        Margin("sigma2", e[:, 2], 0.0),
+        Margin("sigma3", e[:, 3], 0.0),
+        Margin("sigma3_minus_sigma1", e[:, 3], e[:, 1]),
+        Margin("sigma2_minus_sigma4_minus_1", e[:, 2], e[:, 4] + 1.0),
+        Margin("sigma2_minus_2", e[:, 2], 2.0),
+        Margin("lambda2_lambda4", lam[:, 1] * lam[:, 3], 1.0),
+        Margin("lambda3_lambda4", lam[:, 2] * lam[:, 3], 1.0),
+    )
+
+
+def _chern_n4(d):
+    sym = d[:, 0] * _sq(d[:, 3]) + _sq(d[:, 1]) * d[:, 4]
+    return (
+        Margin("first", d[:, 3], d[:, 1]),
+        Margin("second", 6.0 * d[:, 1] * d[:, 2] * d[:, 3], sym),
+        Margin("kahler2", 2.0 * d[:, 1] * d[:, 2] * d[:, 3], sym, ">="),
+    )
+
+
+def _kt_chain(d):
+    return (
+        *(Margin(f"k{k}", _sq(d[:, k]), d[:, k - 1] * d[:, k + 1], ">=") for k in (1, 2, 3)),
+        Margin("eqn12", d[:, 1] * d[:, 2], d[:, 0] * d[:, 3], ">="),
+        Margin("eqn23", d[:, 2] * d[:, 3], d[:, 1] * d[:, 4], ">="),
+        Margin(
+            "combined",
+            2.0 * d[:, 2],
+            d[:, 0] * d[:, 3] / d[:, 1] + d[:, 1] * d[:, 4] / d[:, 3],
+            ">=",
+            (d[:, 1] != 0.0) & (d[:, 3] != 0.0),
+        ),
+    )
+
+
+#: check label -> function of its input columns giving its entries in
+#: report order.  Branch checks take (lam, e), sorted eigenvalue rows and
+#: their sigma rows; the others take profile rows d, shape (m, n+1).
+MARGINS = {
+    "branch_supercritical": lambda lam, e: (
+        Margin("min_eigenvalue", lam[:, 0], 0.0),
+        Margin(
+            "min_pair_product",
+            np.minimum.reduce([lam[:, i] * lam[:, j] for i, j in combinations(range(4), 2)]),
+            1.0,
+        ),
+        Margin("sigma3_minus_sigma1", e[:, 3], e[:, 1]),
+    ),
+    "branch_mid": _mid,
+    # the facts valid on all of (pi, 2*pi): the sign of sigma_2 - sigma_4 - 1
+    # flips at 3*pi/2
+    "branch_full": lambda lam, e: tuple(
+        x for x in _mid(lam, e) if x.name != "sigma2_minus_sigma4_minus_1"
+    ),
+    "branch_n3": lambda lam, e: (
+        Margin("sigma1", e[:, 1], 0.0),
+        Margin("sigma2", e[:, 2], 0.0),
+        Margin("sigma2_minus_1", e[:, 2], 1.0),
+    ),
+    "chern_n4": _chern_n4,
+    "chern_n3": lambda d: (Margin("chern3", 9.0 * d[:, 1] * d[:, 2], d[:, 0] * d[:, 3]),),
+    "kt_chain": _kt_chain,
+}
+
+
+def evaluate(label: str, *cols) -> Margins:
+    """Every entry of check ``label`` over the rows of ``cols``."""
+    # entries are computed on rows where they are absent too, and overflow
+    # to inf silently, as Python float arithmetic does
+    with np.errstate(all="ignore"):
+        return compare_rows(label, MARGINS[label](*cols))
+
+
+def tally(blocks, flags=(), qualified=True):
+    """Minimum margin per key and the first FAILURE_CAP failures of a suite.
+
+    ``blocks`` lists (rows, margins) in the order one sample reports its
+    checks, ``rows`` being the ascending sample indices of the block's
+    rows.  Keys, ``label.name`` (the bare name unless ``qualified``) and
+    unique across blocks, enter the dict in the order a loop over samples
+    first meets them.  Failures are (sample, key, margin) ordered by
+    sample, block and entry; ``flags`` = ((key, rows), ...) adds a
+    margin-less failure after the block failures of each listed sample.
+    """
+    seen, fails = [], []
+    for b, (rows, mg) in enumerate(blocks):
+        keys = [f"{mg.label}.{name}" if qualified else name for name in mg.names]
+        # argmin takes the first of equal minima, as the loop's `<` kept it
+        masked = np.where(mg.present, mg.margin, np.inf)
+        low = masked[masked.argmin(axis=0), np.arange(len(keys))].tolist()
+        first = rows[mg.present.argmax(axis=0)].tolist()
+        for k, exists in enumerate(mg.present.any(axis=0).tolist()):
+            if exists:
+                seen.append((first[k], b, k, keys[k], low[k]))
+        # np.nonzero walks row-major, so each block's first FAILURE_CAP suffice
+        r, c = (x[:FAILURE_CAP] for x in np.nonzero(mg.present & ~mg.passed))
+        hits = zip(rows[r].tolist(), c.tolist(), mg.margin[r, c].tolist())
+        fails += [(i, b, k, keys[k], m) for i, k, m in hits]
+    for f, (key, rows) in enumerate(flags):
+        fails += [(i, len(blocks) + f, 0, key, 0.0) for i in rows[:FAILURE_CAP].tolist()]
+    mins = {key: low for *_, key, low in sorted(seen)}
+    return mins, tuple((i, key, m) for i, _, _, key, m in sorted(fails)[:FAILURE_CAP])

@@ -20,6 +20,8 @@ from .models import blowup_p3, constant_model, weighted_model
 def format_float(x: float) -> str:
     if not math.isfinite(x):
         raise DomainError(f"cannot serialise non-finite float {x!r}")
+    if x == 0.0 and math.copysign(1.0, x) < 0.0:
+        return "-0.0"  # "-0" would read back as the integer 0
     return "%.17g" % x
 
 

@@ -1,25 +1,24 @@
 """Batch verification suites: identities, branch theorems and KT chains.
 
-The identity suites run vectorised over connected arrays of random tuples;
-the theorem suites drive the scalar API sample by sample so that the same
-code paths a user calls are the ones being certified.
+Every suite is one array pass over its random tuples.  The theorem suites
+evaluate the same margin table (reports.MARGINS) that branch_check,
+check_chern_n4 and kt_chain evaluate on a single row, so the code paths a
+user calls are the ones being certified.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .charge import check_chern_n4, kt_chain, z_of_t
-from .eigen import EigenTuple, branch_check, branch_for_phase, lagrangian_phase
+from .charge import _first_crossing
+from .eigen import TWO_PI, branch_blocks, phase_rows, sigma_rows
 from .errors import DomainError
-from .models import constant_model
+from .reports import evaluate, tally
 from .sampling import sample_level_set_batch
-
-TWO_PI = 2.0 * math.pi
 
 #: pass thresholds, relative to max(1, |lhs|, |rhs|)
 PRODUCT_IDENTITY_TOL = 1e-12
@@ -27,21 +26,24 @@ FACTORIZATION_TOL = 1e-10
 VIETA_TOL = 1e-10
 NEWTON_TOL = 1e-12
 
+#: C(4, k): a constant model's profile is d_k = sigma_k / C(4, k)
+_COMB4 = np.array([math.comb(4, k) for k in range(5)], dtype=float)
 
-def _sigma_rows(lam: np.ndarray) -> np.ndarray:
-    """Elementary symmetric polynomials row-wise: shape (m, n+1)."""
-    m, n = lam.shape
-    e = np.zeros((m, n + 1))
-    e[:, 0] = 1.0
-    for j in range(n):
-        v = lam[:, j]
-        for k in range(min(j + 1, n), 0, -1):
-            e[:, k] += v * e[:, k - 1]
-    return e
+
+class _SuiteReport:
+    """Wire form shared by the suite reports: every field but the trailing
+    (elapsed, passed), then "pass"; wall time never reaches stdout."""
+
+    def to_dict(self):
+        out = {f.name: getattr(self, f.name) for f in fields(self)[:-2]}
+        if "failures" in out:
+            out["min_margins"] = dict(self.min_margins)
+            out["failures"] = [list(f) for f in self.failures]
+        return {**out, "pass": self.passed}
 
 
 @dataclass(frozen=True)
-class IdentitySuiteReport:
+class IdentitySuiteReport(_SuiteReport):
     count: int
     max_rel_product: float
     max_rel_factorization: float
@@ -49,16 +51,6 @@ class IdentitySuiteReport:
     min_newton_margin_rel: float
     elapsed: float
     passed: bool
-
-    def to_dict(self):
-        return {
-            "count": self.count,
-            "max_rel_product": self.max_rel_product,
-            "max_rel_factorization": self.max_rel_factorization,
-            "max_rel_vieta": self.max_rel_vieta,
-            "min_newton_margin_rel": self.min_newton_margin_rel,
-            "pass": self.passed,
-        }
 
 
 def identity_suite(count: int, seed: int, span: float = 10.0) -> IdentitySuiteReport:
@@ -75,7 +67,7 @@ def identity_suite(count: int, seed: int, span: float = 10.0) -> IdentitySuiteRe
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     lam = np.sort(rng.uniform(-span, span, size=(count, 4)), axis=1)
-    e = _sigma_rows(lam)
+    e = sigma_rows(lam)
     l1, l2, l3, l4 = (lam[:, j] for j in range(4))
 
     comp = (e[:, 0] - e[:, 2] + e[:, 4]) + 1j * (e[:, 1] - e[:, 3])
@@ -99,7 +91,7 @@ def identity_suite(count: int, seed: int, span: float = 10.0) -> IdentitySuiteRe
     scale = np.maximum(1.0, np.maximum(np.abs(vl), np.abs(vr)))
     rel_vieta = float(np.max(np.abs(vl - vr) / scale))
 
-    p = e / np.array([math.comb(4, k) for k in range(5)])
+    p = e / _COMB4
     newton = np.inf
     for k in (1, 2, 3):
         margin = p[:, k] ** 2 - p[:, k - 1] * p[:, k + 1]
@@ -124,7 +116,7 @@ def identity_suite(count: int, seed: int, span: float = 10.0) -> IdentitySuiteRe
 
 
 @dataclass(frozen=True)
-class TheoremSuiteReport:
+class TheoremSuiteReport(_SuiteReport):
     count: int
     theta_lo: float
     theta_hi: float
@@ -136,19 +128,6 @@ class TheoremSuiteReport:
     elapsed: float
     passed: bool
 
-    def to_dict(self):
-        return {
-            "count": self.count,
-            "theta_lo": self.theta_lo,
-            "theta_hi": self.theta_hi,
-            "max_phase_error": self.max_phase_error,
-            "min_margins": dict(self.min_margins),
-            "tstar_count": self.tstar_count,
-            "sign_mismatches": self.sign_mismatches,
-            "failures": [list(f) for f in self.failures],
-            "pass": self.passed,
-        }
-
 
 def theorem_suite(
     count: int,
@@ -159,8 +138,9 @@ def theorem_suite(
     """Level-set Monte Carlo over the lifted window (pi, 2*pi).
 
     Draws `count` tuples with phases uniform in [theta_lo, theta_hi],
-    then runs branch_check on the half of the window each phase falls in
-    and check_chern_n4 on the matching constant model.  Also certifies
+    then evaluates, in one array pass, the branch_check facts of the half
+    of the window each phase falls in and the check_chern_n4 inequalities
+    of the matching constant models.  Also certifies
     the real-axis crossing: sign(Re Z(T*)) must reproduce the sign of the
     second inequality margin whenever T* = sqrt(d_3/d_1) > 1 exists.
     """
@@ -176,37 +156,24 @@ def theorem_suite(
     thetas = rng.uniform(theta_lo, theta_hi, size=count)
     lam = sample_level_set_batch(thetas, rng=rng)
 
-    max_phase_err = 0.0
-    min_margins: dict = {}
-    failures = []
-    tstar_count = 0
-    mismatches = 0
-    for i in range(count):
-        tup = EigenTuple(tuple(lam[i]))
-        theta = float(thetas[i])
-        max_phase_err = max(max_phase_err, abs(lagrangian_phase(tup) - theta))
-        reports = [branch_check(tup, branch_for_phase(theta))]
-        profile = constant_model(tup)
-        chern = check_chern_n4(profile)
-        reports.append(chern)
-        for rep in reports:
-            for entry in rep.entries:
-                key = f"{rep.label}.{entry.name}"
-                if key not in min_margins or entry.margin < min_margins[key]:
-                    min_margins[key] = entry.margin
-                if not entry.passed and len(failures) < 32:
-                    failures.append((i, key, entry.margin))
-        d = profile.d
-        if d[1] > 0.0 and d[3] > 0.0:
-            t_star = math.sqrt(d[3] / d[1])
-            if t_star > 1.0:
-                tstar_count += 1
-                re_sign = math.copysign(1.0, z_of_t(profile, t_star).real)
-                margin_sign = math.copysign(1.0, chern.margin("second"))
-                if re_sign != margin_sign:
-                    mismatches += 1
-                    if len(failures) < 32:
-                        failures.append((i, "tstar_sign", 0.0))
+    phase = phase_rows(lam)
+    max_phase_err = max(0.0, float(np.max(np.abs(phase - thetas))))
+    blocks = branch_blocks(lam, thetas, phase)
+    d = sigma_rows(lam) / _COMB4  # the constant models
+    chern = evaluate("chern_n4", d)
+    blocks.append((np.arange(count), chern))
+
+    # T*: sign(Re Z(T*)) must match the sign of the second Chern margin
+    t = _first_crossing(4, d)
+    rows = np.flatnonzero(~np.isnan(t))
+    t, dr = t[rows], d[rows]
+    # 24 Re Z(t) = -(d_0 t^4 - 6 d_2 t^2 + d_4), summed in z_of_t's order
+    quartic = dr[:, 0] * np.float_power(t, 4.0) - 6.0 * dr[:, 2] * np.float_power(t, 2.0)
+    re = -(quartic + dr[:, 4])
+    second = chern.margin[rows, chern.names.index("second")]
+    mismatch = rows[np.copysign(1.0, re) != np.copysign(1.0, second)]
+    tstar_count, mismatches = len(rows), len(mismatch)
+    min_margins, failures = tally(blocks, flags=[("tstar_sign", mismatch)])
 
     passed = not failures and mismatches == 0 and max_phase_err < 1e-12
     return TheoremSuiteReport(
@@ -217,29 +184,20 @@ def theorem_suite(
         min_margins=min_margins,
         tstar_count=tstar_count,
         sign_mismatches=mismatches,
-        failures=tuple(failures),
+        failures=failures,
         elapsed=time.perf_counter() - start,
         passed=passed,
     )
 
 
 @dataclass(frozen=True)
-class KtSuiteReport:
+class KtSuiteReport(_SuiteReport):
     count: int
     attempts: int
     min_margins: dict
     failures: tuple
     elapsed: float
     passed: bool
-
-    def to_dict(self):
-        return {
-            "count": self.count,
-            "attempts": self.attempts,
-            "min_margins": dict(self.min_margins),
-            "failures": [list(f) for f in self.failures],
-            "pass": self.passed,
-        }
 
 
 def kt_suite(count: int, seed: int, span: float = 10.0) -> KtSuiteReport:
@@ -253,31 +211,22 @@ def kt_suite(count: int, seed: int, span: float = 10.0) -> KtSuiteReport:
         raise DomainError(f"suite count must be >= 1, got {count}")
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    rows = []
+    sigmas = []
     attempts = 0
-    while sum(len(r) for r in rows) < count:
+    while sum(len(e) for e in sigmas) < count:
         block = max(4096, count)
         lam = np.sort(rng.uniform(-span, span, size=(block, 4)), axis=1)
-        e = _sigma_rows(lam)
-        keep = (e[:, 1] > 0.0) & (e[:, 2] > 0.0) & (e[:, 3] > 0.0)
-        rows.append(lam[keep])
+        e = sigma_rows(lam)
+        sigmas.append(e[(e[:, 1] > 0.0) & (e[:, 2] > 0.0) & (e[:, 3] > 0.0)])
         attempts += block
-    lam = np.concatenate(rows)[:count]
+    d = np.concatenate(sigmas)[:count] / _COMB4
 
-    min_margins: dict = {}
-    failures = []
-    for i in range(count):
-        report = kt_chain(constant_model(EigenTuple(tuple(lam[i]))))
-        for entry in report.entries:
-            if entry.name not in min_margins or entry.margin < min_margins[entry.name]:
-                min_margins[entry.name] = entry.margin
-            if not entry.passed and len(failures) < 32:
-                failures.append((i, entry.name, entry.margin))
+    min_margins, failures = tally([(np.arange(count), evaluate("kt_chain", d))], qualified=False)
     return KtSuiteReport(
         count=count,
         attempts=attempts,
         min_margins=min_margins,
-        failures=tuple(failures),
+        failures=failures,
         elapsed=time.perf_counter() - start,
         passed=not failures,
     )

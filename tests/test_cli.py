@@ -182,6 +182,16 @@ def test_env_seed_default(capsys, monkeypatch):
     assert via_env == explicit
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+def test_env_seed_invalid_exit_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("DHYM_SEED", value)
+    code, out = run_cli(capsys, "sample", "--theta", "4.2", "--count", "30")
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "DomainError"
+    assert "DHYM_SEED" in report["message"]
+
+
 def test_profile_json_round_trip(capsys, profile_2345, tmp_path):
     code, out = run_cli(capsys, "model", "--spec", str(tmp_path / "missing.json"))
     assert code == 2  # missing spec file

@@ -1,0 +1,264 @@
+"""The margin table against the scalar arithmetic it replaced.
+
+The reference functions below are the per-tuple entry lists and the loop
+reduction that the scalar checks and suites used before the table existed,
+in plain Python floats.  Every kernel row, and every scalar check, must
+equal them bit for bit: names, lhs, rhs, margin, pass and boundary.
+"""
+
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dhym import (
+    Branch,
+    IntersectionProfile,
+    branch_check,
+    check_chern_n3,
+    check_chern_n4,
+    compare,
+    kt_chain,
+    lagrangian_phase,
+)
+from dhym.eigen import as_eigen, phase_rows, sigma_rows
+from dhym.errors import PhaseOutsideBranchError
+from dhym.reports import Margin, compare_rows, evaluate, tally
+
+REL = 1e-12
+
+
+def ref_compare(name, lhs, rhs, relation=">"):
+    margin = lhs - rhs
+    scale = max(abs(lhs), abs(rhs))
+    boundary = abs(margin) <= REL * scale
+    passed = {">": margin > 0.0, ">=": margin >= -REL * scale, "==": boundary}[relation]
+    return (name, lhs, rhs, margin, passed, boundary)
+
+
+def ref_sigma(vals):
+    n = len(vals)
+    e = [1.0] + [0.0] * n
+    for j, v in enumerate(vals, start=1):
+        for k in range(min(j, n), 0, -1):
+            e[k] += v * e[k - 1]
+    return e
+
+
+def ref_branch(vals, branch):
+    e = ref_sigma(vals)
+    if branch is Branch.N3:
+        return [
+            ref_compare("sigma1", e[1], 0.0),
+            ref_compare("sigma2", e[2], 0.0),
+            ref_compare("sigma2_minus_1", e[2], 1.0),
+        ]
+    if branch is Branch.SUPERCRITICAL:
+        return [
+            ref_compare("min_eigenvalue", min(vals), 0.0),
+            ref_compare("min_pair_product", min(a * b for a, b in combinations(vals, 2)), 1.0),
+            ref_compare("sigma3_minus_sigma1", e[3], e[1]),
+        ]
+    l1, l2, l3, l4 = vals
+    out = [
+        ref_compare("sigma1", e[1], 0.0),
+        ref_compare("sigma2", e[2], 0.0),
+        ref_compare("sigma3", e[3], 0.0),
+        ref_compare("sigma3_minus_sigma1", e[3], e[1]),
+        ref_compare("sigma2_minus_sigma4_minus_1", e[2], e[4] + 1.0),
+        ref_compare("sigma2_minus_2", e[2], 2.0),
+        ref_compare("lambda2_lambda4", l2 * l4, 1.0),
+        ref_compare("lambda3_lambda4", l3 * l4, 1.0),
+    ]
+    if branch is Branch.FULL:
+        out.pop(4)
+    return out
+
+
+def ref_chern_n4(d):
+    sym = d[0] * d[3] ** 2 + d[1] ** 2 * d[4]
+    return [
+        ref_compare("first", d[3], d[1]),
+        ref_compare("second", 6.0 * d[1] * d[2] * d[3], sym),
+        ref_compare("kahler2", 2.0 * d[1] * d[2] * d[3], sym, ">="),
+    ]
+
+
+def ref_chern_n3(d):
+    return [ref_compare("chern3", 9.0 * d[1] * d[2], d[0] * d[3])]
+
+
+def ref_kt(d):
+    out = [ref_compare(f"k{k}", d[k] ** 2, d[k - 1] * d[k + 1], ">=") for k in (1, 2, 3)]
+    out.append(ref_compare("eqn12", d[1] * d[2], d[0] * d[3], ">="))
+    out.append(ref_compare("eqn23", d[2] * d[3], d[1] * d[4], ">="))
+    if d[1] != 0.0 and d[3] != 0.0:
+        out.append(
+            ref_compare("combined", 2.0 * d[2], d[0] * d[3] / d[1] + d[1] * d[4] / d[3], ">=")
+        )
+    return out
+
+
+def bits(rows):
+    """Entries with every float as its hex form, so -0.0 != 0.0."""
+    return [
+        tuple(x.hex() if isinstance(x, float) else x for x in row) for row in rows
+    ]
+
+
+def report_rows(report):
+    return bits((e.name, e.lhs, e.rhs, e.margin, e.passed, e.boundary) for e in report.entries)
+
+
+def kernel_rows(margins, i):
+    return report_rows(margins.report(i))
+
+
+angles = st.floats(min_value=-1.5, max_value=1.5605)
+tuples4 = st.lists(st.lists(angles, min_size=4, max_size=4), min_size=1, max_size=12)
+tuples3 = st.lists(st.lists(angles, min_size=3, max_size=3), min_size=1, max_size=12)
+
+
+def _branch_agreement(angle_rows, branches):
+    batch = [as_eigen(np.tan(u).tolist()).values for u in angle_rows]
+    for branch in branches:
+        inside = [t for t in batch if branch.contains(lagrangian_phase(t))]
+        for t in batch:
+            if t not in inside:
+                with pytest.raises(PhaseOutsideBranchError) as err:
+                    branch_check(t, branch)
+                assert err.value.phase == lagrangian_phase(t)
+        if not inside:
+            continue
+        lam = np.array(inside)
+        kernel = evaluate(f"branch_{branch.name.lower()}", lam, sigma_rows(lam))
+        for i, t in enumerate(inside):
+            want = bits(ref_branch(list(t), branch))
+            assert kernel_rows(kernel, i) == want
+            assert report_rows(branch_check(t, branch)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(tuples4)
+def test_branch_kernel_rows_match_scalar_reference(angle_rows):
+    _branch_agreement(angle_rows, (Branch.SUPERCRITICAL, Branch.MID, Branch.FULL))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tuples3)
+def test_branch_n3_kernel_rows_match_scalar_reference(angle_rows):
+    _branch_agreement(angle_rows, (Branch.N3,))
+
+
+def test_full_is_mid_without_the_half_window_fact():
+    mid = branch_check((0.5, 1, 2, 3), Branch.MID)
+    full = branch_check((0.5, 1, 2, 3), Branch.FULL)
+    kept = [e for e in mid.entries if e.name != "sigma2_minus_sigma4_minus_1"]
+    assert full.entries == tuple(kept)
+    assert len(kept) == len(mid.entries) - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=12, max_size=20))
+def test_phase_rows_match_lagrangian_phase(vals):
+    lam = np.array(vals[: len(vals) // 4 * 4]).reshape(-1, 4)
+    got = phase_rows(np.sort(lam, axis=1)).tolist()
+    assert [x.hex() for x in got] == [lagrangian_phase(row).hex() for row in lam]
+
+
+coord = st.one_of(st.just(0.0), st.just(-0.0), st.floats(min_value=-1e6, max_value=1e6))
+profiles4 = st.lists(
+    st.tuples(st.floats(min_value=1e-3, max_value=1e3), *[coord] * 4), min_size=1, max_size=10
+)
+profiles3 = st.lists(
+    st.tuples(st.floats(min_value=1e-3, max_value=1e3), *[coord] * 3), min_size=1, max_size=10
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(profiles4)
+def test_chern_n4_and_kt_rows_match_scalar_reference(rows):
+    d = np.array(rows)
+    chern, kt = evaluate("chern_n4", d), evaluate("kt_chain", d)
+    for i, row in enumerate(rows):
+        p = IntersectionProfile(4, row)
+        assert kernel_rows(chern, i) == report_rows(check_chern_n4(p)) == bits(ref_chern_n4(row))
+        assert kernel_rows(kt, i) == report_rows(kt_chain(p)) == bits(ref_kt(row))
+        assert ("combined" in kt_chain(p).names()) == (row[1] != 0.0 and row[3] != 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(profiles3)
+def test_chern_n3_rows_match_scalar_reference(rows):
+    chern = evaluate("chern_n3", np.array(rows))
+    for i, row in enumerate(rows):
+        scalar = report_rows(check_chern_n3(IntersectionProfile(3, row)))
+        assert kernel_rows(chern, i) == scalar == bits(ref_chern_n3(row))
+
+
+def test_compare_relations():
+    assert compare("x", 2.0, 1.0).passed
+    assert not compare("x", 1.0, 1.0).passed and compare("x", 1.0, 1.0).boundary
+    assert compare("x", 1.0, 1.0 + 1e-13, ">=").passed
+    assert compare("x", 1.0, 1.0 + 1e-13, "==").passed
+    assert not compare("x", 1.0, 1.1, "==").passed
+    with pytest.raises(ValueError):
+        compare("x", 1.0, 0.0, "<")
+
+
+def ref_tally(count, blocks, flags, qualified=True, cap=32):
+    """The per-sample loop the suites ran before the array reduction."""
+    mins, failures = {}, []
+    for i in range(count):
+        for rows, mg in blocks:
+            hit = np.flatnonzero(rows == i)
+            if not hit.size:
+                continue
+            for entry in mg.report(int(hit[0])).entries:
+                key = f"{mg.label}.{entry.name}" if qualified else entry.name
+                if key not in mins or entry.margin < mins[key]:
+                    mins[key] = entry.margin
+                if not entry.passed and len(failures) < cap:
+                    failures.append((i, key, entry.margin))
+        for key, rows in flags:
+            if i in rows and len(failures) < cap:
+                failures.append((i, key, 0.0))
+    return mins, tuple(failures)
+
+
+def crafted_blocks(rng, count):
+    """Two interleaved branch-like blocks, one block over every sample
+    (with a guarded entry), and failures scattered over several rows."""
+    odd, even = np.arange(1, count, 2), np.arange(0, count, 2)
+    a = compare_rows(
+        "a", [Margin(n, rng.normal(size=len(odd)), 0.0, r) for n, r in (("p", ">"), ("q", "=="))]
+    )
+    b = compare_rows("b", [Margin(n, rng.normal(size=len(even)), 0.0) for n in "prs"])
+    present = rng.random(count) < 0.7
+    present[0] = False  # key c.v first appears after row 0
+    c = compare_rows(
+        "c",
+        [
+            Margin("u", rng.normal(size=count), 0.0, ">="),
+            Margin("v", rng.normal(size=count), 0.0, ">", present),
+        ],
+    )
+    return [(even, b), (odd, a), (np.arange(count), c)]
+
+
+@pytest.mark.parametrize("count", [5, 9, 60])
+def test_tally_matches_loop_order_and_cap(count):
+    rng = np.random.default_rng(count)
+    blocks = crafted_blocks(rng, count)
+    flags = [("flag", np.array([1, 2, count - 1]))]
+    got = tally(blocks, flags)
+    want = ref_tally(count, blocks, flags)
+    assert got == want
+    assert list(got[0]) == list(want[0])  # insertion order, not just content
+    if count == 60:
+        assert len(got[1]) == 32  # the cap bites
+    # bare names, as kt_suite reports them; keys must be unique across blocks
+    single = blocks[2:]
+    assert tally(single, flags, qualified=False) == ref_tally(count, single, flags, False)

@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dhym import IntersectionProfile
@@ -20,6 +20,9 @@ def test_format_float_round_trips_every_double(x):
 def test_format_float_edge_values():
     for x in (0.0, -0.0, 5e-324, 1.7976931348623157e308, 1 / 3, -math.pi):
         assert float(format_float(x)) == x
+    assert format_float(-0.0) == "-0.0"
+    assert math.copysign(1.0, json.loads(format_float(-0.0))) == -1.0
+    assert [format_float(x) for x in (0.0, 1.0, -2.0)] == ["0", "1", "-2"]
     with pytest.raises(DomainError):
         format_float(math.inf)
     with pytest.raises(DomainError):
@@ -45,6 +48,7 @@ def test_dumps_rejects_unknown_types():
         st.floats(min_value=-1e9, max_value=1e9, allow_nan=False), min_size=4, max_size=4
     )
 )
+@example(d_tail=[0.0, 0.0, 0.0, -0.0])
 def test_profile_dict_round_trip(d_tail):
     p = IntersectionProfile(4, (1.0, *d_tail))
     text = dumps(p.to_dict())
