@@ -50,7 +50,6 @@ from .errors import (
 from .hermitian import (
     HermitianPair,
     eigensystem,
-    jacobi_hermitian,
     phase_of_pair,
     relative_spectrum,
 )

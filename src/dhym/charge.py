@@ -77,9 +77,10 @@ class IntersectionProfile:
     @classmethod
     def from_dict(cls, obj) -> "IntersectionProfile":
         try:
-            return cls(int(obj["n"]), tuple(obj["d"]), bool(obj.get("synthetic", False)))
-        except (KeyError, TypeError) as exc:
+            n, d = int(obj["n"]), tuple(float(x) for x in obj["d"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed profile object: {exc}") from exc
+        return cls(n, d, bool(obj.get("synthetic", False)))
 
 
 def z_of_t(p: IntersectionProfile, t: float) -> complex:

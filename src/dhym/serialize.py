@@ -79,9 +79,10 @@ def load_json(path: str):
 def parse_eigen(obj) -> EigenTuple:
     """{"lambda": [a, b, c, d]} -> EigenTuple."""
     try:
-        return EigenTuple(tuple(obj["lambda"]))
-    except (KeyError, TypeError) as exc:
+        values = tuple(float(x) for x in obj["lambda"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed eigenvalue object: {exc}") from exc
+    return EigenTuple(values)
 
 
 def parse_profile(obj) -> IntersectionProfile:
@@ -103,17 +104,20 @@ def parse_model_spec(obj) -> IntersectionProfile:
         return constant_model(parse_eigen(obj))
     if kind == "weighted":
         try:
-            points = [(pt["w"], tuple(pt["lambda"])) for pt in obj["points"]]
-        except (KeyError, TypeError) as exc:
+            points = [
+                (float(pt["w"]), tuple(float(x) for x in pt["lambda"])) for pt in obj["points"]
+            ]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed weighted model points: {exc}") from exc
         return weighted_model(points)
     if kind == "blowup_p3":
         try:
             a, b = obj["omega"]
             c, e = obj["alpha"]
-        except (KeyError, TypeError, ValueError) as exc:
+            classes = float(a), float(b), float(c), float(e)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed blow-up spec: {exc}") from exc
-        return blowup_p3(float(a), float(b), float(c), float(e))
+        return blowup_p3(*classes)
     raise DomainError(f"unknown model kind {kind!r}")
 
 

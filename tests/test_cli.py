@@ -236,6 +236,45 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"model": "weighted", "points": [{"w": "abc", "lambda": [1, 2, 3, 4]}]}',
+        '{"model": "weighted", "points": [{"w": 1, "lambda": [1, "x", 3, 4]}]}',
+        '{"model": "constant", "lambda": [1, "x", 3, 4]}',
+        '{"model": "blowup_p3", "omega": ["x", 1], "alpha": [1, 1]}',
+    ],
+    ids=["weighted-w", "weighted-lambda", "constant-lambda", "blowup-omega"],
+)
+def test_model_spec_non_numeric_exit_2(capsys, tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(spec, encoding="utf-8")
+    code, out = run_cli(capsys, "model", "--spec", str(path))
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "DomainError"
+    assert "could not convert" in report["message"]
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        '{"n": 4, "d": [1, "x", 1, 1, 1]}',
+        '{"n": "abc", "d": [1, 1, 1, 1, 1]}',
+        '{"n": 1e999, "d": [1, 1, 1, 1, 1]}',
+    ],
+    ids=["d-string", "n-string", "n-inf"],
+)
+def test_profile_non_numeric_exit_2(capsys, tmp_path, profile):
+    path = tmp_path / "profile.json"
+    path.write_text(profile, encoding="utf-8")
+    code, out = run_cli(capsys, "check", "--profile", str(path))
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "DomainError"
+    assert report["message"].startswith("malformed profile object")
+
+
 def test_console_script_entry_point(tmp_path):
     spec = write(tmp_path / "spec.json", {"model": "constant", "lambda": [1, 1, 1, 1]})
     proc = subprocess.run(

@@ -1,23 +1,23 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from dhym import (
     HermitianPair,
     eigensystem,
-    jacobi_hermitian,
     lagrangian_phase,
     phase_of_pair,
     relative_spectrum,
 )
 from dhym.errors import InvalidPairError
-from dhym.hermitian import matrix_from_dict, matrix_to_dict
+from dhym.hermitian import RESIDUAL_REL, matrix_from_dict, matrix_to_dict
 
 
-def random_hermitian(rng, dim, scale=1.0):
+def random_hermitian(rng, dim):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * 0.5 * (m + m.conj().T)
+    return 0.5 * (m + m.conj().T)
 
 
 def random_pair(rng, dim):
@@ -73,6 +73,17 @@ def test_rejects_indefinite_metric():
     g = np.diag([1.0, -1.0])
     with pytest.raises(InvalidPairError, match="pivot 1"):
         HermitianPair(g, np.eye(2))
+    with pytest.raises(InvalidPairError, match=r"pivot 2 is -3\.000000e\+00"):
+        HermitianPair(np.diag([1.0, 2.0, -3.0]), np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["G", "A"])
+def test_rejects_non_finite_entries(name, bad):
+    mats = {"G": np.eye(3, dtype=complex), "A": np.eye(3, dtype=complex)}
+    mats[name][1, 2] = bad
+    with pytest.raises(InvalidPairError, match=f"{name} has a non-finite entry"):
+        HermitianPair(mats["G"], mats["A"])
 
 
 def test_rejects_shape_problems():
@@ -124,17 +135,38 @@ def test_congruence_invariance_of_phase():
         assert phase_of_pair(pair) == pytest.approx(theta, abs=1e-8)
 
 
-def test_jacobi_convergence_dim16():
+def test_eigensystem_dim16():
     rng = np.random.default_rng(4)
     for _ in range(5):
-        b = random_hermitian(rng, 16, scale=10.0)
-        w, v, info = jacobi_hermitian(b)
-        assert info.sweeps <= 50
-        assert info.off_norm <= 1e-12 * np.linalg.norm(b)
-        # unitary eigenvectors diagonalise b
-        assert np.allclose(v.conj().T @ v, np.eye(16), atol=1e-12)
-        assert np.allclose(v.conj().T @ b @ v, np.diag(w), atol=1e-11 * np.linalg.norm(b))
-        assert np.all(np.diff(w) >= 0.0)
+        pair = random_pair(rng, 16)
+        w, u, rel_residual = eigensystem(pair)
+        assert np.all(np.diff(w.values) >= 0.0)
+        # G-orthonormal eigenvectors
+        assert np.allclose(u.conj().T @ pair.G @ u, np.eye(16), atol=1e-12)
+        assert 0.0 <= rel_residual <= RESIDUAL_REL
+
+
+def mp_relative_spectrum(g, a):
+    """Independent oracle at 50 digits: mpmath Cholesky, inverse and eighe."""
+    ctx = mpmath.MPContext()
+    ctx.dps = 50
+    inv = ctx.inverse(ctx.cholesky(ctx.matrix(g.tolist())))
+    b = inv * ctx.matrix(a.tolist()) * inv.transpose_conj()
+    return np.array(sorted(float(x) for x in ctx.eighe(b, eigvals_only=True)))
+
+
+def test_spectrum_matches_mpmath_oracle():
+    rng = np.random.default_rng(6)
+    for cond in (1.0, 1e3, 1e6):
+        for k in range(8):
+            dim = 3 + k % 2
+            s = np.concatenate(([1.0, cond], cond ** rng.uniform(0.0, 1.0, size=dim - 2)))
+            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            pair = HermitianPair((q * s) @ q.conj().T, random_hermitian(rng, dim))
+            want = mp_relative_spectrum(pair.G, pair.A)
+            got = np.array(relative_spectrum(pair).values)
+            tol = 1e-13 * cond * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= tol
 
 
 def test_matrix_json_round_trip():
