@@ -77,10 +77,15 @@ class IntersectionProfile:
     @classmethod
     def from_dict(cls, obj) -> "IntersectionProfile":
         try:
-            n, d = int(obj["n"]), tuple(float(x) for x in obj["d"])
+            n, d = obj["n"], tuple(float(x) for x in obj["d"])
+            synthetic = obj.get("synthetic", False)
+            if isinstance(n, bool) or int(n) != n:
+                raise ValueError(f"n must be an integer, got {n!r}")
+            if not isinstance(synthetic, bool):
+                raise ValueError(f"synthetic must be true or false, got {synthetic!r}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed profile object: {exc}") from exc
-        return cls(n, d, bool(obj.get("synthetic", False)))
+        return cls(int(n), d, synthetic)
 
 
 def z_of_t(p: IntersectionProfile, t: float) -> complex:
@@ -126,38 +131,41 @@ def _newton_polish(coeffs: np.ndarray, x: float) -> float:
     return x1 if abs(npoly.polyval(x1, coeffs)) <= abs(fx) else x
 
 
-def _sqrt_roots(ratio: float) -> list[float]:
-    return [math.sqrt(ratio)] if ratio > 0.0 else []
+def _im_root(n: int, d) -> np.ndarray:
+    """Positive root of Im Z in closed form, for one profile d or for each
+    row of d (m, n+1); NaN where there is none.  The root above 1, if any,
+    is T*, the candidate real-axis crossing.
 
-
-def _positive_axis_roots(p: IntersectionProfile):
-    """Closed-form positive real roots of Re Z and Im Z (t = 0 excluded).
-
-    n = 4: Im is an odd cubic with root sqrt(d3/d1); Re is a biquadratic
-    solved by the stable quadratic formula in s = t^2.  n = 3 is the
-    mirror image (Re even quadratic, Im odd cubic).
+    Im Z is t (d_3 - d_1 t^2) / 6 for n = 4 and t (3 d_2 - d_0 t^2) / 6
+    for n = 3, so the root is sqrt(d_3 / d_1) or sqrt(3 d_2 / d_0).
     """
-    d = p.d
+    d = np.asarray(d, dtype=float)
+    num, den = (d[..., 3], d[..., 1]) if n == 4 else (3.0 * d[..., 2], d[..., 0])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = num / den
+    return np.sqrt(np.where((den != 0.0) & (ratio > 0.0), ratio, np.nan))
+
+
+def _positive_axis_roots(p: IntersectionProfile, t_im: float, re_c, im_c) -> list:
+    """Sorted positive real roots of Re Z and Im Z (t = 0 excluded), each
+    polished on its coefficient array; t_im is `_im_root`.
+
+    Re Z is -(d_0 s^2 - 6 d_2 s + d_4) / 24 in s = t^2 for n = 4, solved
+    by the stable quadratic formula, and (3 d_1 t^2 - d_3) / 6 for n = 3.
+    """
     if p.n == 4:
-        im_roots = _sqrt_roots(d[3] / d[1]) if d[1] != 0.0 else []
-        re_roots = []
-        a, b, c = d[0], -6.0 * d[2], d[4]
+        a, b, c = p.d[0], -6.0 * p.d[2], p.d[4]
         disc = b * b - 4.0 * a * c
+        squares = []
         if disc >= 0.0:
-            sq = math.sqrt(disc)
-            q = -0.5 * (b + math.copysign(sq, b if b != 0.0 else 1.0))
-            s_candidates = [q / a] + ([c / q] if q != 0.0 else [0.0])
-            for s in s_candidates:
-                re_roots.extend(_sqrt_roots(s))
-    elif p.n == 3:
-        re_roots = _sqrt_roots(d[3] / (3.0 * d[1])) if d[1] != 0.0 else []
-        im_roots = _sqrt_roots(3.0 * d[2] / d[0])
+            q = -0.5 * (b + math.copysign(math.sqrt(disc), b if b != 0.0 else 1.0))
+            squares = [q / a, c / q if q != 0.0 else 0.0]
     else:
-        raise DomainError(f"path analysis supports n in (3, 4), got {p.n}")
-    re_c, im_c = path_polynomials(p)
-    re_roots = [_newton_polish(re_c, r) for r in re_roots]
-    im_roots = [_newton_polish(im_c, r) for r in im_roots]
-    return sorted(set(re_roots)), sorted(set(im_roots))
+        squares = [p.d[3] / (3.0 * p.d[1])] if p.d[1] != 0.0 else []
+    roots = {_newton_polish(re_c, math.sqrt(s)) for s in squares if s > 0.0}
+    if not math.isnan(t_im):
+        roots.add(_newton_polish(im_c, t_im))
+    return sorted(roots)
 
 
 def _t_max(p: IntersectionProfile, roots) -> float:
@@ -172,60 +180,51 @@ def _t_max(p: IntersectionProfile, roots) -> float:
         abs(math.factorial(n) * d[k] / (math.comb(n, k) * d[0])) ** (1.0 / (n - k))
         for k in range(n)
     )
-    t = 2.0 * (1.0 + term)
-    for r in roots:
-        t = max(t, 2.0 * r + 1.0)
-    return t
+    return max([2.0 * (1.0 + term)] + [2.0 * r + 1.0 for r in roots])
 
 
-def _eval_noise(coeffs: np.ndarray, t: float) -> float:
-    """Rounding-error bound for evaluating the polynomial at t: a computed
-    value below this is indistinguishable from zero."""
-    return 32.0 * np.finfo(float).eps * float(npoly.polyval(t, np.abs(coeffs)))
+def _origin(p: IntersectionProfile, re_c, im_c, roots, t_hi: float) -> None:
+    """Raise DegeneratePathError when Z comes near the origin on [1, t_hi].
 
-
-def _structural_origin(p: IntersectionProfile, t_hi: float, roots, threshold: float):
-    """Exact origin crossings: both components vanish at an axis root.
-
-    A through-origin pass always sits at a real root of Re Z or Im Z, so
-    only those points need checking; the other component counts as zero
-    when it is below the origin threshold *or* below its own evaluation
-    noise (large t amplifies the polynomial so |Z| can read as O(1) at a
-    point within one ulp of a true zero).
+    Re Z and Im Z are evaluated once at every candidate: the axis `roots`,
+    the endpoints and the real critical points of |Z|^2.  A pass through
+    the origin sits at an axis root, so there both components are tested,
+    each against the threshold or its own evaluation noise, whichever is
+    larger (large t amplifies the polynomial so |Z| can read as O(1) at a
+    point within one ulp of a true zero).  Otherwise the first candidate
+    of least |Z| is tested against the threshold.
     """
-    re_c, im_c = path_polynomials(p)
-    for r in roots:
-        if not 1.0 <= r <= t_hi:
-            continue
-        re_v = abs(float(npoly.polyval(r, re_c)))
-        im_v = abs(float(npoly.polyval(r, im_c)))
-        re_tol = max(threshold, _eval_noise(re_c, r))
-        im_tol = max(threshold, _eval_noise(im_c, r))
-        if re_v <= re_tol and im_v <= im_tol:
-            return r, max(re_v, im_v), max(re_tol, im_tol)
-    return None
-
-
-def _origin_scan(p: IntersectionProfile, t_hi: float, breakpoints):
-    """Minimum of |Z| on [1, t_hi]: checked at axis roots, endpoints and the
-    real critical points of |Z|^2."""
-    re_c, im_c = path_polynomials(p)
-    mod2 = npoly.polyadd(npoly.polymul(re_c, re_c), npoly.polymul(im_c, im_c))
-    dmod2 = npoly.polyder(mod2)
-    candidates = set(breakpoints) | {1.0, t_hi}
+    threshold = DEGENERACY_REL * max(abs(x) for x in p.d) / math.factorial(p.n)
+    axis = [r for r in roots if 1.0 <= r <= t_hi]
+    # a power-of-two scale keeps |Z|^2 finite (d_k = 1e300) and its roots' bits
+    e = -math.frexp(max(np.abs(re_c).max(), np.abs(im_c).max()))[1]
+    re_s, im_s = np.ldexp(re_c, e), np.ldexp(im_c, e)
+    dmod2 = npoly.polyder(npoly.polyadd(npoly.polymul(re_s, re_s), npoly.polymul(im_s, im_s)))
+    critical = []
     if np.any(dmod2 != 0.0):
         for r in npoly.polyroots(dmod2):
             if abs(r.imag) < 1e-9 * (1.0 + abs(r)) and 1.0 <= r.real <= t_hi:
                 x = float(r.real)
                 for _ in range(2):
                     x = _newton_polish(dmod2, x)
-                candidates.add(min(max(x, 1.0), t_hi))
-    best_t, best = 1.0, math.inf
-    for t in sorted(candidates):
-        v = abs(z_of_t(p, float(t)))
-        if v < best:
-            best_t, best = float(t), v
-    return best_t, best
+                critical.append(min(max(x, 1.0), t_hi))
+    ts = np.unique(np.array(axis + [1.0, t_hi] + critical))
+    re_v, im_v = np.abs(npoly.polyval(ts, re_c)), np.abs(npoly.polyval(ts, im_c))
+
+    # a computed value below 32 eps * sum|c_k| t^k is indistinguishable from zero
+    noise = 32.0 * np.finfo(float).eps
+    re_tol = np.maximum(threshold, noise * npoly.polyval(ts, np.abs(re_c)))
+    im_tol = np.maximum(threshold, noise * npoly.polyval(ts, np.abs(im_c)))
+    on_axis = np.isin(ts, axis) & (re_v <= re_tol) & (im_v <= im_tol)
+    if on_axis.any():
+        i = int(np.argmax(on_axis))
+        raise DegeneratePathError(
+            float(ts[i]), float(max(re_v[i], im_v[i])), float(max(re_tol[i], im_tol[i]))
+        )
+    mod = np.hypot(re_v, im_v)
+    i = int(np.argmin(mod))
+    if mod[i] < threshold:
+        raise DegeneratePathError(float(ts[i]), float(mod[i]), threshold)
 
 
 @dataclass(frozen=True)
@@ -268,76 +267,55 @@ def _lift_anchor(n: int) -> float:
     return (math.pi - 0.5 * n * math.pi) % TWO_PI or TWO_PI
 
 
-def _first_crossing(n: int, d) -> np.ndarray:
-    """First Im-zero t > 1 in closed form (the candidate real-axis crossing)
-    of one profile d or of each row of d (m, n+1); NaN where there is none."""
-    d = np.asarray(d, dtype=float)
-    if n == 4:
-        num, den = d[..., 3], d[..., 1]
-        ok = (den > 0.0) & (num > 0.0)
-    else:
-        num, den = 3.0 * d[..., 2], d[..., 0]
-        ok = num > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.sqrt(num / den)
-    return np.where(ok & (t > 1.0), t, np.nan)
-
-
 def winding_report(p: IntersectionProfile, samples: int = 129) -> WindingReport:
     """Track the continuous argument of Z(t) from t_max down to t = 1.
 
-    [1, t_max] is split at every real root of Re Z and Im Z, so each piece
-    stays inside one quadrant and unwrapping atan2 between neighbouring
-    sample points (breakpoints, their midpoints, and a uniform grid of
-    `samples` points) is exact.  Raises DegeneratePathError, with the
-    offending t, when min |Z| over the interval falls below the
+    Every stage reads one coefficient set, the (re, im) arrays of
+    `path_polynomials`: the closed-form axis roots, the single origin
+    check and the trace.  [1, t_max] is split at every real root of Re Z
+    and Im Z, so each piece stays inside one quadrant and unwrapping
+    atan2 between neighbouring sample points (breakpoints, their
+    midpoints, and a uniform grid of `samples` points) is exact.  Raises
+    DegeneratePathError, with the offending t, when Z meets the origin at
+    an axis root or min |Z| over the interval falls below the
     scale-relative origin threshold: the winding angle is then undefined.
+    Raises DomainError when Z(t) overflows a double on [1, t_max].
     """
     if p.n not in (3, 4):
         raise DomainError(f"winding analysis supports n in (3, 4), got {p.n}")
-    re_roots, im_roots = _positive_axis_roots(p)
-    all_roots = sorted(set(re_roots) | set(im_roots))
-    t_hi = _t_max(p, all_roots)
-    inner = [r for r in all_roots if 1.0 < r < t_hi]
+    re_c, im_c = path_polynomials(p)
+    t_im = float(_im_root(p.n, p.d))
+    roots = _positive_axis_roots(p, t_im, re_c, im_c)
+    t_hi = float(_t_max(p, roots))
+    # sum |c_k| t^k bounds Re Z, Im Z and every Horner step on [1, t_hi]
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = npoly.polyval(t_hi, np.abs(re_c)) + npoly.polyval(t_hi, np.abs(im_c))
+    if not math.isfinite(size):
+        raise DomainError(f"Z(t) overflows a double on [1, t_max = {t_hi:.6g}]")
+    _origin(p, re_c, im_c, roots, t_hi)
 
-    threshold = DEGENERACY_REL * max(abs(x) for x in p.d) / math.factorial(p.n)
-    hit = _structural_origin(p, t_hi, all_roots, threshold)
-    if hit is not None:
-        raise DegeneratePathError(*hit)
-    t_origin, z_min = _origin_scan(p, t_hi, inner)
-    if z_min < threshold:
-        raise DegeneratePathError(t_origin, z_min, threshold)
-
-    breakpoints = [1.0] + inner + [t_hi]
+    breakpoints = [1.0] + [r for r in roots if 1.0 < r < t_hi] + [t_hi]
     mids = [0.5 * (a + b) for a, b in zip(breakpoints, breakpoints[1:])]
     grid = np.linspace(1.0, t_hi, max(int(samples), 2))
     ts = np.unique(np.concatenate([breakpoints, mids, grid]))
-
-    re_c, im_c = path_polynomials(p)
     re_v = npoly.polyval(ts, re_c)
     im_v = npoly.polyval(ts, im_c) + 0.0  # normalise -0.0
     raw = np.arctan2(im_v, re_v)
 
+    # neighbours share a quadrant piece, so each step is below pi/2 and its
+    # whole turns are the rounded raw difference; the lift at t sums the
+    # turns from the anchor at t_max down to t
     anchor = _lift_anchor(p.n)
-    lift = np.empty_like(raw)
-    prev = anchor
-    for i in range(len(ts) - 1, -1, -1):  # from t_max down to 1
-        lift[i] = raw[i] + TWO_PI * round((prev - raw[i]) / TWO_PI)
-        prev = lift[i]
-
-    trace = tuple(
-        (float(t), float(r), float(v), float(a))
-        for t, r, v, a in zip(ts, re_v, im_v, lift)
-    )
-    t_star = float(_first_crossing(p.n, p.d))
+    turns = np.rint((np.append(raw[1:], anchor) - raw) / TWO_PI)
+    lift = raw + TWO_PI * np.cumsum(turns[::-1])[::-1]
     return WindingReport(
         n=p.n,
         theta_alg=float(lift[0] - anchor),
-        t_star=None if math.isnan(t_star) else t_star,
+        t_star=t_im if t_im > 1.0 else None,
         origin_hit=None,
         t_max=t_hi,
         anchor=anchor,
-        trace=trace,
+        trace=tuple(map(tuple, np.column_stack([ts, re_v, im_v, lift]).tolist())),
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .charge import _first_crossing
+from .charge import _im_root
 from .eigen import TWO_PI, branch_blocks, phase_rows, sigma_rows
 from .errors import DomainError
 from .reports import evaluate, tally
@@ -164,8 +164,8 @@ def theorem_suite(
     blocks.append((np.arange(count), chern))
 
     # T*: sign(Re Z(T*)) must match the sign of the second Chern margin
-    t = _first_crossing(4, d)
-    rows = np.flatnonzero(~np.isnan(t))
+    t = _im_root(4, d)
+    rows = np.flatnonzero(t > 1.0)
     t, dr = t[rows], d[rows]
     # 24 Re Z(t) = -(d_0 t^4 - 6 d_2 t^2 + d_4), summed in z_of_t's order
     quartic = dr[:, 0] * np.float_power(t, 4.0) - 6.0 * dr[:, 2] * np.float_power(t, 2.0)

@@ -262,8 +262,11 @@ def test_model_spec_non_numeric_exit_2(capsys, tmp_path, spec):
         '{"n": 4, "d": [1, "x", 1, 1, 1]}',
         '{"n": "abc", "d": [1, 1, 1, 1, 1]}',
         '{"n": 1e999, "d": [1, 1, 1, 1, 1]}',
+        '{"n": 4.9, "d": [1, 1, 1, 1, 1]}',
+        '{"n": 4, "d": [1, 1, 1, 1, 1], "synthetic": "false"}',
+        '{"n": 4, "d": [1, 1, 1, 1, 1], "synthetic": 1}',
     ],
-    ids=["d-string", "n-string", "n-inf"],
+    ids=["d-string", "n-string", "n-inf", "n-fraction", "synthetic-string", "synthetic-int"],
 )
 def test_profile_non_numeric_exit_2(capsys, tmp_path, profile):
     path = tmp_path / "profile.json"
@@ -273,6 +276,29 @@ def test_profile_non_numeric_exit_2(capsys, tmp_path, profile):
     report = json.loads(out)
     assert report["error"] == "DomainError"
     assert report["message"].startswith("malformed profile object")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["path", "--samples", "0"],
+        ["path", "--samples", "-5"],
+        ["angle", "--samples", "1"],
+        ["path", "--samples", "100001"],
+        ["sample", "--theta", "4.0", "--count", "1000001"],
+        ["identity", "--count", "100000000"],
+        ["kt", "--count", "1000001"],
+    ],
+    ids=["samples-0", "samples-neg", "angle-samples-1", "samples-big", "sample", "identity", "kt"],
+)
+def test_size_bounds_exit_2(capsys, profile_2345, argv):
+    if argv[0] in ("path", "angle"):
+        argv = [argv[0], "--profile", profile_2345, *argv[1:]]
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "DomainError"
+    assert report["message"].startswith(("--samples must be in 2..", "--count must be at most"))
 
 
 def test_console_script_entry_point(tmp_path):

@@ -1,12 +1,16 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from dhym import (
     IntersectionProfile,
     analytic_angle_from_integrals,
+    blowup_p3,
     check_chern_n4,
     constant_model,
     lagrangian_phase,
@@ -30,6 +34,60 @@ def brute_force_theta(profile, n_pts=400_001):
     lift = np.unwrap(args[::-1])[::-1]
     shift = TWO_PI * round((report.anchor - lift[-1]) / TWO_PI)
     return (lift[0] + shift) - report.anchor, report.theta_alg
+
+
+def reference_lift(raw, anchor):
+    """The per-point unwrap loop that winding_report ran before its lift
+    became a cumulative sum: from t_max down to 1, each raw argument moves
+    by whole turns to the one nearest the lifted argument after it."""
+    lift = [0.0] * len(raw)
+    prev = anchor
+    for i in range(len(raw) - 1, -1, -1):
+        lift[i] = raw[i] + TWO_PI * round((prev - raw[i]) / TWO_PI)
+        prev = lift[i]
+    return lift
+
+
+def assert_lift_matches_reference(report):
+    # raw arguments as winding_report computes them: np.arctan2 over the
+    # trace's re/im columns (math.atan2 differs in the last bit on some
+    # inputs where numpy uses SIMD kernels)
+    rows = np.array(report.trace)
+    raw = np.arctan2(rows[:, 2], rows[:, 1]).tolist()
+    assert [row[3] for row in report.trace] == reference_lift(raw, report.anchor)
+    assert report.theta_alg == report.trace[0][3] - report.anchor
+
+
+def test_lift_matches_reference_loop_on_blowup_grid():
+    checked = 0
+    for a, b, c, e in product(range(2, 6), range(1, 5), range(-5, 6), range(-5, 6)):
+        if b >= a or c == e == 0:
+            continue
+        try:
+            report = winding_report(blowup_p3(a, b, c, e))
+        except DegeneratePathError:
+            continue
+        assert_lift_matches_reference(report)
+        checked += 1
+    assert checked > 1150
+
+
+_coeff = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from([3, 4]),
+    d0=st.floats(0.01, 50.0),
+    tail=st.lists(_coeff, min_size=4, max_size=4),
+    samples=st.sampled_from([2, 17, 64, 129]),
+)
+def test_lift_matches_reference_loop_on_random_profiles(n, d0, tail, samples):
+    try:
+        report = winding_report(IntersectionProfile(n, (d0, *tail[:n])), samples=samples)
+    except (DegeneratePathError, DomainError):  # origin hit, or overflow on a subnormal d_k
+        assume(False)
+    assert_lift_matches_reference(report)
 
 
 def test_winding_constant_2345():
@@ -105,7 +163,7 @@ def test_angle_agreement_on_level_set_models():
 def test_winding_scaling_invariance():
     p = constant_model((2, 3, 4, 5))
     base = winding_report(p)
-    for c in (1e-3, 7.0, 2e5):
+    for c in (1e-300, 1e-3, 7.0, 2e5, 1e290):
         scaled = winding_report(p.scaled(c))
         assert scaled.theta_alg == pytest.approx(base.theta_alg, abs=1e-12)
         assert scaled.t_star == pytest.approx(base.t_star, abs=1e-12)
@@ -126,6 +184,14 @@ def test_tstar_absent_without_crossing():
     # negative d3: no positive Im-zero, hence no candidate crossing
     report = winding_report(IntersectionProfile(4, (1.0, 0.5, 0.1, -0.4, 0.2)))
     assert report.t_star is None
+
+
+def test_tstar_with_negative_d1_and_d3():
+    # Im Z = t (d3 - d1 t^2) / 6 vanishes at t = sqrt(d3 / d1) = 2 for any
+    # common sign of d1 and d3; here Z(2) = -0.6875 sits on the real axis
+    p = IntersectionProfile(4, (1, -1, 0, -4, 0.5))
+    assert z_of_t(p, 2.0) == -0.6875
+    assert winding_report(p).t_star == 2.0
 
 
 def test_winding_n3_constant_models():
@@ -165,6 +231,15 @@ def test_winding_covers_far_crossings():
 def test_winding_rejects_other_dimensions():
     with pytest.raises(DomainError):
         winding_report(IntersectionProfile(2, (1.0, 0.0, 0.0)))
+
+
+def test_winding_rejects_overflowing_paths():
+    # a subnormal d_1 puts the Im root, and so t_max, beyond 1e153, where
+    # t^n overflows; d_1 = 1e200 overflows Z at t_max ~ 1e67
+    tiny = 2.2250738585072014e-308
+    for d in ((1.0, tiny, 0.0, 4.0, 0.0), (1.0, tiny, 0.0, 1.0), (1.0, 1e200, 1.0, 1.0, 1.0)):
+        with pytest.raises(DomainError, match="overflows"):
+            winding_report(IntersectionProfile(len(d) - 1, d))
 
 
 def test_winding_report_dict():
