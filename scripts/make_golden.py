@@ -5,8 +5,8 @@ Each case is one `dhym` command line (or one suite call) with a fixed
 seed; its stdout is written to tests/data/<case>.json, and a CSV trace
 that `--out` writes goes to tests/data/<case>.csv.  tests/test_golden.py
 asserts that the current code reproduces every file byte for byte and
-exits with the code listed here.  The profile inputs are the
-tests/data/profile_*.json files.  Rerun this only when a change to the
+exits with the code listed here.  The profile and model-spec inputs are
+the tests/data/profile_*.json and tests/data/spec_*.json files.  Rerun this only when a change to the
 reports is intended.
 
     PYTHONPATH=src python scripts/make_golden.py
@@ -33,13 +33,19 @@ def _profile(name: str) -> str:
     return os.path.join(DATA, f"profile_{name}.json")
 
 
+def _spec(name: str) -> str:
+    return os.path.join(DATA, f"spec_{name}.json")
+
+
 def _path(name: str) -> list:
     return ["path", "--profile", _profile(name), "--samples", "64", "--out", TRACE]
 
 
 #: case name -> (dhym argv, exit code); theta 4.0 is MID, 5.5 SUPERCRITICAL,
 #: 3*pi/2 FULL; blowup_3_1_m2_1 is omega = 3H - E, alpha = -2H - E on the
-#: blow-up of P^3, and the degenerate profile's path hits Z(2) = 0
+#: blow-up of P^3, and the degenerate profile's path hits Z(2) = 0; the
+#: tuple (-0.5, 1, 2, 3) starts with a negative eigenvalue, as mid-branch
+#: tuples do
 CLI_CASES = {
     "sample_mid": (["sample", "--theta", "4.0", "--count", "1000", "--seed", "101"], 0),
     "sample_supercritical": (
@@ -57,6 +63,13 @@ CLI_CASES = {
     "angle_constant_2345": (["angle", "--profile", _profile("constant_2345")], 0),
     "angle_blowup_3_1_m2_1": (["angle", "--profile", _profile("blowup_3_1_m2_1")], 0),
     "consistency_2345": (["consistency", "--lambda", "2,3,4,5"], 0),
+    "consistency_neg_first": (["consistency", "--lambda=-0.5,1,2,3"], 0),
+    "identity": (["identity", "--count", "1000", "--seed", "105"], 0),
+    "kt_constant_2345": (["kt", "--profile", _profile("constant_2345")], 0),
+    "check_constant_2345": (["check", "--profile", _profile("constant_2345")], 0),
+    "check_blowup_3_1_m2_1": (["check", "--profile", _profile("blowup_3_1_m2_1")], 1),
+    "model_weighted": (["model", "--spec", _spec("weighted")], 0),
+    "model_blowup_p3": (["model", "--spec", _spec("blowup_p3")], 0),
 }
 
 #: the full window mixes branches, so it also pins the key order of min_margins
