@@ -16,12 +16,12 @@ splitting [1, t_max] at those roots (the quadrant is constant in between).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .eigen import TWO_PI, as_eigen, gamma_cone, mixed_sigma
+from .eigen import TWO_PI, as_eigen, gamma_cone, mixed_sigma, phase_component_rows
 from .errors import DegeneratePathError, DomainError, UndefinedAngleError
 from .reports import InequalityReport, compare, evaluate
 
@@ -246,20 +246,9 @@ class WindingReport:
     anchor: float
     trace: tuple[tuple[float, float, float, float], ...]
 
-    @property
-    def arg_lift(self):
-        return tuple((row[0], row[3]) for row in self.trace)
-
     def to_dict(self):
-        return {
-            "n": self.n,
-            "theta_alg": self.theta_alg,
-            "t_star": self.t_star,
-            "origin_hit": self.origin_hit,
-            "t_max": self.t_max,
-            "anchor": self.anchor,
-            "arg_lift": [[t, a] for t, _, _, a in self.trace],
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)[:-1]}
+        return {**out, "arg_lift": [[t, a] for t, _, _, a in self.trace]}
 
 
 def _lift_anchor(n: int) -> float:
@@ -300,7 +289,9 @@ def winding_report(p: IntersectionProfile, samples: int = 129) -> WindingReport:
     ts = np.unique(np.concatenate([breakpoints, mids, grid]))
     re_v = npoly.polyval(ts, re_c)
     im_v = npoly.polyval(ts, im_c) + 0.0  # normalise -0.0
-    raw = np.arctan2(im_v, re_v)
+    # math.atan2, not np.arctan2: numpy's SIMD kernels differ from libm in
+    # the last bit on some CPUs, which would make the bytes CPU-dependent
+    raw = np.fromiter(map(math.atan2, im_v.tolist(), re_v.tolist()), float, len(ts))
 
     # neighbours share a quadrant piece, so each step is below pi/2 and its
     # whole turns are the rounded raw difference; the lift at t sums the
@@ -331,7 +322,8 @@ def analytic_angle_from_integrals(p: IntersectionProfile) -> float:
     if p.n not in (3, 4):
         raise DomainError(f"analytic angle supports n in (3, 4), got {p.n}")
     n = p.n
-    w = sum(math.comb(n, k) * p.d[k] * (1j**k) for k in range(n + 1)) / p.d[0]
+    re, im = phase_component_rows(np.array([[math.comb(n, k) * p.d[k] for k in range(n + 1)]]))
+    w = complex(re[0], im[0]) / p.d[0]
     if abs(w) <= DEGENERACY_REL * max(abs(x) for x in p.d) / p.d[0]:
         raise UndefinedAngleError(
             f"|Z(1)| = {abs(w) / math.factorial(n):.3e} is numerically zero; "
@@ -430,13 +422,4 @@ def integrated_sigma_chain(p: IntersectionProfile) -> InequalityReport:
     """
     if p.n != 4:
         raise DomainError(f"sigma chain needs an n=4 profile, got n={p.n}")
-    dn = p.normalized().d
-    s1, s2, s3, s4 = (math.comb(4, k) * dn[k] for k in (1, 2, 3, 4))
-    quad = dn[3] ** 2 + dn[1] ** 2 * dn[4] - 6.0 * dn[1] * dn[2] * dn[3]
-    entries = (
-        compare("chainA", s1 * s2 / 6.0, s3, ">="),
-        compare("chainB", s1 * s2, s1 + s3),
-        compare("final", s1 * s2 * s3, s3**2 + s1**2 * s4),
-        compare("final_scaling", s3**2 - s1 * s2 * s3 + s1**2 * s4, 16.0 * quad, "=="),
-    )
-    return InequalityReport("integrated_sigma_chain", entries)
+    return evaluate("integrated_sigma_chain", np.array([p.d])).report()

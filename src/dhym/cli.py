@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 
 from .charge import (
@@ -67,16 +68,23 @@ def _print_json(obj) -> None:
     sys.stdout.write(dumps(obj) + "\n")
 
 
+def _print_report(report) -> int:
+    _print_json(report.to_dict())
+    return EXIT_OK if report.passed else EXIT_VIOLATION
+
+
+def _print_reports(profile, reports) -> int:
+    _print_json({"profile": profile.to_dict(), "reports": [r.to_dict() for r in reports]})
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
+
+
 def _cmd_check(args) -> int:
     profile = parse_profile(load_json(args.profile))
     if profile.n == 4:
-        reports = [check_chern_n4(profile)]
-    elif profile.n == 3:
-        reports = [check_chern_n3(profile)]
-    else:
-        raise DomainError(f"no Chern checks for n={profile.n}")
-    _print_json({"profile": profile.to_dict(), "reports": [r.to_dict() for r in reports]})
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
+        return _print_reports(profile, [check_chern_n4(profile)])
+    if profile.n == 3:
+        return _print_reports(profile, [check_chern_n3(profile)])
+    raise DomainError(f"no Chern checks for n={profile.n}")
 
 
 def _cmd_path(args) -> int:
@@ -95,7 +103,7 @@ def _cmd_path(args) -> int:
 def _cmd_angle(args) -> int:
     profile = parse_profile(load_json(args.profile))
     analytic = analytic_angle_from_integrals(profile)
-    report = winding_report(profile, samples=args.samples)
+    report = winding_report(profile)
     _print_json(
         {
             "profile": profile.to_dict(),
@@ -108,30 +116,19 @@ def _cmd_angle(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    report = theorem_suite(
-        args.count, _seed(args), theta_lo=args.theta, theta_hi=args.theta
-    )
-    _print_json(report.to_dict())
-    return EXIT_OK if report.passed else EXIT_VIOLATION
+    theta = args.theta
+    return _print_report(theorem_suite(args.count, _seed(args), theta_lo=theta, theta_hi=theta))
 
 
 def _cmd_identity(args) -> int:
-    report = identity_suite(args.count, _seed(args))
-    _print_json(report.to_dict())
-    return EXIT_OK if report.passed else EXIT_VIOLATION
+    return _print_report(identity_suite(args.count, _seed(args)))
 
 
 def _cmd_kt(args) -> int:
     if args.profile:
         profile = parse_profile(load_json(args.profile))
-        reports = [kt_chain(profile), integrated_sigma_chain(profile)]
-        _print_json(
-            {"profile": profile.to_dict(), "reports": [r.to_dict() for r in reports]}
-        )
-        return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
-    report = kt_suite(args.count, _seed(args))
-    _print_json(report.to_dict())
-    return EXIT_OK if report.passed else EXIT_VIOLATION
+        return _print_reports(profile, [kt_chain(profile), integrated_sigma_chain(profile)])
+    return _print_report(kt_suite(args.count, _seed(args)))
 
 
 def _cmd_model(args) -> int:
@@ -152,9 +149,7 @@ def _parse_lambda(text: str):
 
 
 def _cmd_consistency(args) -> int:
-    report = consistency_suite(_parse_lambda(args.eigenvalues))
-    _print_json(report.to_dict())
-    return EXIT_OK if report.passed else EXIT_VIOLATION
+    return _print_report(consistency_suite(_parse_lambda(args.eigenvalues)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("angle", help="analytic and algebraic lifted angles")
     p.add_argument("--profile", required=True)
-    p.add_argument("--samples", type=int, default=129, help=f"2..{MAX_SAMPLES}")
     p.set_defaults(func=_cmd_angle)
 
     p = sub.add_parser("sample", help="level-set Monte Carlo theorem suite")
@@ -211,6 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="A,B,C,D",
         help="comma-separated eigenvalues of a constant model",
     )
+    # read "-0.5,1,2,3" (a mid-branch tuple) as a value, not as an unknown option
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     p.set_defaults(func=_cmd_consistency)
     return parser
 

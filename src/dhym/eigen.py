@@ -5,7 +5,9 @@ eigenvalues lambda_1 <= ... <= lambda_n of a closed (1,1)-form measured
 against the Kaehler metric.  Everything downstream -- the Lagrangian phase
 sum(arctan lambda_j), the elementary symmetric polynomials sigma_k, the
 branch inequalities and the cone conditions -- is a symmetric function of
-that tuple.
+that tuple.  Each identity is written once, as a row-wise array form
+(sigma_rows, phase_rows, phase_component_rows, factorization_rows); the
+scalar functions evaluate it on one row and the suites on all their rows.
 """
 
 from __future__ import annotations
@@ -137,19 +139,25 @@ def phase_rows(lam: np.ndarray) -> np.ndarray:
     return theta
 
 
-def phase_components(lam) -> tuple[float, float]:
-    """Real and imaginary part of prod_j (1 + i*lambda_j).
+def phase_component_rows(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary part of prod_j (1 + i*lambda_j) for each row of
+    sigma rows e, shape (m, n+1).
 
     Equals (sum of (-1)^(k/2) sigma_k over even k,
             sum of (-1)^((k-1)/2) sigma_k over odd k);
-    for n = 4 that is (1 - sigma_2 + sigma_4, sigma_1 - sigma_3).  The
-    continuous argument of this complex number is the Lagrangian phase
-    modulo 2*pi.
+    for n = 4 that is (1 - sigma_2 + sigma_4, sigma_1 - sigma_3).  Any
+    coefficient rows c in place of e give sum_k i^k c_k the same way.
     """
-    e = elementary_all(as_eigen(lam).values)
-    re = sum(e[k] if k % 4 == 0 else -e[k] for k in range(0, len(e), 2))
-    im = sum(e[k] if k % 4 == 1 else -e[k] for k in range(1, len(e), 2))
+    re = sum(e[:, k] if k % 4 == 0 else -e[:, k] for k in range(0, e.shape[1], 2))
+    im = sum(e[:, k] if k % 4 == 1 else -e[:, k] for k in range(1, e.shape[1], 2))
     return re, im
+
+
+def phase_components(lam) -> tuple[float, float]:
+    """phase_component_rows of one tuple.  The continuous argument of this
+    complex number is the Lagrangian phase modulo 2*pi."""
+    re, im = phase_component_rows(sigma_rows([as_eigen(lam).values]))
+    return float(re[0]), float(im[0])
 
 
 def gamma_cone(lam) -> int:
@@ -168,26 +176,33 @@ def gamma_cone(lam) -> int:
     return k
 
 
-def factorization_identity(lam) -> tuple[float, float]:
-    """Two evaluations of the same quartic-eigenvalue polynomial.
+def factorization_rows(lam: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two evaluations of the same quartic-eigenvalue polynomial, for each
+    sorted row of lam (m, 4) with its sigma rows e.
 
     LHS = sigma_3 - sigma_1*(sigma_2 - lambda_2*lambda_4) and
     RHS = -(l2+l3+l4)(l1+l3)(l1+l2) - l3*l4*(l1+l3) - l4^2*(l1+l3)
     agree identically; evaluating both sides exercises the cancellation
     pattern behind the mid-branch estimate sigma_1*sigma_2 > sigma_1 + sigma_3.
     """
-    t = as_eigen(lam)
-    if t.n != 4:
-        raise DomainError(f"factorization identity needs 4 eigenvalues, got {t.n}")
-    l1, l2, l3, l4 = t.values
-    e = elementary_all(t.values)
-    lhs = e[3] - e[1] * (e[2] - l2 * l4)
+    l1, l2, l3, l4 = lam.T
+    lhs = e[:, 3] - e[:, 1] * (e[:, 2] - l2 * l4)
     rhs = (
         -(l2 + l3 + l4) * (l1 + l3) * (l1 + l2)
         - l3 * l4 * (l1 + l3)
         - l4 * l4 * (l1 + l3)
     )
     return lhs, rhs
+
+
+def factorization_identity(lam) -> tuple[float, float]:
+    """factorization_rows of one 4-tuple: (LHS, RHS)."""
+    t = as_eigen(lam)
+    if t.n != 4:
+        raise DomainError(f"factorization identity needs 4 eigenvalues, got {t.n}")
+    rows = np.array([t.values])
+    lhs, rhs = factorization_rows(rows, sigma_rows(rows))
+    return float(lhs[0]), float(rhs[0])
 
 
 def mixed_sigma(lam, mu, j: int, k: int) -> float:

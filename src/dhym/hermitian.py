@@ -77,10 +77,6 @@ class HermitianPair:
         object.__setattr__(self, "G", g)
         object.__setattr__(self, "A", a)
 
-    @property
-    def dim(self) -> int:
-        return self.G.shape[0]
-
     def to_dict(self):
         return {"G": matrix_to_dict(self.G), "A": matrix_to_dict(self.A)}
 

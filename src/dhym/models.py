@@ -2,16 +2,19 @@
 
 The constant model is the workhorse: a translation-invariant form on a
 torus makes every sigma_k literally constant, so the intersection numbers
-collapse to d_k = sigma_k(lambda) / C(n,k) with unit volume.  That ties
-the pointwise eigenvalue world to the cohomological one exactly, at desk
-scale, with no PDE in sight.  The blow-up of projective 3-space supplies
+collapse to d_k = sigma_k(lambda) / C(n,k) with unit volume: one row of
+constant_model_rows, which the suites evaluate over all their samples.
+That ties the pointwise eigenvalue world to the cohomological one exactly,
+at desk scale, with no PDE in sight.  The blow-up of projective 3-space supplies
 a genuinely non-trivial 3-fold intersection ring for the same checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .charge import (
     IntersectionProfile,
@@ -19,28 +22,34 @@ from .charge import (
     winding_report,
     z_of_t,
 )
-from .eigen import TWO_PI, EigenTuple, as_eigen, elementary_all, lagrangian_phase
+from .eigen import TWO_PI, Branch, EigenTuple, as_eigen, lagrangian_phase, sigma_rows
 from .errors import DegeneratePathError, DomainError
 
 #: tolerance on the weight sum of a weighted model
 WEIGHT_SUM_TOL = 1e-12
 
 
+def constant_model_rows(e: np.ndarray) -> np.ndarray:
+    """Profiles d_k = sigma_k / C(n,k) of invariant-form models, one per
+    row of sigma rows e (m, n+1); d_0 = sigma_0 = 1."""
+    n = e.shape[1] - 1
+    return e / np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+
+
 def constant_model(lam) -> IntersectionProfile:
-    """Profile of an invariant-form model: d_k = sigma_k / C(n,k), d_0 = 1."""
+    """constant_model_rows of one tuple."""
     t = as_eigen(lam)
-    e = elementary_all(t.values)
-    d = tuple(e[k] / math.comb(t.n, k) for k in range(t.n + 1))
-    return IntersectionProfile(t.n, d)
+    return IntersectionProfile(t.n, constant_model_rows(sigma_rows([t.values]))[0].tolist())
 
 
 def weighted_model(points) -> IntersectionProfile:
     """Convex combination of constant models, flagged synthetic.
 
     `points` is a sequence of (weight, eigenvalues) with positive weights
-    summing to 1 and a common dimension.  No underlying manifold is
-    claimed for the result: log-concavity of the averaged d_k is *not*
-    guaranteed, and exploring where it fails is the point.
+    summing to 1 and a common dimension; d sums constant_model_rows(w *
+    sigma) over the points in order.  No underlying manifold is claimed
+    for the result: log-concavity of the averaged d_k is *not* guaranteed,
+    and exploring where it fails is the point.
     """
     pts = [(float(w), as_eigen(lam)) for w, lam in points]
     if not pts:
@@ -53,12 +62,9 @@ def weighted_model(points) -> IntersectionProfile:
     n = pts[0][1].n
     if any(t.n != n for _, t in pts):
         raise DomainError("all points must share one dimension")
-    d = [0.0] * (n + 1)
-    for w, t in pts:
-        e = elementary_all(t.values)
-        for k in range(n + 1):
-            d[k] += w * e[k] / math.comb(n, k)
-    return IntersectionProfile(n, tuple(d), synthetic=True)
+    w = np.array([[w] for w, _ in pts])
+    d = sum(constant_model_rows(w * sigma_rows([t.values for _, t in pts])), 0.0)
+    return IntersectionProfile(n, d.tolist(), synthetic=True)
 
 
 def blowup_p3(a: float, b: float, c: float, e: float) -> IntersectionProfile:
@@ -101,19 +107,8 @@ class ConsistencyReport:
     passed: bool
 
     def to_dict(self):
-        return {
-            "lambda": list(self.lam.values),
-            "phase": self.phase,
-            "analytic_angle": self.analytic_angle,
-            "angle_delta": self.angle_delta,
-            "r_expected": self.r_expected,
-            "r_actual": self.r_actual,
-            "r_delta_rel": self.r_delta_rel,
-            "theta_alg": self.theta_alg,
-            "winding_delta": self.winding_delta,
-            "origin_hit": self.origin_hit,
-            "pass": self.passed,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)[1:-1]}
+        return {"lambda": list(self.lam.values), **out, "pass": self.passed}
 
 
 def _mod_angle_delta(x: float, y: float) -> float:
@@ -149,11 +144,10 @@ def consistency_suite(lam) -> ConsistencyReport:
     r_actual = abs(z_of_t(p, 1.0))
     r_delta_rel = abs(r_actual - r_expected) / max(1.0, r_expected)
 
-    window = (math.pi, TWO_PI) if t.n == 4 else (0.5 * math.pi, 1.5 * math.pi)
     theta_alg = None
     winding_delta = None
     origin = None
-    if window[0] < phase < window[1]:
+    if (Branch.FULL if t.n == 4 else Branch.N3).contains(phase):
         try:
             theta_alg = winding_report(p).theta_alg
             winding_delta = abs(theta_alg - phase)

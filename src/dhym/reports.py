@@ -186,6 +186,18 @@ def _kt_chain(d):
     )
 
 
+def _integrated_sigma_chain(d):
+    dn = d / d[:, :1]  # volume-normalised, dn_0 = 1
+    s1, s2, s3, s4 = (np.array([4.0, 6.0, 4.0, 1.0]) * dn[:, 1:]).T  # C(4, k) d_k
+    quad = _sq(dn[:, 3]) + _sq(dn[:, 1]) * dn[:, 4] - 6.0 * dn[:, 1] * dn[:, 2] * dn[:, 3]
+    return (
+        Margin("chainA", s1 * s2 / 6.0, s3, ">="),
+        Margin("chainB", s1 * s2, s1 + s3),
+        Margin("final", s1 * s2 * s3, _sq(s3) + _sq(s1) * s4),
+        Margin("final_scaling", _sq(s3) - s1 * s2 * s3 + _sq(s1) * s4, 16.0 * quad, "=="),
+    )
+
+
 #: check label -> function of its input columns giving its entries in
 #: report order.  Branch checks take (lam, e), sorted eigenvalue rows and
 #: their sigma rows; the others take profile rows d, shape (m, n+1).
@@ -213,6 +225,7 @@ MARGINS = {
     "chern_n4": _chern_n4,
     "chern_n3": lambda d: (Margin("chern3", 9.0 * d[:, 1] * d[:, 2], d[:, 0] * d[:, 3]),),
     "kt_chain": _kt_chain,
+    "integrated_sigma_chain": _integrated_sigma_chain,
 }
 
 

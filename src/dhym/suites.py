@@ -1,9 +1,11 @@
 """Batch verification suites: identities, branch theorems and KT chains.
 
-Every suite is one array pass over its random tuples.  The theorem suites
-evaluate the same margin table (reports.MARGINS) that branch_check,
-check_chern_n4 and kt_chain evaluate on a single row, so the code paths a
-user calls are the ones being certified.
+Every suite is one array pass over its random tuples, through the same
+row forms that the scalar API evaluates on a single row, so the code paths
+a user calls are the ones being certified: phase_component_rows,
+factorization_rows and constant_model_rows behind phase_components,
+factorization_identity and constant_model, and the margin table
+(reports.MARGINS) behind branch_check, check_chern_n4 and kt_chain.
 """
 
 from __future__ import annotations
@@ -15,8 +17,16 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .charge import _im_root
-from .eigen import TWO_PI, branch_blocks, phase_rows, sigma_rows
+from .eigen import (
+    TWO_PI,
+    branch_blocks,
+    factorization_rows,
+    phase_component_rows,
+    phase_rows,
+    sigma_rows,
+)
 from .errors import DomainError
+from .models import constant_model_rows
 from .reports import evaluate, tally
 from .sampling import sample_level_set_batch
 
@@ -25,9 +35,6 @@ PRODUCT_IDENTITY_TOL = 1e-12
 FACTORIZATION_TOL = 1e-10
 VIETA_TOL = 1e-10
 NEWTON_TOL = 1e-12
-
-#: C(4, k): a constant model's profile is d_k = sigma_k / C(4, k)
-_COMB4 = np.array([math.comb(4, k) for k in range(5)], dtype=float)
 
 
 class _SuiteReport:
@@ -68,19 +75,14 @@ def identity_suite(count: int, seed: int, span: float = 10.0) -> IdentitySuiteRe
     rng = np.random.default_rng(seed)
     lam = np.sort(rng.uniform(-span, span, size=(count, 4)), axis=1)
     e = sigma_rows(lam)
-    l1, l2, l3, l4 = (lam[:, j] for j in range(4))
 
-    comp = (e[:, 0] - e[:, 2] + e[:, 4]) + 1j * (e[:, 1] - e[:, 3])
+    re, im = phase_component_rows(e)
+    comp = re + 1j * im
     prod = np.prod(1.0 + 1j * lam, axis=1)
     scale = np.maximum(1.0, np.maximum(np.abs(comp), np.abs(prod)))
     rel_product = float(np.max(np.abs(comp - prod) / scale))
 
-    lhs = e[:, 3] - e[:, 1] * (e[:, 2] - l2 * l4)
-    rhs = (
-        -(l2 + l3 + l4) * (l1 + l3) * (l1 + l2)
-        - l3 * l4 * (l1 + l3)
-        - l4 * l4 * (l1 + l3)
-    )
+    lhs, rhs = factorization_rows(lam, e)
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     rel_fact = float(np.max(np.abs(lhs - rhs) / scale))
 
@@ -91,7 +93,7 @@ def identity_suite(count: int, seed: int, span: float = 10.0) -> IdentitySuiteRe
     scale = np.maximum(1.0, np.maximum(np.abs(vl), np.abs(vr)))
     rel_vieta = float(np.max(np.abs(vl - vr) / scale))
 
-    p = e / _COMB4
+    p = constant_model_rows(e)
     newton = np.inf
     for k in (1, 2, 3):
         margin = p[:, k] ** 2 - p[:, k - 1] * p[:, k + 1]
@@ -159,7 +161,7 @@ def theorem_suite(
     phase = phase_rows(lam)
     max_phase_err = max(0.0, float(np.max(np.abs(phase - thetas))))
     blocks = branch_blocks(lam, thetas, phase)
-    d = sigma_rows(lam) / _COMB4  # the constant models
+    d = constant_model_rows(sigma_rows(lam))
     chern = evaluate("chern_n4", d)
     blocks.append((np.arange(count), chern))
 
@@ -219,7 +221,7 @@ def kt_suite(count: int, seed: int, span: float = 10.0) -> KtSuiteReport:
         e = sigma_rows(lam)
         sigmas.append(e[(e[:, 1] > 0.0) & (e[:, 2] > 0.0) & (e[:, 3] > 0.0)])
         attempts += block
-    d = np.concatenate(sigmas)[:count] / _COMB4
+    d = constant_model_rows(np.concatenate(sigmas)[:count])
 
     min_margins, failures = tally([(np.arange(count), evaluate("kt_chain", d))], qualified=False)
     return KtSuiteReport(

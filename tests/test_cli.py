@@ -208,6 +208,16 @@ def test_kt_rejects_threefold_profile(capsys, tmp_path):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("values", ["-0.5,1,2,3", "-.5,1,2,3", "-2,-1,3,4", "2,3,4,5"])
+def test_consistency_lambda_forms_agree(capsys, values):
+    # a leading negative eigenvalue must not be read as an option
+    spaced = run_cli(capsys, "consistency", "--lambda", values)
+    joined = run_cli(capsys, "consistency", f"--lambda={values}")
+    assert spaced == joined
+    assert spaced[0] in (0, 1)
+    assert json.loads(spaced[1])["lambda"][0] == float(values.split(",")[0])
+
+
 def test_consistency_rejects_malformed_lambda(capsys):
     code, out = run_cli(capsys, "consistency", "--lambda", "2,three,4,5")
     assert code == 2
@@ -283,16 +293,15 @@ def test_profile_non_numeric_exit_2(capsys, tmp_path, profile):
     [
         ["path", "--samples", "0"],
         ["path", "--samples", "-5"],
-        ["angle", "--samples", "1"],
         ["path", "--samples", "100001"],
         ["sample", "--theta", "4.0", "--count", "1000001"],
         ["identity", "--count", "100000000"],
         ["kt", "--count", "1000001"],
     ],
-    ids=["samples-0", "samples-neg", "angle-samples-1", "samples-big", "sample", "identity", "kt"],
+    ids=["samples-0", "samples-neg", "samples-big", "sample", "identity", "kt"],
 )
 def test_size_bounds_exit_2(capsys, profile_2345, argv):
-    if argv[0] in ("path", "angle"):
+    if argv[0] == "path":
         argv = [argv[0], "--profile", profile_2345, *argv[1:]]
     code, out = run_cli(capsys, *argv)
     assert code == 2

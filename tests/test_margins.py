@@ -1,30 +1,41 @@
-"""The margin table against the scalar arithmetic it replaced.
+"""The margin table and the row forms against the scalar arithmetic they
+replaced.
 
-The reference functions below are the per-tuple entry lists and the loop
-reduction that the scalar checks and suites used before the table existed,
-in plain Python floats.  Every kernel row, and every scalar check, must
-equal them bit for bit: names, lhs, rhs, margin, pass and boundary.
+The reference functions below are the per-tuple entry lists, the loop
+reduction and the scalar identity and model bodies that the scalar API and
+the suites used before the table and the row forms existed, in plain
+Python floats.  Every kernel row, and every scalar call, must equal them
+bit for bit: names, lhs, rhs, margin, pass and boundary of each entry, and
+every float of an identity or a profile.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dhym import (
     Branch,
     IntersectionProfile,
+    analytic_angle_from_integrals,
     branch_check,
     check_chern_n3,
     check_chern_n4,
     compare,
+    constant_model,
+    factorization_identity,
+    integrated_sigma_chain,
     kt_chain,
     lagrangian_phase,
+    phase_components,
+    weighted_model,
 )
-from dhym.eigen import as_eigen, phase_rows, sigma_rows
-from dhym.errors import PhaseOutsideBranchError
+from dhym.eigen import as_eigen, factorization_rows, phase_component_rows, phase_rows, sigma_rows
+from dhym.errors import PhaseOutsideBranchError, UndefinedAngleError
+from dhym.models import constant_model_rows
 from dhym.reports import Margin, compare_rows, evaluate, tally
 
 REL = 1e-12
@@ -99,6 +110,65 @@ def ref_kt(d):
             ref_compare("combined", 2.0 * d[2], d[0] * d[3] / d[1] + d[1] * d[4] / d[3], ">=")
         )
     return out
+
+
+def ref_integrated_sigma_chain(d):
+    dn = d if d[0] == 1.0 else [x / d[0] for x in d]
+    s1, s2, s3, s4 = (math.comb(4, k) * dn[k] for k in (1, 2, 3, 4))
+    quad = dn[3] ** 2 + dn[1] ** 2 * dn[4] - 6.0 * dn[1] * dn[2] * dn[3]
+    return [
+        ref_compare("chainA", s1 * s2 / 6.0, s3, ">="),
+        ref_compare("chainB", s1 * s2, s1 + s3),
+        ref_compare("final", s1 * s2 * s3, s3**2 + s1**2 * s4),
+        ref_compare("final_scaling", s3**2 - s1 * s2 * s3 + s1**2 * s4, 16.0 * quad, "=="),
+    ]
+
+
+def ref_phase_components(vals):
+    e = ref_sigma(sorted(vals))
+    re = sum(e[k] if k % 4 == 0 else -e[k] for k in range(0, len(e), 2))
+    im = sum(e[k] if k % 4 == 1 else -e[k] for k in range(1, len(e), 2))
+    return re, im
+
+
+def ref_factorization(vals):
+    l1, l2, l3, l4 = sorted(vals)
+    e = ref_sigma([l1, l2, l3, l4])
+    lhs = e[3] - e[1] * (e[2] - l2 * l4)
+    rhs = (
+        -(l2 + l3 + l4) * (l1 + l3) * (l1 + l2)
+        - l3 * l4 * (l1 + l3)
+        - l4 * l4 * (l1 + l3)
+    )
+    return lhs, rhs
+
+
+def ref_constant_model(vals):
+    e = ref_sigma(sorted(vals))
+    return [e[k] / math.comb(len(vals), k) for k in range(len(e))]
+
+
+def ref_weighted_model(points):
+    n = len(points[0][1])
+    d = [0.0] * (n + 1)
+    for w, vals in points:
+        e = ref_sigma(sorted(vals))
+        for k in range(n + 1):
+            d[k] += w * e[k] / math.comb(n, k)
+    return d
+
+
+def ref_analytic_angle(n, d):
+    """The angle, or None where it is undefined."""
+    w = sum(math.comb(n, k) * d[k] * (1j**k) for k in range(n + 1)) / d[0]
+    if abs(w) <= 1e-10 * max(abs(x) for x in d) / d[0]:
+        return None
+    ang = math.atan2(w.imag, w.real)
+    return ang + 2 * math.pi if ang <= 0.0 else ang
+
+
+def hexes(xs):
+    return [float(x).hex() for x in xs]
 
 
 def bits(rows):
@@ -262,3 +332,79 @@ def test_tally_matches_loop_order_and_cap(count):
     # bare names, as kt_suite reports them; keys must be unique across blocks
     single = blocks[2:]
     assert tally(single, flags, qualified=False) == ref_tally(count, single, flags, False)
+
+
+signed = st.one_of(st.just(0.0), st.just(-0.0), st.floats(min_value=-1e6, max_value=1e6))
+volume = st.one_of(st.just(1.0), st.floats(min_value=1e-3, max_value=1e3))
+
+
+def tuples(n):
+    return st.lists(st.lists(signed, min_size=n, max_size=n), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(tuples))
+@example([[-0.85, -0.08, 2.34, 2.6]])  # (1 - s2) + s4 != (s4 - s2) + 1 here
+def test_phase_components_rows_match_scalar_reference(rows):
+    lam = np.sort(np.array(rows), axis=1)
+    re, im = phase_component_rows(sigma_rows(lam))
+    for i, vals in enumerate(rows):
+        want = hexes(ref_phase_components(vals))
+        assert hexes((re[i], im[i])) == hexes(phase_components(vals)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(tuples(4))
+def test_factorization_rows_match_scalar_reference(rows):
+    lam = np.sort(np.array(rows), axis=1)
+    lhs, rhs = factorization_rows(lam, sigma_rows(lam))
+    for i, vals in enumerate(rows):
+        want = hexes(ref_factorization(vals))
+        assert hexes((lhs[i], rhs[i])) == hexes(factorization_identity(vals)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.floats(min_value=5e-324, max_value=1.0), st.lists(signed, min_size=n, max_size=n)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+@example([(1.0, [0.0, -5e-324])])  # d_1 = -5e-324 / 2 rounds to -0.0
+@example([(0.5, [0.0, -5e-324]), (0.5, [0.0, -5e-324])])  # a sum of -0.0 terms from 0.0
+def test_constant_and_weighted_models_match_scalar_reference(raw):
+    total = math.fsum(w for w, _ in raw)
+    points = [(w / total, vals) for w, vals in raw]
+    assume(abs(sum(w for w, _ in points) - 1.0) <= 1e-12 and all(w > 0.0 for w, _ in points))
+    want = hexes(ref_weighted_model(points))
+    assert hexes(weighted_model(points).d) == want
+    for vals in (v for _, v in points):
+        single = hexes(ref_constant_model(vals))
+        assert hexes(constant_model(vals).d) == single
+        lam = np.sort(np.array([vals]), axis=1)
+        assert hexes(constant_model_rows(sigma_rows(lam))[0]) == single
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(volume, *[signed] * 4), min_size=1, max_size=10))
+@example([(1.0, 0.0, 0.0, 4.75993287319387, 0.0)])  # x * x != x ** 2 there
+def test_integrated_sigma_chain_rows_match_scalar_reference(rows):
+    kernel = evaluate("integrated_sigma_chain", np.array(rows))
+    for i, row in enumerate(rows):
+        scalar = report_rows(integrated_sigma_chain(IntersectionProfile(4, row)))
+        assert kernel_rows(kernel, i) == scalar == bits(ref_integrated_sigma_chain(list(row)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([3, 4]).flatmap(lambda n: st.tuples(volume, *[signed] * n)))
+def test_analytic_angle_matches_scalar_reference(row):
+    want = ref_analytic_angle(len(row) - 1, row)
+    p = IntersectionProfile(len(row) - 1, row)
+    if want is None:
+        with pytest.raises(UndefinedAngleError):
+            analytic_angle_from_integrals(p)
+    else:
+        assert analytic_angle_from_integrals(p).hex() == want.hex()

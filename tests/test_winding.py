@@ -49,11 +49,9 @@ def reference_lift(raw, anchor):
 
 
 def assert_lift_matches_reference(report):
-    # raw arguments as winding_report computes them: np.arctan2 over the
-    # trace's re/im columns (math.atan2 differs in the last bit on some
-    # inputs where numpy uses SIMD kernels)
-    rows = np.array(report.trace)
-    raw = np.arctan2(rows[:, 2], rows[:, 1]).tolist()
+    # raw arguments as winding_report computes them: math.atan2 of each
+    # trace row's (im, re)
+    raw = [math.atan2(im, re) for _, re, im, _ in report.trace]
     assert [row[3] for row in report.trace] == reference_lift(raw, report.anchor)
     assert report.theta_alg == report.trace[0][3] - report.anchor
 
@@ -88,6 +86,28 @@ def test_lift_matches_reference_loop_on_random_profiles(n, d0, tail, samples):
     except (DegeneratePathError, DomainError):  # origin hit, or overflow on a subnormal d_k
         assume(False)
     assert_lift_matches_reference(report)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.sampled_from([3, 4]),
+    d0=st.floats(0.01, 50.0),
+    tail=st.lists(_coeff, min_size=4, max_size=4),
+    samples=st.lists(st.integers(2, 1000), min_size=1, max_size=3),
+)
+def test_angle_does_not_depend_on_samples(n, d0, tail, samples):
+    # `dhym angle` runs the default grid; `dhym path --samples` must agree
+    p = IntersectionProfile(n, (d0, *tail[:n]))
+
+    def outcome(s):
+        try:
+            r = winding_report(p, s)
+        except (DegeneratePathError, DomainError) as exc:
+            return type(exc), str(exc)
+        return r.theta_alg.hex(), r.t_star, r.t_max.hex()
+
+    want = outcome(129)
+    assert [outcome(s) for s in samples] == [want] * len(samples)
 
 
 def test_winding_constant_2345():
