@@ -6,8 +6,8 @@ seed; its stdout is written to tests/data/<case>.json, and a CSV trace
 that `--out` writes goes to tests/data/<case>.csv.  tests/test_golden.py
 asserts that the current code reproduces every file byte for byte and
 exits with the code listed here.  The profile and model-spec inputs are
-the tests/data/profile_*.json and tests/data/spec_*.json files.  Rerun this only when a change to the
-reports is intended.
+the tests/data/profile_*.json and tests/data/spec_*.json files.  Rerun
+this only when a change to the reports is intended.
 
     PYTHONPATH=src python scripts/make_golden.py
 """

@@ -116,8 +116,7 @@ def _cmd_angle(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    theta = args.theta
-    return _print_report(theorem_suite(args.count, _seed(args), theta_lo=theta, theta_hi=theta))
+    return _print_report(theorem_suite(args.count, _seed(args), args.theta, args.theta))
 
 
 def _cmd_identity(args) -> int:

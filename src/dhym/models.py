@@ -2,11 +2,11 @@
 
 The constant model is the workhorse: a translation-invariant form on a
 torus makes every sigma_k literally constant, so the intersection numbers
-collapse to d_k = sigma_k(lambda) / C(n,k) with unit volume: one row of
-constant_model_rows, which the suites evaluate over all their samples.
-That ties the pointwise eigenvalue world to the cohomological one exactly,
-at desk scale, with no PDE in sight.  The blow-up of projective 3-space supplies
-a genuinely non-trivial 3-fold intersection ring for the same checks.
+collapse to d_k = sigma_k(lambda) / C(n,k) with unit volume (one row of
+constant_model_rows).  That ties the pointwise eigenvalue world to the
+cohomological one exactly, at desk scale, with no PDE in sight.  The
+blow-up of projective 3-space supplies a genuinely non-trivial 3-fold
+intersection ring for the same checks.
 """
 
 from __future__ import annotations

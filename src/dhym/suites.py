@@ -78,6 +78,7 @@ def identity_suite(count: int, seed: int, span: float = 10.0) -> IdentitySuiteRe
 
     re, im = phase_component_rows(e)
     comp = re + 1j * im
+    del re, im  # 1.5 MiB at count 1e5, not needed past this point
     prod = np.prod(1.0 + 1j * lam, axis=1)
     scale = np.maximum(1.0, np.maximum(np.abs(comp), np.abs(prod)))
     rel_product = float(np.max(np.abs(comp - prod) / scale))
