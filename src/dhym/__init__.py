@@ -41,6 +41,7 @@ from .eigen import (
 from .errors import (
     ConvergenceError,
     DegeneratePathError,
+    DhymError,
     DomainError,
     InvalidPairError,
     PhaseOutsideBranchError,

@@ -56,13 +56,6 @@ class IntersectionProfile:
             raise DomainError(f"volume d_0 must be positive, got {d[0]}")
         object.__setattr__(self, "d", d)
 
-    def normalized(self) -> "IntersectionProfile":
-        """Same ray of profiles with d_0 = 1."""
-        if self.d[0] == 1.0:
-            return self
-        d0 = self.d[0]
-        return IntersectionProfile(self.n, tuple(x / d0 for x in self.d), self.synthetic)
-
     def scaled(self, c: float) -> "IntersectionProfile":
         if c <= 0.0:
             raise DomainError(f"scale must be positive, got {c}")
@@ -73,19 +66,6 @@ class IntersectionProfile:
         if self.synthetic:
             out["synthetic"] = True
         return out
-
-    @classmethod
-    def from_dict(cls, obj) -> "IntersectionProfile":
-        try:
-            n, d = obj["n"], tuple(float(x) for x in obj["d"])
-            synthetic = obj.get("synthetic", False)
-            if isinstance(n, bool) or int(n) != n:
-                raise ValueError(f"n must be an integer, got {n!r}")
-            if not isinstance(synthetic, bool):
-                raise ValueError(f"synthetic must be true or false, got {synthetic!r}")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"malformed profile object: {exc}") from exc
-        return cls(int(n), d, synthetic)
 
 
 def z_of_t(p: IntersectionProfile, t: float) -> complex:
@@ -241,7 +221,6 @@ class WindingReport:
     n: int
     theta_alg: float
     t_star: float | None
-    origin_hit: float | None
     t_max: float
     anchor: float
     trace: tuple[tuple[float, float, float, float], ...]
@@ -303,7 +282,6 @@ def winding_report(p: IntersectionProfile, samples: int = 129) -> WindingReport:
         n=p.n,
         theta_alg=float(lift[0] - anchor),
         t_star=t_im if t_im > 1.0 else None,
-        origin_hit=None,
         t_max=t_hi,
         anchor=anchor,
         trace=tuple(map(tuple, np.column_stack([ts, re_v, im_v, lift]).tolist())),

@@ -23,13 +23,7 @@ from .charge import (
     kt_chain,
     winding_report,
 )
-from .errors import (
-    ConvergenceError,
-    DegeneratePathError,
-    DomainError,
-    InvalidPairError,
-    SamplingExhaustedError,
-)
+from .errors import DegeneratePathError, DhymError, DomainError
 from .models import consistency_suite
 from .serialize import dumps, load_json, parse_model_spec, parse_profile, trace_csv
 from .suites import identity_suite, kt_suite, theorem_suite
@@ -230,13 +224,7 @@ def main(argv=None) -> int:
             }
         )
         return EXIT_INVALID
-    except (
-        DomainError,
-        InvalidPairError,
-        SamplingExhaustedError,
-        ConvergenceError,
-        OSError,
-    ) as exc:
+    except (DhymError, OSError) as exc:
         _print_json({"error": type(exc).__name__, "message": str(exc)})
         return EXIT_INVALID
 

@@ -1,7 +1,13 @@
 """Exception types shared across the package."""
 
 
-class DomainError(ValueError):
+class DhymError(Exception):
+    """Base of every dhym exception; the CLI reports each one as invalid
+    input (exit 2).  Each subclass also keeps its builtin base, so callers
+    that catch ValueError or RuntimeError still see it."""
+
+
+class DomainError(DhymError, ValueError):
     """An argument is outside the mathematical domain of an operation."""
 
 
@@ -17,11 +23,11 @@ class PhaseOutsideBranchError(DomainError):
         )
 
 
-class SamplingExhaustedError(RuntimeError):
+class SamplingExhaustedError(DhymError, RuntimeError):
     """Rejection sampling gave up before producing the requested samples."""
 
 
-class DegeneratePathError(RuntimeError):
+class DegeneratePathError(DhymError, RuntimeError):
     """The central-charge path passes through (or too close to) the origin,
     so its winding angle is not well-defined."""
 
@@ -39,9 +45,9 @@ class UndefinedAngleError(DomainError):
     """Z(1) vanishes, so no phase can be read off the integrals."""
 
 
-class InvalidPairError(ValueError):
+class InvalidPairError(DhymError, ValueError):
     """A metric/form matrix pair violates Hermiticity or positivity."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(DhymError, RuntimeError):
     """An iterative eigensolve failed to reach its tolerance."""

@@ -23,7 +23,7 @@ from .charge import (
     z_of_t,
 )
 from .eigen import TWO_PI, Branch, EigenTuple, as_eigen, lagrangian_phase, sigma_rows
-from .errors import DegeneratePathError, DomainError
+from .errors import DomainError
 
 #: tolerance on the weight sum of a weighted model
 WEIGHT_SUM_TOL = 1e-12
@@ -76,17 +76,24 @@ def blowup_p3(a: float, b: float, c: float, e: float) -> IntersectionProfile:
     while c*H - e*E is unconstrained.  Mixed H/E terms vanish, leaving
 
         d_k = c^k a^(3-k) - e^k b^(3-k).
+
+    Raises DomainError when a d_k overflows a double.
     """
     if not (a > b > 0.0):
         raise DomainError(
             f"a*H - b*E with a={a}, b={b} is not a Kaehler class: need a > b > 0"
         )
-    d = (
-        a**3 - b**3,
-        c * a**2 - e * b**2,
-        c**2 * a - e**2 * b,
-        c**3 - e**3,
-    )
+    try:
+        d = (
+            a**3 - b**3,
+            c * a**2 - e * b**2,
+            c**2 * a - e**2 * b,
+            c**3 - e**3,
+        )
+    except OverflowError:  # float ** raises where * would give inf
+        raise DomainError(
+            f"blow-up profile of a={a}, b={b}, c={c}, e={e} overflows a double"
+        ) from None
     return IntersectionProfile(3, d)
 
 
@@ -103,7 +110,6 @@ class ConsistencyReport:
     r_delta_rel: float
     theta_alg: float | None
     winding_delta: float | None
-    origin_hit: float | None
     passed: bool
 
     def to_dict(self):
@@ -146,18 +152,13 @@ def consistency_suite(lam) -> ConsistencyReport:
 
     theta_alg = None
     winding_delta = None
-    origin = None
     if (Branch.FULL if t.n == 4 else Branch.N3).contains(phase):
-        try:
-            theta_alg = winding_report(p).theta_alg
-            winding_delta = abs(theta_alg - phase)
-        except DegeneratePathError as exc:
-            origin = exc.t_origin
+        theta_alg = winding_report(p).theta_alg
+        winding_delta = abs(theta_alg - phase)
 
     passed = (
         angle_delta <= ANGLE_TOL
         and r_delta_rel <= R_TOL
-        and origin is None
         and (winding_delta is None or winding_delta <= ANGLE_TOL)
     )
     return ConsistencyReport(
@@ -170,6 +171,5 @@ def consistency_suite(lam) -> ConsistencyReport:
         r_delta_rel=r_delta_rel,
         theta_alg=theta_alg,
         winding_delta=winding_delta,
-        origin_hit=origin,
         passed=passed,
     )

@@ -8,6 +8,7 @@ inputs produce byte-identical output.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 
@@ -69,24 +70,45 @@ def _emit(obj, out: list, indent, depth) -> None:
 
 
 def load_json(path: str):
+    """The JSON value in the file at `path`.  A file that is not UTF-8, not
+    JSON or nested too deeply to decode raises DomainError."""
+    # JSONDecodeError, UnicodeDecodeError and an integer literal beyond int's
+    # 4300-digit conversion limit are all ValueErrors
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DomainError(f"{path}: invalid JSON ({exc})") from exc
+
+
+@contextlib.contextmanager
+def _as_domain_error(what: str):
+    """Raise DomainError(f"{what}: {reason}") for a field of a JSON object
+    that is missing, of the wrong type or not a number a double can hold."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{what}: {exc}") from exc
 
 
 def parse_eigen(obj) -> EigenTuple:
     """{"lambda": [a, b, c, d]} -> EigenTuple."""
-    try:
+    with _as_domain_error("malformed eigenvalue object"):
         values = tuple(float(x) for x in obj["lambda"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"malformed eigenvalue object: {exc}") from exc
     return EigenTuple(values)
 
 
 def parse_profile(obj) -> IntersectionProfile:
-    return IntersectionProfile.from_dict(obj)
+    """{"n": n, "d": [d_0, ..., d_n]} -> IntersectionProfile; an optional
+    "synthetic": true marks a weighted model's profile."""
+    with _as_domain_error("malformed profile object"):
+        n, d = obj["n"], tuple(float(x) for x in obj["d"])
+        synthetic = obj.get("synthetic", False)
+        if isinstance(n, bool) or int(n) != n:
+            raise ValueError(f"n must be an integer, got {n!r}")
+        if not isinstance(synthetic, bool):
+            raise ValueError(f"synthetic must be true or false, got {synthetic!r}")
+    return IntersectionProfile(int(n), d, synthetic)
 
 
 def parse_model_spec(obj) -> IntersectionProfile:
@@ -96,27 +118,21 @@ def parse_model_spec(obj) -> IntersectionProfile:
     {"model": "weighted", "points": [{"w": w, "lambda": [...]}, ...]}
     {"model": "blowup_p3", "omega": [a, b], "alpha": [c, e]}
     """
-    try:
+    with _as_domain_error("model spec needs a 'model' key"):
         kind = obj["model"]
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"model spec needs a 'model' key: {exc}") from exc
     if kind == "constant":
         return constant_model(parse_eigen(obj))
     if kind == "weighted":
-        try:
+        with _as_domain_error("malformed weighted model points"):
             points = [
                 (float(pt["w"]), tuple(float(x) for x in pt["lambda"])) for pt in obj["points"]
             ]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"malformed weighted model points: {exc}") from exc
         return weighted_model(points)
     if kind == "blowup_p3":
-        try:
+        with _as_domain_error("malformed blow-up spec"):
             a, b = obj["omega"]
             c, e = obj["alpha"]
             classes = float(a), float(b), float(c), float(e)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"malformed blow-up spec: {exc}") from exc
         return blowup_p3(*classes)
     raise DomainError(f"unknown model kind {kind!r}")
 

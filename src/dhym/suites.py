@@ -36,6 +36,9 @@ FACTORIZATION_TOL = 1e-10
 VIETA_TOL = 1e-10
 NEWTON_TOL = 1e-12
 
+#: the identity and KT suites draw their tuples uniformly from [-SPAN, SPAN]^4
+SPAN = 10.0
+
 
 class _SuiteReport:
     """Wire form shared by the suite reports: every field but the trailing
@@ -60,8 +63,14 @@ class IdentitySuiteReport(_SuiteReport):
     passed: bool
 
 
-def identity_suite(count: int, seed: int, span: float = 10.0) -> IdentitySuiteReport:
-    """Random-tuple identity checks on [-span, span]^4.
+def _max_rel(a, b) -> float:
+    """max |a - b| / max(1, |a|, |b|) over the rows."""
+    scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    return float(np.max(np.abs(a - b) / scale))
+
+
+def identity_suite(count: int, seed: int) -> IdentitySuiteReport:
+    """Random-tuple identity checks on [-SPAN, SPAN]^4.
 
     Verifies (i) the alternating-sigma components against the complex
     product prod(1 + i*lambda_j), (ii) the quartic factorization identity,
@@ -73,26 +82,23 @@ def identity_suite(count: int, seed: int, span: float = 10.0) -> IdentitySuiteRe
         raise DomainError(f"suite count must be >= 1, got {count}")
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    lam = np.sort(rng.uniform(-span, span, size=(count, 4)), axis=1)
+    lam = np.sort(rng.uniform(-SPAN, SPAN, size=(count, 4)), axis=1)
     e = sigma_rows(lam)
 
     re, im = phase_component_rows(e)
     comp = re + 1j * im
     del re, im  # 1.5 MiB at count 1e5, not needed past this point
-    prod = np.prod(1.0 + 1j * lam, axis=1)
-    scale = np.maximum(1.0, np.maximum(np.abs(comp), np.abs(prod)))
-    rel_product = float(np.max(np.abs(comp - prod) / scale))
-
-    lhs, rhs = factorization_rows(lam, e)
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    rel_fact = float(np.max(np.abs(lhs - rhs) / scale))
+    rel_product = _max_rel(comp, np.prod(1.0 + 1j * lam, axis=1))
+    rel_fact = _max_rel(*factorization_rows(lam, e))
 
     m = min(count, 1000)
-    x = rng.uniform(-span, span, size=m)
+    x = rng.uniform(-SPAN, SPAN, size=m)
     vl = np.prod(x[:, None] + lam[:m], axis=1)
-    vr = sum(e[:m, k] * x ** (4 - k) for k in range(5))
-    scale = np.maximum(1.0, np.maximum(np.abs(vl), np.abs(vr)))
-    rel_vieta = float(np.max(np.abs(vl - vr) / scale))
+    # x ** 3 and x ** 4 would take numpy's SIMD pow, whose last bit depends
+    # on the CPU; np.float_power is libm pow everywhere, and numpy squares
+    # x ** 2 itself
+    powers = (np.float_power(x, 4.0), np.float_power(x, 3.0), x**2, x, 1.0)
+    rel_vieta = _max_rel(vl, sum(e[:m, k] * powers[k] for k in range(5)))
 
     p = constant_model_rows(e)
     newton = np.inf
@@ -203,10 +209,10 @@ class KtSuiteReport(_SuiteReport):
     passed: bool
 
 
-def kt_suite(count: int, seed: int, span: float = 10.0) -> KtSuiteReport:
+def kt_suite(count: int, seed: int) -> KtSuiteReport:
     """KT chain on random constant models with Gamma-cone order >= 3.
 
-    Tuples are drawn uniformly from [-span, span]^4 and kept when
+    Tuples are drawn uniformly from [-SPAN, SPAN]^4 and kept when
     sigma_1, sigma_2, sigma_3 > 0; every kt_chain entry must pass on the
     resulting constant models.
     """
@@ -218,7 +224,7 @@ def kt_suite(count: int, seed: int, span: float = 10.0) -> KtSuiteReport:
     attempts = 0
     while sum(len(e) for e in sigmas) < count:
         block = max(4096, count)
-        lam = np.sort(rng.uniform(-span, span, size=(block, 4)), axis=1)
+        lam = np.sort(rng.uniform(-SPAN, SPAN, size=(block, 4)), axis=1)
         e = sigma_rows(lam)
         sigmas.append(e[(e[:, 1] > 0.0) & (e[:, 2] > 0.0) & (e[:, 3] > 0.0)])
         attempts += block

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from dhym.cli import main
-from dhym.serialize import dumps, format_float
+from dhym.cli import MAX_SAMPLES, main
+from dhym.serialize import dumps, format_float, load_json, parse_profile
 
 
 def run_cli(capsys, *argv):
@@ -105,9 +109,9 @@ def test_path_emits_csv_trace(capsys, tmp_path, profile_2345):
     t0 = [float(line.split(",")[0]) for line in lines[1:]]
     assert t0[0] == 1.0 and t0 == sorted(t0)
     # re/im columns are the central charge itself
-    from dhym import IntersectionProfile, z_of_t
+    from dhym import z_of_t
 
-    profile = IntersectionProfile.from_dict(json.loads(open(profile_2345).read()))
+    profile = parse_profile(load_json(profile_2345))
     for line in lines[1:8]:
         t, re, im, _ = (float(x) for x in line.split(","))
         z = z_of_t(profile, t)
@@ -308,6 +312,126 @@ def test_size_bounds_exit_2(capsys, profile_2345, argv):
     report = json.loads(out)
     assert report["error"] == "DomainError"
     assert report["message"].startswith(("--samples must be in 2..", "--count must be at most"))
+
+
+def _json_bytes(value) -> bytes:
+    # the standard encoder writes NaN and Infinity, which json.load reads back
+    return json.dumps(value).encode()
+
+
+def _nested(depth: int) -> bytes:
+    return b"[" * depth + b"]" * depth
+
+
+_numbers = st.integers() | st.floats()
+_json = st.recursive(
+    st.none() | st.booleans() | _numbers | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=5)
+    | st.dictionaries(st.text(max_size=5), kids, max_size=5),
+    max_leaves=12,
+)
+_floats = st.lists(_numbers, max_size=6)
+_shaped = st.one_of(
+    st.fixed_dictionaries(
+        {"n": st.integers(-1, 6) | _json, "d": _floats}, optional={"synthetic": _json}
+    ),
+    st.fixed_dictionaries({"model": st.just("constant"), "lambda": _floats | _json}),
+    st.fixed_dictionaries(
+        {
+            "model": st.just("weighted"),
+            "points": st.lists(
+                st.fixed_dictionaries({"w": _numbers | _json, "lambda": _floats}), max_size=3
+            ),
+        }
+    ),
+    st.fixed_dictionaries(
+        {"model": st.just("blowup_p3"), "omega": _floats | _json, "alpha": _floats | _json}
+    ),
+)
+_documents = st.one_of(
+    (_json | _shaped).map(_json_bytes),
+    st.binary(max_size=40),
+    st.integers(1, 5000).map(_nested),
+)
+#: inputs that once ended in a traceback (exit 1) instead of exit 2
+UNREADABLE = {
+    "not-utf8": b'{"n": 4, "d": [1, 2, 3, 4, 5], "note": "\xff"}',
+    "nested-200000": _nested(200_000),
+    "blowup-alpha-overflow": _json_bytes(
+        {"model": "blowup_p3", "omega": [2, 1], "alpha": [1e200, 1]}
+    ),
+    "blowup-omega-overflow": _json_bytes(
+        {"model": "blowup_p3", "omega": [1e200, 1], "alpha": [1, 1]}
+    ),
+}
+#: valid trace sizes stay small; large ones only on the rejection path
+_samples = (
+    st.integers(2, 200) | st.integers(max_value=1) | st.integers(min_value=MAX_SAMPLES + 1)
+)
+_eigenvalues = st.text(max_size=30) | st.lists(_numbers, max_size=6).map(
+    lambda v: ",".join(map(repr, v))
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on the way to exit 2
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_documents, _samples, _eigenvalues)
+@example(UNREADABLE["not-utf8"], 129, "2,3,4,5")
+@example(UNREADABLE["nested-200000"], 129, "2,3,4,5")
+@example(UNREADABLE["blowup-alpha-overflow"], 129, "")
+@example(UNREADABLE["blowup-omega-overflow"], 129, "")
+def test_outside_input_keeps_exit_code_contract(tmp_path, document, samples, eigenvalues):
+    # exit code 0, 1 or 2, exactly one JSON document on stdout, an "error"
+    # key with code 2, and no exception out of main
+    path = tmp_path / "input.json"
+    path.write_bytes(document)
+    f = str(path)
+    for argv in (
+        ["check", "--profile", f],
+        ["path", "--profile", f, "--samples", str(samples)],
+        ["angle", "--profile", f],
+        ["kt", "--profile", f],
+        ["model", "--spec", f],
+        ["consistency", f"--lambda={eigenvalues}"],
+    ):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        report = json.loads(buf.getvalue())
+        if code == 2:
+            assert "error" in report, argv
+
+
+@pytest.mark.parametrize("document", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_unreadable_input_exit_2(capsys, tmp_path, document):
+    path = tmp_path / "input.json"
+    path.write_bytes(document)
+    code, out = run_cli(capsys, "model", "--spec", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "DomainError"
+
+
+def test_package_errors_share_one_base():
+    from dhym import errors
+
+    builtin = {
+        "DomainError": ValueError,
+        "PhaseOutsideBranchError": ValueError,
+        "UndefinedAngleError": ValueError,
+        "InvalidPairError": ValueError,
+        "SamplingExhaustedError": RuntimeError,
+        "DegeneratePathError": RuntimeError,
+        "ConvergenceError": RuntimeError,
+    }
+    classes = {
+        name: cls
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, Exception) and cls is not errors.DhymError
+    }
+    assert set(classes) == set(builtin)
+    for name, cls in classes.items():
+        assert issubclass(cls, errors.DhymError) and issubclass(cls, builtin[name]), name
 
 
 def test_console_script_entry_point(tmp_path):

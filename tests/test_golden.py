@@ -21,7 +21,9 @@ NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 
 #: the cases whose bytes must not depend on numpy's SIMD dispatch; the
 #: sampler behind `sample` still uses np.tan and np.arctan
-PORTABLE = [c for c in cases() if c.startswith(("path_", "angle_", "consistency_"))]
+PORTABLE = [
+    c for c in cases() if c.startswith(("path_", "angle_", "consistency_", "identity"))
+]
 
 
 def stored(case):

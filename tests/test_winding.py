@@ -114,7 +114,6 @@ def test_winding_constant_2345():
     report = winding_report(constant_model((2, 3, 4, 5)))
     assert report.theta_alg == pytest.approx(5.05541292, abs=1e-9)
     assert report.t_star == pytest.approx(math.sqrt(11.0), abs=1e-12)
-    assert report.origin_hit is None
     assert report.anchor == pytest.approx(math.pi)
 
 
@@ -264,8 +263,7 @@ def test_winding_rejects_overflowing_paths():
 
 def test_winding_report_dict():
     d = winding_report(constant_model((2, 3, 4, 5))).to_dict()
-    assert set(d) == {"n", "theta_alg", "t_star", "origin_hit", "t_max", "anchor", "arg_lift"}
-    assert d["origin_hit"] is None
+    assert set(d) == {"n", "theta_alg", "t_star", "t_max", "anchor", "arg_lift"}
     assert len(d["arg_lift"]) >= 129
 
 
