@@ -3,9 +3,9 @@
 
 Walks the integer grid of metric classes a*H - b*E (a > b > 0) and form
 classes c*H - e*E on the blow-up of P^3 and ranks the resulting paths by
-the smallest |Z(t)| on [1, t_max], scale-normalised.  Exact origin hits
-(degenerate winding angles) are listed first; those are the classes for
-which no lifted angle exists.
+the least |Z(t)| on [1, t_max] (the winding report's `min_abs_z`),
+scale-normalised.  Exact origin hits (degenerate winding angles) are
+listed first; those are the classes for which no lifted angle exists.
 
     python scripts/blowup_origin_scan.py --amax 6 --cmax 6 --top 12
 """
@@ -36,14 +36,11 @@ def main(argv=None) -> int:
                     profile = blowup_p3(a, b, c, e)
                     scale = max(abs(x) for x in profile.d) / math.factorial(3)
                     try:
-                        report = winding_report(profile, samples=65)
+                        report = winding_report(profile)
                     except DegeneratePathError as exc:
                         hits.append(((a, b, c, e), exc.t_origin))
                         continue
-                    closest = min(
-                        math.hypot(re, im) for _, re, im, _ in report.trace
-                    )
-                    near.append((closest / scale, (a, b, c, e), report.theta_alg))
+                    near.append((report.min_abs_z / scale, (a, b, c, e), report.theta_alg))
 
     def cls(h, ex):
         sign = "-" if ex >= 0 else "+"

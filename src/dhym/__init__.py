@@ -23,6 +23,7 @@ from .charge import (
     kt_chain,
     path_polynomials,
     winding_report,
+    winding_trace,
     z_of_t,
 )
 from .eigen import (

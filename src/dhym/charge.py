@@ -10,16 +10,21 @@ is a polynomial path in the complex plane; as t runs from +infinity down
 to 1 its continuous argument defines the algebraic lifted angle, provided
 the path misses the origin.  Both real and imaginary parts are low-degree
 polynomials with closed-form real roots, so the lift is tracked exactly by
-splitting [1, t_max] at those roots (the quadrant is constant in between).
+splitting [1, t_max] at those roots (the quadrant is constant in between):
+`winding_report` evaluates Z only at the roots and their midpoints, and a
+sampled trace of the lift is built only on request (`winding_trace`).  One
+Horner loop evaluates every polynomial, at a point or over an array, in
+numpy.polynomial's order of operations: the bits match numpy's polyval
+without its per-call overhead.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .eigen import TWO_PI, as_eigen, gamma_cone, mixed_sigma, phase_component_rows
 from .errors import DegeneratePathError, DomainError, UndefinedAngleError
@@ -27,6 +32,9 @@ from .reports import InequalityReport, compare, evaluate
 
 #: |Z| below DEGENERACY_REL * max|d_k| / n! counts as an origin hit
 DEGENERACY_REL = 1e-10
+
+#: a computed value below _NOISE * sum|c_k| t^k is indistinguishable from zero
+_NOISE = 32.0 * sys.float_info.epsilon
 
 _MINUS_I_POW = (1 + 0j, -1j, -1 + 0j, 1j)  # (-i)^m for m mod 4
 
@@ -49,7 +57,11 @@ class IntersectionProfile:
         if self.n < 1:
             raise DomainError(f"dimension must be >= 1, got {self.n}")
         if len(d) != self.n + 1:
-            raise DomainError(f"need {self.n + 1} intersection numbers, got {len(d)}")
+            try:
+                need = str(self.n + 1)
+            except ValueError:  # more digits than int's str() conversion limit
+                need = "n + 1"
+            raise DomainError(f"need {need} intersection numbers, got {len(d)}")
         if not all(math.isfinite(x) for x in d):
             raise DomainError("intersection numbers must be finite")
         if d[0] <= 0.0:
@@ -94,21 +106,58 @@ def path_polynomials(p: IntersectionProfile):
     return re, im
 
 
-def _newton_polish(coeffs: np.ndarray, x: float) -> float:
+def _horner(c, x):
+    """The polynomial with ascending coefficients c at x, a float or an
+    array, in numpy.polynomial.polyval's order of operations (same bits)."""
+    acc = c[-1] + x * 0
+    for a in c[-2::-1]:
+        acc = a + acc * x
+    return acc
+
+
+def _derivative(c) -> list:
+    # as numpy.polynomial.polyder: a constant's derivative is [0 * c_0]
+    return [j * c[j] for j in range(1, len(c))] or [c[0] * 0]
+
+
+def _trim(c):
+    # trailing zeros dropped, one entry kept, as numpy.polynomial trims series
+    end = len(c)
+    while end > 1 and c[end - 1] == 0:
+        end -= 1
+    return c[:end]
+
+
+def _roots(c) -> list:
+    """Complex roots of the polynomial, as numpy.polynomial.polyroots finds
+    them: the sorted eigenvalues of its companion matrix."""
+    c = _trim(c)
+    if len(c) < 2:
+        return []
+    if len(c) == 2:
+        return [-c[0] / c[1]]
+    n = len(c) - 1
+    mat = np.zeros((n, n))
+    mat.reshape(-1)[n :: n + 1] = 1.0
+    mat[:, -1] -= np.array(c[:-1]) / c[-1]
+    return np.sort(np.linalg.eigvals(mat)).tolist()
+
+
+def _newton_polish(c, x: float) -> float:
     """One guarded Newton step on the polynomial.
 
     The step is kept only when it stays local and does not increase |f|;
     at a double root (tangent touch) the derivative underflows and the
     raw step would fling the point away, so the closed-form value wins.
     """
-    fx = npoly.polyval(x, coeffs)
-    dfx = npoly.polyval(x, npoly.polyder(coeffs))
+    fx = _horner(c, x)
+    dfx = _horner(_derivative(c), x)
     if dfx == 0.0 or not math.isfinite(dfx):
         return x
     x1 = x - fx / dfx
     if not math.isfinite(x1) or abs(x1 - x) > 1e-3 * (1.0 + abs(x)):
         return x
-    return x1 if abs(npoly.polyval(x1, coeffs)) <= abs(fx) else x
+    return x1 if abs(_horner(c, x1)) <= abs(fx) else x
 
 
 def _im_root(n: int, d) -> np.ndarray:
@@ -120,8 +169,8 @@ def _im_root(n: int, d) -> np.ndarray:
     for n = 3, so the root is sqrt(d_3 / d_1) or sqrt(3 d_2 / d_0).
     """
     d = np.asarray(d, dtype=float)
-    num, den = (d[..., 3], d[..., 1]) if n == 4 else (3.0 * d[..., 2], d[..., 0])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        num, den = (d[..., 3], d[..., 1]) if n == 4 else (3.0 * d[..., 2], d[..., 0])
         ratio = num / den
     return np.sqrt(np.where((den != 0.0) & (ratio > 0.0), ratio, np.nan))
 
@@ -163,8 +212,9 @@ def _t_max(p: IntersectionProfile, roots) -> float:
     return max([2.0 * (1.0 + term)] + [2.0 * r + 1.0 for r in roots])
 
 
-def _origin(p: IntersectionProfile, re_c, im_c, roots, t_hi: float) -> None:
-    """Raise DegeneratePathError when Z comes near the origin on [1, t_hi].
+def _origin(p: IntersectionProfile, re_c, im_c, roots, t_hi: float) -> tuple[float, float]:
+    """Least |Z| on [1, t_hi] and the t where it is reached; raises
+    DegeneratePathError when Z comes near the origin there.
 
     Re Z and Im Z are evaluated once at every candidate: the axis `roots`,
     the endpoints and the real critical points of |Z|^2.  A pass through
@@ -178,44 +228,54 @@ def _origin(p: IntersectionProfile, re_c, im_c, roots, t_hi: float) -> None:
     axis = [r for r in roots if 1.0 <= r <= t_hi]
     # a power-of-two scale keeps |Z|^2 finite (d_k = 1e300) and its roots' bits
     e = -math.frexp(max(np.abs(re_c).max(), np.abs(im_c).max()))[1]
-    re_s, im_s = np.ldexp(re_c, e), np.ldexp(im_c, e)
-    dmod2 = npoly.polyder(npoly.polyadd(npoly.polymul(re_s, re_s), npoly.polymul(im_s, im_s)))
+    # |Z|^2 = Re^2 + Im^2 on trimmed series, as numpy.polynomial's polymul
+    # (np.convolve) and polyadd form it
+    squares = [
+        _trim(np.convolve(s, s).tolist())
+        for s in (_trim([math.ldexp(x, e) for x in c]) for c in (re_c, im_c))
+    ]
+    mod2, other = sorted(squares, key=len, reverse=True)
+    mod2 = _trim([x + y for x, y in zip(mod2, other)] + mod2[len(other) :])
+    dmod2 = _derivative(mod2)
     critical = []
-    if np.any(dmod2 != 0.0):
-        for r in npoly.polyroots(dmod2):
+    if any(x != 0.0 for x in dmod2):
+        for r in _roots(dmod2):
             if abs(r.imag) < 1e-9 * (1.0 + abs(r)) and 1.0 <= r.real <= t_hi:
                 x = float(r.real)
                 for _ in range(2):
                     x = _newton_polish(dmod2, x)
                 critical.append(min(max(x, 1.0), t_hi))
     ts = np.unique(np.array(axis + [1.0, t_hi] + critical))
-    re_v, im_v = np.abs(npoly.polyval(ts, re_c)), np.abs(npoly.polyval(ts, im_c))
+    re_v, im_v = np.abs(_horner(re_c, ts)), np.abs(_horner(im_c, ts))
 
-    # a computed value below 32 eps * sum|c_k| t^k is indistinguishable from zero
-    noise = 32.0 * np.finfo(float).eps
-    re_tol = np.maximum(threshold, noise * npoly.polyval(ts, np.abs(re_c)))
-    im_tol = np.maximum(threshold, noise * npoly.polyval(ts, np.abs(im_c)))
+    re_tol = np.maximum(threshold, _NOISE * _horner(np.abs(re_c), ts))
+    im_tol = np.maximum(threshold, _NOISE * _horner(np.abs(im_c), ts))
     on_axis = np.isin(ts, axis) & (re_v <= re_tol) & (im_v <= im_tol)
     if on_axis.any():
         i = int(np.argmax(on_axis))
         raise DegeneratePathError(
             float(ts[i]), float(max(re_v[i], im_v[i])), float(max(re_tol[i], im_tol[i]))
         )
-    mod = np.hypot(re_v, im_v)
-    i = int(np.argmin(mod))
+    # |Z| by libm hypot (the abs of a Python complex): numpy's AVX-512 hypot
+    # kernel can differ from it in the last bit, which would make min_abs_z
+    # depend on the CPU
+    mod = [abs(complex(re, im)) for re, im in zip(re_v.tolist(), im_v.tolist())]
+    i = mod.index(min(mod))
     if mod[i] < threshold:
-        raise DegeneratePathError(float(ts[i]), float(mod[i]), threshold)
+        raise DegeneratePathError(float(ts[i]), mod[i], threshold)
+    return mod[i], float(ts[i])
 
 
 @dataclass(frozen=True)
 class WindingReport:
-    """Lifted-argument trace of the central charge over [1, t_max].
+    """Lifted argument of the central charge over [1, t_max].
 
     The lift is anchored at `anchor` at t = t_max, where Z sits in its
     asymptotic quadrant: anchor = pi for n = 4 (negative real axis) and
     3*pi/2 for n = 3.  theta_alg = lift(1) - anchor, which for n = 4 is
-    the lift at t = 1 minus pi.  `trace` rows are (t, Re Z, Im Z,
-    lifted argument) in ascending t.
+    the lift at t = 1 minus pi.  `min_abs_z` is the least |Z| on
+    [1, t_max], reached first at `t_at_min`: the path's distance to the
+    origin, where the angle would be undefined.
     """
 
     n: int
@@ -223,11 +283,11 @@ class WindingReport:
     t_star: float | None
     t_max: float
     anchor: float
-    trace: tuple[tuple[float, float, float, float], ...]
+    min_abs_z: float
+    t_at_min: float
 
     def to_dict(self):
-        out = {f.name: getattr(self, f.name) for f in fields(self)[:-1]}
-        return {**out, "arg_lift": [[t, a] for t, _, _, a in self.trace]}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _lift_anchor(n: int) -> float:
@@ -235,57 +295,85 @@ def _lift_anchor(n: int) -> float:
     return (math.pi - 0.5 * n * math.pi) % TWO_PI or TWO_PI
 
 
-def winding_report(p: IntersectionProfile, samples: int = 129) -> WindingReport:
-    """Track the continuous argument of Z(t) from t_max down to t = 1.
+def _lift(re_c, im_c, ts: np.ndarray, anchor: float):
+    """Re Z, Im Z and the lifted argument at the ascending points ts, which
+    include every lift point: from the anchor at t_max down to t, the lift
+    sums the whole turns between neighbours."""
+    re_v = _horner(re_c, ts)
+    im_v = _horner(im_c, ts) + 0.0  # normalise -0.0
+    # math.atan2, not np.arctan2: numpy's SIMD kernels differ from libm in
+    # the last bit on some CPUs, which would make the bytes CPU-dependent
+    raw = np.fromiter(map(math.atan2, im_v.tolist(), re_v.tolist()), float, len(ts))
+    # neighbours share a quadrant piece, so each step is below pi/2 and its
+    # whole turns are the rounded raw difference
+    turns = np.rint((np.append(raw[1:], anchor) - raw) / TWO_PI)
+    return re_v, im_v, raw + TWO_PI * np.cumsum(turns[::-1])[::-1]
 
-    Every stage reads one coefficient set, the (re, im) arrays of
-    `path_polynomials`: the closed-form axis roots, the single origin
-    check and the trace.  [1, t_max] is split at every real root of Re Z
-    and Im Z, so each piece stays inside one quadrant and unwrapping
-    atan2 between neighbouring sample points (breakpoints, their
-    midpoints, and a uniform grid of `samples` points) is exact.  Raises
-    DegeneratePathError, with the offending t, when Z meets the origin at
-    an axis root or min |Z| over the interval falls below the
-    scale-relative origin threshold: the winding angle is then undefined.
-    Raises DomainError when Z(t) overflows a double on [1, t_max].
+
+def _winding_path(p: IntersectionProfile):
+    """The stages `winding_report` and `winding_trace` share, all read off
+    one coefficient set: the `path_polynomials` arrays, the Im root, t_max,
+    the lift points and the origin check's (min |Z|, t at min).
+
+    The lift points are 1, t_max, every real root of Re Z and Im Z in
+    between, and the midpoints of those breakpoints.  Each piece between
+    breakpoints stays inside one quadrant, so unwrapping atan2 between
+    neighbouring lift points is exact.
     """
     if p.n not in (3, 4):
         raise DomainError(f"winding analysis supports n in (3, 4), got {p.n}")
     re_c, im_c = path_polynomials(p)
     t_im = float(_im_root(p.n, p.d))
-    roots = _positive_axis_roots(p, t_im, re_c, im_c)
-    t_hi = float(_t_max(p, roots))
-    # sum |c_k| t^k bounds Re Z, Im Z and every Horner step on [1, t_hi]
+    # a root or t_max beyond the double range overflows to inf, caught below
     with np.errstate(over="ignore", invalid="ignore"):
-        size = npoly.polyval(t_hi, np.abs(re_c)) + npoly.polyval(t_hi, np.abs(im_c))
+        roots = _positive_axis_roots(p, t_im, re_c, im_c)
+        t_hi = _t_max(p, roots)
+        # sum |c_k| t^k bounds Re Z, Im Z and every Horner step on [1, t_hi]
+        size = _horner(np.abs(re_c), t_hi) + _horner(np.abs(im_c), t_hi)
     if not math.isfinite(size):
         raise DomainError(f"Z(t) overflows a double on [1, t_max = {t_hi:.6g}]")
-    _origin(p, re_c, im_c, roots, t_hi)
-
+    closest = _origin(p, re_c, im_c, roots, t_hi)
     breakpoints = [1.0] + [r for r in roots if 1.0 < r < t_hi] + [t_hi]
     mids = [0.5 * (a + b) for a, b in zip(breakpoints, breakpoints[1:])]
-    grid = np.linspace(1.0, t_hi, max(int(samples), 2))
-    ts = np.unique(np.concatenate([breakpoints, mids, grid]))
-    re_v = npoly.polyval(ts, re_c)
-    im_v = npoly.polyval(ts, im_c) + 0.0  # normalise -0.0
-    # math.atan2, not np.arctan2: numpy's SIMD kernels differ from libm in
-    # the last bit on some CPUs, which would make the bytes CPU-dependent
-    raw = np.fromiter(map(math.atan2, im_v.tolist(), re_v.tolist()), float, len(ts))
+    return re_c, im_c, t_im, t_hi, sorted({*breakpoints, *mids}), closest
 
-    # neighbours share a quadrant piece, so each step is below pi/2 and its
-    # whole turns are the rounded raw difference; the lift at t sums the
-    # turns from the anchor at t_max down to t
+
+def winding_report(p: IntersectionProfile) -> WindingReport:
+    """Track the continuous argument of Z(t) from t_max down to t = 1.
+
+    [1, t_max] is split at every real root of Re Z and Im Z (closed form,
+    Newton-polished), so the lift needs Z only at those breakpoints and
+    their midpoints, at most 9 points: one math.atan2 each, and the whole
+    turns between neighbours summed down from the anchor at t_max.  Raises
+    DegeneratePathError, with the offending t, when Z meets the origin at
+    an axis root or min |Z| over the interval falls below the
+    scale-relative origin threshold: the winding angle is then undefined.
+    Raises DomainError when Z(t) overflows a double on [1, t_max].
+    """
+    re_c, im_c, t_im, t_hi, knots, (min_abs_z, t_at_min) = _winding_path(p)
     anchor = _lift_anchor(p.n)
-    turns = np.rint((np.append(raw[1:], anchor) - raw) / TWO_PI)
-    lift = raw + TWO_PI * np.cumsum(turns[::-1])[::-1]
+    _, _, lift = _lift(re_c, im_c, np.array(knots), anchor)
     return WindingReport(
         n=p.n,
         theta_alg=float(lift[0] - anchor),
         t_star=t_im if t_im > 1.0 else None,
         t_max=t_hi,
         anchor=anchor,
-        trace=tuple(map(tuple, np.column_stack([ts, re_v, im_v, lift]).tolist())),
+        min_abs_z=min_abs_z,
+        t_at_min=t_at_min,
     )
+
+
+def winding_trace(p: IntersectionProfile, samples: int = 129) -> tuple:
+    """Rows (t, Re Z, Im Z, lifted argument) in ascending t over [1, t_max]:
+    the lift points of `winding_report` and a uniform grid of `samples`
+    points.  Row 0 holds lift(1), so theta_alg = trace[0][3] - anchor.
+    Raises as `winding_report` does.
+    """
+    re_c, im_c, _, t_hi, knots, _ = _winding_path(p)
+    ts = np.unique(np.concatenate([knots, np.linspace(1.0, t_hi, max(int(samples), 2))]))
+    re_v, im_v, lift = _lift(re_c, im_c, ts, _lift_anchor(p.n))
+    return tuple(map(tuple, np.column_stack([ts, re_v, im_v, lift]).tolist()))
 
 
 def analytic_angle_from_integrals(p: IntersectionProfile) -> float:

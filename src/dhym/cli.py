@@ -22,6 +22,7 @@ from .charge import (
     integrated_sigma_chain,
     kt_chain,
     winding_report,
+    winding_trace,
 )
 from .errors import DegeneratePathError, DhymError, DomainError
 from .models import consistency_suite
@@ -83,11 +84,13 @@ def _cmd_check(args) -> int:
 
 def _cmd_path(args) -> int:
     profile = parse_profile(load_json(args.profile))
-    report = winding_report(profile, samples=args.samples)
+    report = winding_report(profile)
+    trace = winding_trace(profile, args.samples)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(trace_csv(report))
-    out = {"profile": profile.to_dict(), "winding": report.to_dict()}
+            fh.write(trace_csv(trace))
+    winding = {**report.to_dict(), "arg_lift": [[t, a] for t, _, _, a in trace]}
+    out = {"profile": profile.to_dict(), "winding": winding}
     if args.out:
         out["csv"] = args.out
     _print_json(out)

@@ -94,10 +94,12 @@ def sigma_rows(lam) -> np.ndarray:
     m, n = lam.shape
     e = np.zeros((m, n + 1))
     e[:, 0] = 1.0
-    for j in range(n):
-        v = lam[:, j]
-        for k in range(min(j + 1, n), 0, -1):
-            e[:, k] += v * e[:, k - 1]
+    # huge eigenvalues overflow to inf silently, as Python float arithmetic does
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            v = lam[:, j]
+            for k in range(min(j + 1, n), 0, -1):
+                e[:, k] += v * e[:, k - 1]
     return e
 
 
@@ -148,8 +150,9 @@ def phase_component_rows(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for n = 4 that is (1 - sigma_2 + sigma_4, sigma_1 - sigma_3).  Any
     coefficient rows c in place of e give sum_k i^k c_k the same way.
     """
-    re = sum(e[:, k] if k % 4 == 0 else -e[:, k] for k in range(0, e.shape[1], 2))
-    im = sum(e[:, k] if k % 4 == 1 else -e[:, k] for k in range(1, e.shape[1], 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as Python floats
+        re = sum(e[:, k] if k % 4 == 0 else -e[:, k] for k in range(0, e.shape[1], 2))
+        im = sum(e[:, k] if k % 4 == 1 else -e[:, k] for k in range(1, e.shape[1], 2))
     return re, im
 
 

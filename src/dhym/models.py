@@ -63,7 +63,8 @@ def weighted_model(points) -> IntersectionProfile:
     if any(t.n != n for _, t in pts):
         raise DomainError("all points must share one dimension")
     w = np.array([[w] for w, _ in pts])
-    d = sum(constant_model_rows(w * sigma_rows([t.values for _, t in pts])), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite d_k are rejected below
+        d = sum(constant_model_rows(w * sigma_rows([t.values for _, t in pts])), 0.0)
     return IntersectionProfile(n, d.tolist(), synthetic=True)
 
 

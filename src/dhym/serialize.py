@@ -137,9 +137,9 @@ def parse_model_spec(obj) -> IntersectionProfile:
     raise DomainError(f"unknown model kind {kind!r}")
 
 
-def trace_csv(report) -> str:
-    """CSV body 't,re,im,arg_lift' for a winding report trace."""
+def trace_csv(trace) -> str:
+    """CSV body 't,re,im,arg_lift' for the rows of a `winding_trace`."""
     lines = ["t,re,im,arg_lift"]
-    for t, re, im, arg in report.trace:
+    for t, re, im, arg in trace:
         lines.append(",".join(format_float(v) for v in (t, re, im, arg)))
     return "\n".join(lines) + "\n"

@@ -364,6 +364,9 @@ UNREADABLE = {
         {"model": "blowup_p3", "omega": [1e200, 1], "alpha": [1, 1]}
     ),
 }
+#: n = 10**4300 - 1, the largest n a JSON integer holds: n + 1 has more
+#: digits than int's str() converts
+HUGE_N = b'{"n": ' + b"9" * 4300 + b', "d": [1, 1, 1, 1, 1]}'
 #: valid trace sizes stay small; large ones only on the rejection path
 _samples = (
     st.integers(2, 200) | st.integers(max_value=1) | st.integers(min_value=MAX_SAMPLES + 1)
@@ -373,13 +376,13 @@ _eigenvalues = st.text(max_size=30) | st.lists(_numbers, max_size=6).map(
 )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on the way to exit 2
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_documents, _samples, _eigenvalues)
 @example(UNREADABLE["not-utf8"], 129, "2,3,4,5")
 @example(UNREADABLE["nested-200000"], 129, "2,3,4,5")
 @example(UNREADABLE["blowup-alpha-overflow"], 129, "")
 @example(UNREADABLE["blowup-omega-overflow"], 129, "")
+@example(HUGE_N, 129, "1e100,1e100,1e100,1e100")
 def test_outside_input_keeps_exit_code_contract(tmp_path, document, samples, eigenvalues):
     # exit code 0, 1 or 2, exactly one JSON document on stdout, an "error"
     # key with code 2, and no exception out of main
@@ -410,6 +413,57 @@ def test_unreadable_input_exit_2(capsys, tmp_path, document):
     code, out = run_cli(capsys, "model", "--spec", str(path))
     assert code == 2
     assert json.loads(out)["error"] == "DomainError"
+
+
+def test_dimension_beyond_digit_limit_exit_2(capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_bytes(HUGE_N)
+    code, out = run_cli(capsys, "check", "--profile", str(path))
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "DomainError",
+        "message": "need n + 1 intersection numbers, got 5",
+    }
+    path.write_bytes(b'{"n": 6, "d": [1, 1, 1, 1, 1]}')
+    code, out = run_cli(capsys, "check", "--profile", str(path))
+    assert json.loads(out)["message"] == "need 7 intersection numbers, got 5"
+
+
+def test_overflow_prints_no_numpy_warning():
+    proc = subprocess.run(
+        [sys.executable, "-m", "dhym", "consistency", "--lambda=1e100,1e100,1e100,1e100"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == "DomainError"
+    assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        (["angle", "--profile"], {"n": 4, "d": [2, 1.7e308, 6e266, 1.7e308, 1e-134]}),
+        (["angle", "--profile"], {"n": 3, "d": [0.125, -1e200, -1.7e308, 1e28]}),
+        (["check", "--profile"], {"n": 4, "d": [1, 1e200, 1e200, 1e200, 1e200]}),
+        (
+            ["model", "--spec"],
+            {
+                "model": "weighted",
+                "points": [
+                    {"w": 0.5, "lambda": [-3, 1e200, 1e103, 1e26]},
+                    {"w": 0.5, "lambda": [1e300, 1e-147, 1e77, 1]},
+                ],
+            },
+        ),
+    ],
+    ids=["angle-phase-sum", "angle-im-root", "check-margins", "weighted-sum"],
+)
+def test_near_double_range_warns_nothing(capsys, tmp_path, argv, document):
+    code, out = run_cli(capsys, *argv, write(tmp_path / "input.json", document))
+    assert code in (0, 1, 2)
+    json.loads(out)
 
 
 def test_package_errors_share_one_base():
