@@ -46,7 +46,7 @@ def _path(name: str) -> list:
 #: blow-up of P^3, and the degenerate profile's path hits Z(2) = 0; the
 #: tuple (-0.5, 1, 2, 3) starts with a negative eigenvalue, as mid-branch
 #: tuples do; identity_2184 is a run whose max_rel_vieta numpy's AVX-512
-#: pow would change
+#: pow would change; identity_100000 spans many row blocks of the suite
 CLI_CASES = {
     "sample_mid": (["sample", "--theta", "4.0", "--count", "1000", "--seed", "101"], 0),
     "sample_supercritical": (
@@ -67,6 +67,7 @@ CLI_CASES = {
     "consistency_neg_first": (["consistency", "--lambda=-0.5,1,2,3"], 0),
     "identity": (["identity", "--count", "1000", "--seed", "105"], 0),
     "identity_2184": (["identity", "--count", "2184", "--seed", "1975363178"], 0),
+    "identity_100000": (["identity", "--count", "100000", "--seed", "106"], 0),
     "kt_constant_2345": (["kt", "--profile", _profile("constant_2345")], 0),
     "check_constant_2345": (["check", "--profile", _profile("constant_2345")], 0),
     "check_blowup_3_1_m2_1": (["check", "--profile", _profile("blowup_3_1_m2_1")], 1),

@@ -20,6 +20,7 @@ without its per-call overhead.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -132,6 +133,12 @@ def _roots(c) -> list:
     """Complex roots of the polynomial, as numpy.polynomial.polyroots finds
     them: the sorted eigenvalues of its companion matrix."""
     c = _trim(c)
+    # a leading coefficient that underflows next to the others would put inf
+    # or NaN in the companion matrix; its root lies beyond the double range,
+    # so it is dropped
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while len(c) > 1 and not np.isfinite(scaled := np.array(c[:-1]) / c[-1]).all():
+            c = c[:-1]
     if len(c) < 2:
         return []
     if len(c) == 2:
@@ -139,7 +146,7 @@ def _roots(c) -> list:
     n = len(c) - 1
     mat = np.zeros((n, n))
     mat.reshape(-1)[n :: n + 1] = 1.0
-    mat[:, -1] -= np.array(c[:-1]) / c[-1]
+    mat[:, -1] -= scaled
     return np.sort(np.linalg.eigvals(mat)).tolist()
 
 
@@ -384,17 +391,26 @@ def analytic_angle_from_integrals(p: IntersectionProfile) -> float:
     -- lifted into (0, 2*pi].  Agrees with the Lagrangian phase of any
     pointwise model integrating to the same profile, and with
     arg(-Z(1)) mod 2*pi when n = 4.
+
+    The sum is tested before the division by d_0, which overflows for a
+    subnormal volume: its modulus, n! |Z(1)|, against DEGENERACY_REL *
+    max|d_k|, the origin threshold of the winding.
     """
     if p.n not in (3, 4):
         raise DomainError(f"analytic angle supports n in (3, 4), got {p.n}")
     n = p.n
     re, im = phase_component_rows(np.array([[math.comb(n, k) * p.d[k] for k in range(n + 1)]]))
-    w = complex(re[0], im[0]) / p.d[0]
-    if abs(w) <= DEGENERACY_REL * max(abs(x) for x in p.d) / p.d[0]:
+    v = complex(re[0], im[0])
+    mod = math.hypot(v.real, v.imag)  # inf, where abs(v) raises OverflowError
+    if mod <= DEGENERACY_REL * max(abs(x) for x in p.d):
         raise UndefinedAngleError(
-            f"|Z(1)| = {abs(w) / math.factorial(n):.3e} is numerically zero; "
+            f"|Z(1)| = {mod / math.factorial(n):.3e} is numerically zero; "
             "no angle is defined"
         )
+    # where the quotient overflows, the undivided sum has the same argument
+    w = v / p.d[0]
+    if not cmath.isfinite(w):
+        w = v
     ang = math.atan2(w.imag, w.real)
     return ang + TWO_PI if ang <= 0.0 else ang
 

@@ -148,7 +148,12 @@ def consistency_suite(lam) -> ConsistencyReport:
     angle_delta = _mod_angle_delta(analytic, phase)
 
     r_expected = math.prod(math.hypot(1.0, v) for v in t.values) / math.factorial(t.n)
-    r_actual = abs(z_of_t(p, 1.0))
+    try:
+        r_actual = abs(z_of_t(p, 1.0))
+    except OverflowError:  # complex abs raises where float arithmetic gives inf
+        r_actual = math.inf
+    if not (math.isfinite(r_expected) and math.isfinite(r_actual)):
+        raise DomainError(f"|Z(1)| of the constant model of {t.values} overflows a double")
     r_delta_rel = abs(r_actual - r_expected) / max(1.0, r_expected)
 
     theta_alg = None

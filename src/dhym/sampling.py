@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .eigen import EigenTuple, lagrangian_phase
+from .eigen import EigenTuple, lagrangian_phase, row_blocks
 from .errors import DomainError, SamplingExhaustedError
 
 #: half-width clip on each angle: u_i in (-pi/2 + ANGLE_EPS, pi/2 - ANGLE_EPS)
@@ -45,17 +45,23 @@ def _polish(lam: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 
     The entry with the smallest magnitude takes the correction (largest
     phase derivative, smallest perturbation).  One step already lands at
-    rounding level; iterate defensively.
+    rounding level; iterate defensively (at most four corrections).  Rows
+    of lam come in sorted, and only the rows that took a correction are
+    sorted again; lam is corrected in place and returned.
     """
+    err = np.arctan(lam).sum(axis=1) - thetas
+    corrected = rows = np.flatnonzero(np.abs(err) > 0.25 * PHASE_TOL)
+    err = err[rows]
     for _ in range(4):
-        err = np.arctan(lam).sum(axis=1) - thetas
-        bad = np.abs(err) > 0.25 * PHASE_TOL
-        if not bad.any():
+        if not rows.size:
             break
-        rows = np.nonzero(bad)[0]
         cols = np.abs(lam[rows]).argmin(axis=1)
-        lam[rows, cols] -= err[rows] * (1.0 + lam[rows, cols] ** 2)
-    return np.sort(lam, axis=1)
+        lam[rows, cols] -= err * (1.0 + lam[rows, cols] ** 2)
+        err = np.arctan(lam[rows]).sum(axis=1) - thetas[rows]
+        bad = np.abs(err) > 0.25 * PHASE_TOL
+        rows, err = rows[bad], err[bad]
+    lam[corrected] = np.sort(lam[corrected], axis=1)
+    return lam
 
 
 def _corner_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -92,22 +98,26 @@ def _corner_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _rejection_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vectorised rejection for the easy range |theta| < pi - 2*eps."""
+    """Vectorised rejection for the easy range |theta| < pi - 2*eps; each
+    pass draws one triple for every row still pending."""
     a = _half_width()
     m = thetas.shape[0]
     out = np.empty((m, _N))
     pending = np.arange(m)
+    theta = thetas
     attempts = 0
     budget = MAX_ATTEMPTS_PER_SAMPLE * m
     while pending.size:
         block = pending.size
-        u123 = rng.uniform(-a, a, size=(block, 3))
-        u4 = thetas[pending] - u123.sum(axis=1)
+        u = rng.uniform(-a, a, size=(block, 3))
+        # u.sum(axis=1) adds left to right too, at a reduction's extra cost
+        u4 = theta - (u[:, 0] + u[:, 1] + u[:, 2])
         ok = np.abs(u4) < a
-        hit = pending[ok]
-        out[hit, :3] = u123[ok]
-        out[hit, 3] = u4[ok]
-        pending = pending[~ok]
+        hit, miss = np.flatnonzero(ok), np.flatnonzero(~ok)
+        rows = pending[hit]
+        out[rows, :3] = u[hit]
+        out[rows, 3] = u4[hit]
+        pending, theta = pending[miss], theta[miss]
         attempts += block
         if pending.size and attempts > budget:
             raise SamplingExhaustedError(
@@ -121,15 +131,18 @@ def sample_level_set_angles(thetas: np.ndarray, rng: np.random.Generator) -> np.
     """Angle rows u (shape (m, 4)) with sum(u_i) = theta_i, each |u_i| < pi/2 - eps."""
     thetas = np.asarray(thetas, dtype=float)
     a = _half_width()
-    u = np.empty((thetas.shape[0], _N))
     hi = thetas >= 2.0 * a
     lo = thetas <= -2.0 * a
     mid = ~(hi | lo)
-    if hi.any():
+    if mid.all():
+        return _rejection_batch(thetas, rng)
+    u = np.empty((thetas.shape[0], _N))
+    hi, lo, mid = np.flatnonzero(hi), np.flatnonzero(lo), np.flatnonzero(mid)
+    if hi.size:
         u[hi] = _corner_batch(thetas[hi], rng)
-    if lo.any():
+    if lo.size:
         u[lo] = -_corner_batch(-thetas[lo], rng)
-    if mid.any():
+    if mid.size:
         u[mid] = _rejection_batch(thetas[mid], rng)
     return u
 
@@ -137,16 +150,22 @@ def sample_level_set_angles(thetas: np.ndarray, rng: np.random.Generator) -> np.
 def sample_level_set_batch(thetas, seed=None, rng=None) -> np.ndarray:
     """Sorted eigenvalue rows (shape (m, 4)) on the level sets theta_i.
 
-    Each row satisfies |sum(arctan(row)) - theta_i| < 1e-12.
+    Each row satisfies |sum(arctan(row)) - theta_i| < 1e-12.  The angles
+    are drawn for all rows first; tan, sort and polish then run ROW_BLOCK
+    rows at a time.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if np.any(np.abs(thetas) >= 2.0 * math.pi):
         raise DomainError("theta must lie in (-2*pi, 2*pi) for 4 eigenvalues")
     if rng is None:
         rng = np.random.default_rng(seed)
-    u = sample_level_set_angles(thetas, rng)
-    lam = np.sort(np.tan(u), axis=1)
-    return _polish(lam, thetas)
+    lam = sample_level_set_angles(thetas, rng)
+    for blk in row_blocks(lam.shape[0]):
+        u = lam[blk]
+        np.tan(u, out=u)
+        u.sort(axis=1)
+        _polish(u, thetas[blk])
+    return lam
 
 
 def level_set_sample(theta_hat: float, count: int, seed: int) -> list[EigenTuple]:

@@ -18,11 +18,13 @@ import numpy as np
 
 from .charge import _im_root
 from .eigen import (
+    ROW_BLOCK,
     TWO_PI,
     branch_blocks,
     factorization_rows,
     phase_component_rows,
     phase_rows,
+    row_blocks,
     sigma_rows,
 )
 from .errors import DomainError
@@ -63,10 +65,26 @@ class IdentitySuiteReport(_SuiteReport):
     passed: bool
 
 
+#: Vieta's expansion is checked on the first VIETA_ROWS rows (one row block)
+VIETA_ROWS = 1000
+assert VIETA_ROWS <= ROW_BLOCK
+
+
 def _max_rel(a, b) -> float:
     """max |a - b| / max(1, |a|, |b|) over the rows."""
     scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     return float(np.max(np.abs(a - b) / scale))
+
+
+def _newton_mins(p) -> list[float]:
+    """min over the rows of the relative Newton margin of normalised means p,
+    for k = 1, 2, 3."""
+    out = []
+    for k in (1, 2, 3):
+        square, outer = p[:, k] ** 2, p[:, k - 1] * p[:, k + 1]
+        scale = np.maximum(1.0, np.maximum(square, np.abs(outer)))
+        out.append(float(np.min((square - outer) / scale)))
+    return out
 
 
 def identity_suite(count: int, seed: int) -> IdentitySuiteReport:
@@ -75,37 +93,40 @@ def identity_suite(count: int, seed: int) -> IdentitySuiteReport:
     Verifies (i) the alternating-sigma components against the complex
     product prod(1 + i*lambda_j), (ii) the quartic factorization identity,
     (iii) Vieta's expansion prod(x + lambda_j) = sum sigma_k x^(4-k) on a
-    1000-row slice, and (iv) Newton log-concavity of the normalised means
-    p_k = sigma_k / C(4,k), which holds for every real tuple.
+    VIETA_ROWS-row slice, and (iv) Newton log-concavity of the normalised
+    means p_k = sigma_k / C(4,k), which holds for every real tuple.
+
+    Every draw comes first; the rows are then checked ROW_BLOCK at a time
+    and each block's extremes folded into the report.  Max and min are
+    exact, so the report equals a single pass over all rows.
     """
     if count < 1:
         raise DomainError(f"suite count must be >= 1, got {count}")
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    lam = np.sort(rng.uniform(-SPAN, SPAN, size=(count, 4)), axis=1)
-    e = sigma_rows(lam)
+    draws = rng.uniform(-SPAN, SPAN, size=(count, 4))
+    x = rng.uniform(-SPAN, SPAN, size=min(count, VIETA_ROWS))
 
-    re, im = phase_component_rows(e)
-    comp = re + 1j * im
-    del re, im  # 1.5 MiB at count 1e5, not needed past this point
-    rel_product = _max_rel(comp, np.prod(1.0 + 1j * lam, axis=1))
-    rel_fact = _max_rel(*factorization_rows(lam, e))
-
-    m = min(count, 1000)
-    x = rng.uniform(-SPAN, SPAN, size=m)
-    vl = np.prod(x[:, None] + lam[:m], axis=1)
-    # x ** 3 and x ** 4 would take numpy's SIMD pow, whose last bit depends
-    # on the CPU; np.float_power is libm pow everywhere, and numpy squares
-    # x ** 2 itself
-    powers = (np.float_power(x, 4.0), np.float_power(x, 3.0), x**2, x, 1.0)
-    rel_vieta = _max_rel(vl, sum(e[:m, k] * powers[k] for k in range(5)))
-
-    p = constant_model_rows(e)
-    newton = np.inf
-    for k in (1, 2, 3):
-        margin = p[:, k] ** 2 - p[:, k - 1] * p[:, k + 1]
-        scale = np.maximum(1.0, np.maximum(p[:, k] ** 2, np.abs(p[:, k - 1] * p[:, k + 1])))
-        newton = min(newton, float(np.min(margin / scale)))
+    product, fact, newton = [], [], []
+    for blk in row_blocks(count):
+        lam = np.sort(draws[blk], axis=1)
+        e = sigma_rows(lam)
+        re, im = phase_component_rows(e)
+        product.append(_max_rel(re + 1j * im, np.prod(1.0 + 1j * lam, axis=1)))
+        fact.append(_max_rel(*factorization_rows(lam, e)))
+        newton.append(_newton_mins(constant_model_rows(e)))
+        if blk.start == 0:
+            m = x.size
+            vl = np.prod(x[:, None] + lam[:m], axis=1)
+            # x ** 3 and x ** 4 would take numpy's SIMD pow, whose last bit
+            # depends on the CPU; np.float_power is libm pow everywhere, and
+            # numpy squares x ** 2 itself
+            powers = (np.float_power(x, 4.0), np.float_power(x, 3.0), x**2, x, 1.0)
+            rel_vieta = _max_rel(vl, sum(e[:m, k] * powers[k] for k in range(5)))
+    rel_product = float(np.max(product))
+    rel_fact = float(np.max(fact))
+    # each k's minimum over all blocks, then the least of k = 1, 2, 3
+    newton = min(np.inf, *np.min(newton, axis=0).tolist())
 
     passed = (
         rel_product <= PRODUCT_IDENTITY_TOL

@@ -466,6 +466,34 @@ def test_near_double_range_warns_nothing(capsys, tmp_path, argv, document):
     json.loads(out)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["path", "angle"])
+def test_underflowing_leading_coefficient_keeps_exit_code(capsys, tmp_path, command):
+    # the leading coefficient of d|Z|^2/dt underflows next to the others, so
+    # an undivided companion matrix would hold inf
+    document = {"n": 3, "d": [0.06035977986144481, 3.768920191070875e152, -1.777888278895281, 1e150]}
+    argv = [command, "--profile", write(tmp_path / "input.json", document)]
+    if command == "path":
+        argv += ["--out", str(tmp_path / "trace.csv")]
+    code, out = run_cli(capsys, *argv)
+    assert code in (0, 2)
+    json.loads(out)
+
+
+def test_consistency_overflowing_central_charge_exit_2(capsys):
+    code, out = run_cli(capsys, "consistency", "--lambda=-5e-324,-1.7e+308,1.0")
+    assert code == 2
+    assert json.loads(out)["error"] == "DomainError"
+
+
+def test_angle_with_subnormal_volume(capsys, tmp_path):
+    # |Z(1)| = 1/24; dividing by d_0 first would read it as inf and as zero
+    document = {"n": 4, "d": [5e-324, 0, 0, 0, -1]}
+    code, out = run_cli(capsys, "angle", "--profile", write(tmp_path / "input.json", document))
+    assert code == 0
+    assert json.loads(out)["analytic_angle"] == math.pi
+
+
 def test_package_errors_share_one_base():
     from dhym import errors
 

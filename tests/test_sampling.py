@@ -11,7 +11,9 @@ from dhym import (
     level_set_sample,
     sample_level_set_batch,
 )
+from dhym.eigen import ROW_BLOCK
 from dhym.errors import DomainError, SamplingExhaustedError
+from dhym.sampling import PHASE_TOL, _corner_batch, _half_width
 
 TWO_PI = 2 * math.pi
 
@@ -98,3 +100,67 @@ def test_exhaustion_beyond_clipped_box():
         level_set_sample(TWO_PI - 1e-4, 1, seed=0)
     with pytest.raises(SamplingExhaustedError):
         level_set_sample(-(TWO_PI - 1e-4), 1, seed=0)
+
+
+# -- the blocked sampler against a plain, unblocked copy of it ----------------
+
+
+def reference_sample_level_set_batch(thetas, seed):
+    """The level-set sampler in one pass over all rows: full-length tan,
+    sort and polish, rejection with 2-D boolean masks."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    rng = np.random.default_rng(seed)
+    a = _half_width()
+    u = np.empty((thetas.shape[0], 4))
+    hi = thetas >= 2.0 * a
+    lo = thetas <= -2.0 * a
+    mid = ~(hi | lo)
+    if hi.any():
+        u[hi] = _corner_batch(thetas[hi], rng)
+    if lo.any():
+        u[lo] = -_corner_batch(-thetas[lo], rng)
+    if mid.any():
+        th = thetas[mid]
+        out = np.empty((th.shape[0], 4))
+        pending = np.arange(th.shape[0])
+        while pending.size:
+            u123 = rng.uniform(-a, a, size=(pending.size, 3))
+            u4 = th[pending] - u123.sum(axis=1)
+            ok = np.abs(u4) < a
+            hit = pending[ok]
+            out[hit, :3] = u123[ok]
+            out[hit, 3] = u4[ok]
+            pending = pending[~ok]
+        u[mid] = out
+    lam = np.sort(np.tan(u), axis=1)
+    for _ in range(4):
+        err = np.arctan(lam).sum(axis=1) - thetas
+        bad = np.abs(err) > 0.25 * PHASE_TOL
+        if not bad.any():
+            break
+        rows = np.nonzero(bad)[0]
+        cols = np.abs(lam[rows]).argmin(axis=1)
+        lam[rows, cols] -= err[rows] * (1.0 + lam[rows, cols] ** 2)
+    return np.sort(lam, axis=1)
+
+
+BLOCK_SIZES = [1, 999, 1000, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 7]
+
+#: theta draws for the corner (hi), mirrored corner (lo), rejection (mid)
+#: and mixed regimes of the sampler
+REGIMES = {
+    "hi": (math.pi, TWO_PI - 0.01),
+    "lo": (-TWO_PI + 0.01, -math.pi),
+    "mid": (-math.pi + 0.01, math.pi - 0.01),
+    "mixed": (-TWO_PI + 0.01, TWO_PI - 0.01),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_blocked_sampler_matches_unblocked_reference(regime, size):
+    lo, hi = REGIMES[regime]
+    thetas = np.random.default_rng([size, 7]).uniform(lo, hi, size=size)
+    seed = 1000 + size
+    got = sample_level_set_batch(thetas, seed=seed)
+    assert np.array_equal(got, reference_sample_level_set_batch(thetas, seed))

@@ -1,9 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from dhym import identity_suite, kt_suite, theorem_suite
+from dhym.eigen import ROW_BLOCK, factorization_rows, phase_component_rows, sigma_rows
 from dhym.errors import DomainError
+from dhym.models import constant_model_rows
+from dhym.suites import SPAN
 
 TWO_PI = 2 * math.pi
 
@@ -74,3 +78,49 @@ def test_kt_suite_small():
     assert report.count == 1000
     assert report.attempts >= 1000
     assert set(report.min_margins) == {"k1", "k2", "k3", "eqn12", "eqn23", "combined"}
+
+
+# -- the blocked identity suite against a plain, unblocked copy of it ---------
+
+
+def _max_rel(a, b):
+    scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    return float(np.max(np.abs(a - b) / scale))
+
+
+def reference_identity_report(count, seed):
+    """identity_suite's wire form, computed in one pass over all rows."""
+    rng = np.random.default_rng(seed)
+    lam = np.sort(rng.uniform(-SPAN, SPAN, size=(count, 4)), axis=1)
+    e = sigma_rows(lam)
+    re, im = phase_component_rows(e)
+    rel_product = _max_rel(re + 1j * im, np.prod(1.0 + 1j * lam, axis=1))
+    rel_fact = _max_rel(*factorization_rows(lam, e))
+    m = min(count, 1000)
+    x = rng.uniform(-SPAN, SPAN, size=m)
+    vl = np.prod(x[:, None] + lam[:m], axis=1)
+    powers = (np.float_power(x, 4.0), np.float_power(x, 3.0), x**2, x, 1.0)
+    rel_vieta = _max_rel(vl, sum(e[:m, k] * powers[k] for k in range(5)))
+    p = constant_model_rows(e)
+    newton = np.inf
+    for k in (1, 2, 3):
+        margin = p[:, k] ** 2 - p[:, k - 1] * p[:, k + 1]
+        scale = np.maximum(1.0, np.maximum(p[:, k] ** 2, np.abs(p[:, k - 1] * p[:, k + 1])))
+        newton = min(newton, float(np.min(margin / scale)))
+    passed = rel_product <= 1e-12 and rel_fact <= 1e-10 and rel_vieta <= 1e-10 and newton >= -1e-12
+    return {
+        "count": count,
+        "max_rel_product": rel_product,
+        "max_rel_factorization": rel_fact,
+        "max_rel_vieta": rel_vieta,
+        "min_newton_margin_rel": newton,
+        "pass": passed,
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 105])
+@pytest.mark.parametrize(
+    "count", [1, 999, 1000, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 7]
+)
+def test_blocked_identity_suite_matches_unblocked_reference(count, seed):
+    assert identity_suite(count, seed).to_dict() == reference_identity_report(count, seed)

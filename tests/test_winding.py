@@ -503,3 +503,10 @@ def test_analytic_angle_lift_window():
 def test_analytic_angle_undefined_at_vanishing_charge():
     with pytest.raises(UndefinedAngleError):
         analytic_angle_from_integrals(IntersectionProfile(4, (1, 1, 1, 1, 5)))
+
+
+def test_analytic_angle_with_subnormal_volume():
+    # S = (5e-324, 4, 6, 4, 1): the sum is -5 + 0i, |Z(1)| = 5/24, although
+    # dividing it by d_0 overflows
+    p = IntersectionProfile(4, (5e-324, 1, 1, 1, 1))
+    assert analytic_angle_from_integrals(p) == math.pi
