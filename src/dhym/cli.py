@@ -34,8 +34,8 @@ EXIT_VIOLATION = 1
 EXIT_INVALID = 2
 
 #: largest --samples and --count accepted; at these bounds peak RSS is about
-#: 120 MiB for `path`, 640 MiB for `sample` and 70 MiB for `identity`
-#: (x86-64 Linux, numpy 2.4)
+#: 120 MiB for `path`, 640 MiB for `sample`, 570 MiB for `kt` and 70 MiB for
+#: `identity` (x86-64 Linux, numpy 2.4)
 MAX_SAMPLES = 100_000
 MAX_COUNT = 1_000_000
 

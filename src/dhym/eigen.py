@@ -172,20 +172,23 @@ def phase_components(lam) -> tuple[float, float]:
     return float(re[0]), float(im[0])
 
 
+def gamma_cone_rows(e: np.ndarray) -> np.ndarray:
+    """gamma_cone of each row of sigma rows e, shape (m, n+1)."""
+    k = np.zeros(e.shape[0], dtype=int)
+    leading = np.ones(e.shape[0], dtype=bool)
+    for s in e[:, 1:].T:
+        leading &= s > 0.0
+        k += leading
+    return k
+
+
 def gamma_cone(lam) -> int:
     """Largest k with sigma_1, ..., sigma_k all strictly positive.
 
     Returns 0 when sigma_1 <= 0; k = n is the pointwise Kaehler-cone
-    condition.
+    condition.  One row of gamma_cone_rows.
     """
-    e = elementary_all(as_eigen(lam).values)
-    k = 0
-    for s in e[1:]:
-        if s > 0.0:
-            k += 1
-        else:
-            break
-    return k
+    return int(gamma_cone_rows(sigma_rows([as_eigen(lam).values]))[0])
 
 
 def factorization_rows(lam: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,6 +273,17 @@ def _branch_margins(lam: np.ndarray, branch: Branch) -> Margins:
     return evaluate(f"branch_{branch.name.lower()}", lam, sigma_rows(lam))
 
 
+#: the 4-fold branches, indexed by _branch_index
+_FOUR_FOLD = (Branch.SUPERCRITICAL, Branch.MID, Branch.FULL)
+
+
+def _branch_index(theta):
+    """Index into _FOUR_FOLD of the finest branch of each phase in
+    (pi, 2*pi): 0 above 3*pi/2, 1 below it, 2 exactly at it."""
+    half = Branch.MID.value[1]
+    return np.where(theta > half, 0, np.where(theta < half, 1, 2))
+
+
 def branch_blocks(lam: np.ndarray, thetas: np.ndarray, phase: np.ndarray):
     """Branch margins of 4-fold rows, grouped by the branch of each target.
 
@@ -279,15 +293,13 @@ def branch_blocks(lam: np.ndarray, thetas: np.ndarray, phase: np.ndarray):
     branch_check sample by sample would.  Returns (rows, margins) for each
     branch that occurs.
     """
-    half = Branch.MID.value[1]
-    kinds = (Branch.SUPERCRITICAL, Branch.MID, Branch.FULL)
-    which = np.where(thetas > half, 0, np.where(thetas < half, 1, 2))
-    lo, hi = np.array([b.value for b in kinds])[which].T
+    which = _branch_index(thetas)
+    lo, hi = np.array([b.value for b in _FOUR_FOLD])[which].T
     outside = ~((lo < phase) & (phase < hi))
     if outside.any():
         i = outside.argmax()
-        raise PhaseOutsideBranchError(float(phase[i]), kinds[which[i]])
-    groups = [(b, np.flatnonzero(which == k)) for k, b in enumerate(kinds)]
+        raise PhaseOutsideBranchError(float(phase[i]), _FOUR_FOLD[which[i]])
+    groups = [(b, np.flatnonzero(which == k)) for k, b in enumerate(_FOUR_FOLD)]
     return [(rows, _branch_margins(lam[rows], b)) for b, rows in groups if rows.size]
 
 
@@ -297,10 +309,8 @@ def branch_for_phase(theta: float, n: int = 4) -> Branch:
         if Branch.N3.contains(theta):
             return Branch.N3
         raise DomainError(f"phase {theta:.12g} outside the 3-fold window")
-    if Branch.SUPERCRITICAL.contains(theta):
-        return Branch.SUPERCRITICAL
-    if Branch.MID.contains(theta):
-        return Branch.MID
-    if Branch.FULL.contains(theta):
-        return Branch.FULL  # exactly 3*pi/2
-    raise DomainError(f"phase {theta:.12g} outside (pi, 2*pi)")
+    if n != 4:
+        raise DomainError(f"phase branches are defined for n = 3 or 4, got n={n}")
+    if not Branch.FULL.contains(theta):
+        raise DomainError(f"phase {theta:.12g} outside (pi, 2*pi)")
+    return _FOUR_FOLD[_branch_index(theta)]

@@ -118,16 +118,6 @@ class ConsistencyReport:
         return {"lambda": list(self.lam.values), **out, "pass": self.passed}
 
 
-def _mod_angle_delta(x: float, y: float) -> float:
-    """|x - y| measured on the circle."""
-    d = math.fmod(x - y, TWO_PI)
-    if d > math.pi:
-        d -= TWO_PI
-    elif d < -math.pi:
-        d += TWO_PI
-    return abs(d)
-
-
 ANGLE_TOL = 1e-9
 R_TOL = 1e-10
 
@@ -145,7 +135,7 @@ def consistency_suite(lam) -> ConsistencyReport:
     p = constant_model(t)
     phase = lagrangian_phase(t)
     analytic = analytic_angle_from_integrals(p)
-    angle_delta = _mod_angle_delta(analytic, phase)
+    angle_delta = abs(math.remainder(analytic - phase, TWO_PI))  # on the circle
 
     r_expected = math.prod(math.hypot(1.0, v) for v in t.values) / math.factorial(t.n)
     try:

@@ -155,7 +155,7 @@ def sample_level_set_batch(thetas, seed=None, rng=None) -> np.ndarray:
     rows at a time.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if np.any(np.abs(thetas) >= 2.0 * math.pi):
+    if not np.all(np.abs(thetas) < 2.0 * math.pi):  # NaN fails it too
         raise DomainError("theta must lie in (-2*pi, 2*pi) for 4 eigenvalues")
     if rng is None:
         rng = np.random.default_rng(seed)
@@ -175,12 +175,9 @@ def level_set_sample(theta_hat: float, count: int, seed: int) -> list[EigenTuple
     better than 1e-12.  Raises SamplingExhaustedError when the clipped
     angle box cannot reach theta_hat within the attempt budget.
     """
-    theta_hat = float(theta_hat)
-    if not -2.0 * math.pi < theta_hat < 2.0 * math.pi:
-        raise DomainError(f"theta_hat = {theta_hat:.12g} outside (-2*pi, 2*pi)")
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    lam = sample_level_set_batch(np.full(count, theta_hat), seed=seed)
+    lam = sample_level_set_batch(np.full(count, float(theta_hat)), seed=seed)
     return [EigenTuple(tuple(row)) for row in lam]
 
 

@@ -26,16 +26,17 @@ def format_float(x: float) -> str:
     return "%.17g" % x
 
 
-def dumps(obj, indent: int | None = 2) -> str:
-    """Serialise nested dict/list/scalar data with fixed float formatting."""
+def dumps(obj) -> str:
+    """Serialise nested dict/list/scalar data with fixed float formatting,
+    indented by two spaces per level."""
     pieces: list[str] = []
-    _emit(obj, pieces, indent, 0)
+    _emit(obj, pieces, 0)
     return "".join(pieces)
 
 
-def _emit(obj, out: list, indent, depth) -> None:
-    pad = "" if indent is None else "\n" + " " * (indent * (depth + 1))
-    close = "" if indent is None else "\n" + " " * (indent * depth)
+def _emit(obj, out: list, depth) -> None:
+    pad = "\n" + "  " * (depth + 1)
+    close = "\n" + "  " * depth
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -52,8 +53,8 @@ def _emit(obj, out: list, indent, depth) -> None:
             return
         out.append("[")
         for i, item in enumerate(obj):
-            out.append(pad if i == 0 else "," + (pad or " "))
-            _emit(item, out, indent, depth + 1)
+            out.append("," + pad if i else pad)
+            _emit(item, out, depth + 1)
         out.append(close + "]")
     elif isinstance(obj, dict):
         if not obj:
@@ -61,9 +62,9 @@ def _emit(obj, out: list, indent, depth) -> None:
             return
         out.append("{")
         for i, (key, value) in enumerate(obj.items()):
-            out.append(pad if i == 0 else "," + (pad or " "))
-            out.append(json.dumps(str(key)) + (": " if indent else ":"))
-            _emit(value, out, indent, depth + 1)
+            out.append("," + pad if i else pad)
+            out.append(json.dumps(str(key)) + ": ")
+            _emit(value, out, depth + 1)
         out.append(close + "}")
     else:
         raise DomainError(f"cannot serialise {type(obj).__name__}")

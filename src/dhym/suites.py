@@ -18,10 +18,10 @@ import numpy as np
 
 from .charge import _im_root
 from .eigen import (
-    ROW_BLOCK,
     TWO_PI,
     branch_blocks,
     factorization_rows,
+    gamma_cone_rows,
     phase_component_rows,
     phase_rows,
     row_blocks,
@@ -65,9 +65,8 @@ class IdentitySuiteReport(_SuiteReport):
     passed: bool
 
 
-#: Vieta's expansion is checked on the first VIETA_ROWS rows (one row block)
+#: Vieta's expansion is checked on the first VIETA_ROWS rows
 VIETA_ROWS = 1000
-assert VIETA_ROWS <= ROW_BLOCK
 
 
 def _max_rel(a, b) -> float:
@@ -107,6 +106,15 @@ def identity_suite(count: int, seed: int) -> IdentitySuiteReport:
     draws = rng.uniform(-SPAN, SPAN, size=(count, 4))
     x = rng.uniform(-SPAN, SPAN, size=min(count, VIETA_ROWS))
 
+    lam = np.sort(draws[: x.size], axis=1)
+    e = sigma_rows(lam)
+    # x ** 3 and x ** 4 would take numpy's SIMD pow, whose last bit depends
+    # on the CPU; np.float_power is libm pow everywhere, and numpy squares
+    # x ** 2 itself
+    powers = (np.float_power(x, 4.0), np.float_power(x, 3.0), x**2, x, 1.0)
+    vieta = sum(e[:, k] * powers[k] for k in range(5))
+    rel_vieta = _max_rel(np.prod(x[:, None] + lam, axis=1), vieta)
+
     product, fact, newton = [], [], []
     for blk in row_blocks(count):
         lam = np.sort(draws[blk], axis=1)
@@ -115,14 +123,6 @@ def identity_suite(count: int, seed: int) -> IdentitySuiteReport:
         product.append(_max_rel(re + 1j * im, np.prod(1.0 + 1j * lam, axis=1)))
         fact.append(_max_rel(*factorization_rows(lam, e)))
         newton.append(_newton_mins(constant_model_rows(e)))
-        if blk.start == 0:
-            m = x.size
-            vl = np.prod(x[:, None] + lam[:m], axis=1)
-            # x ** 3 and x ** 4 would take numpy's SIMD pow, whose last bit
-            # depends on the CPU; np.float_power is libm pow everywhere, and
-            # numpy squares x ** 2 itself
-            powers = (np.float_power(x, 4.0), np.float_power(x, 3.0), x**2, x, 1.0)
-            rel_vieta = _max_rel(vl, sum(e[:m, k] * powers[k] for k in range(5)))
     rel_product = float(np.max(product))
     rel_fact = float(np.max(fact))
     # each k's minimum over all blocks, then the least of k = 1, 2, 3
@@ -247,7 +247,7 @@ def kt_suite(count: int, seed: int) -> KtSuiteReport:
         block = max(4096, count)
         lam = np.sort(rng.uniform(-SPAN, SPAN, size=(block, 4)), axis=1)
         e = sigma_rows(lam)
-        sigmas.append(e[(e[:, 1] > 0.0) & (e[:, 2] > 0.0) & (e[:, 3] > 0.0)])
+        sigmas.append(e[gamma_cone_rows(e) >= 3])
         attempts += block
     d = constant_model_rows(np.concatenate(sigmas)[:count])
 

@@ -234,6 +234,21 @@ def test_sample_outside_window_exit_2(capsys):
     assert json.loads(out)["error"] == "DomainError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["sample", "--theta", "abc"], ["bogus"], []],
+    ids=["non-numeric-option", "unknown-command", "no-command"],
+)
+def test_usage_error_exit_2_without_json(capsys, argv):
+    # argparse rejects the argv before a subcommand runs: usage on stderr only
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: dhym")
+
+
 def test_invalid_inputs_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

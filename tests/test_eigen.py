@@ -231,6 +231,9 @@ def test_branch_for_phase_dispatch():
     assert branch_for_phase(math.pi, n=3) is Branch.N3
     with pytest.raises(DomainError):
         branch_for_phase(0.5)
+    for n in (5, 2):
+        with pytest.raises(DomainError, match=f"n={n}"):
+            branch_for_phase(5.0, n=n)
 
 
 def test_branch_endpoints_fixed_by_kind():

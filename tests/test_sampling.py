@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -91,7 +92,18 @@ def test_preconditions():
     with pytest.raises(DomainError):
         level_set_sample(-TWO_PI, 10, seed=0)
     with pytest.raises(DomainError):
+        level_set_sample(math.nan, 10, seed=0)
+    with pytest.raises(DomainError):
         level_set_sample(1.0, 0, seed=0)
+
+
+@pytest.mark.parametrize("thetas", [[math.nan], [1.0, math.nan, 4.0, -2.0]], ids=["nan", "mixed"])
+def test_nan_theta_rejected_at_once(thetas):
+    # NaN fails every comparison, so it must not reach the rejection loop
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        sample_level_set_batch(thetas, seed=1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_exhaustion_beyond_clipped_box():

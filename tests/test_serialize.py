@@ -29,13 +29,11 @@ def test_format_float_edge_values():
         format_float(math.nan)
 
 
-def test_dumps_structure_and_compact_mode():
+def test_dumps_structure_and_indentation():
     obj = {"a": [1, 2.5, None, True], "b": {"c": "x", "d": []}, "e": {}}
     text = dumps(obj)
     assert json.loads(text) == obj
-    compact = dumps(obj, indent=None)
-    assert "\n" not in compact
-    assert json.loads(compact) == obj
+    assert text == json.dumps(obj, indent=2)  # two spaces per level, the only form
 
 
 def test_dumps_rejects_unknown_types():
