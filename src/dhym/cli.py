@@ -34,19 +34,23 @@ EXIT_VIOLATION = 1
 EXIT_INVALID = 2
 
 #: largest --samples and --count accepted; at these bounds peak RSS is about
-#: 120 MiB for `path`, 640 MiB for `sample`, 570 MiB for `kt` and 70 MiB for
+#: 120 MiB for `path`, 185 MiB for `sample`, 120 MiB for `kt` and 70 MiB for
 #: `identity` (x86-64 Linux, numpy 2.4)
 MAX_SAMPLES = 100_000
 MAX_COUNT = 1_000_000
 
 
 def _seed(args) -> int:
-    """--seed if given, else DHYM_SEED, else 0."""
+    """--seed if given, else DHYM_SEED, else 0; a seed is a non-negative integer."""
+    name = "DHYM_SEED" if args.seed is None else "--seed"
     seed = os.environ.get("DHYM_SEED", "0") if args.seed is None else args.seed
     try:
-        return int(seed)
+        seed = int(seed)
     except ValueError:
         raise DomainError(f"DHYM_SEED must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise DomainError(f"{name} must be non-negative, got {seed}")
+    return seed
 
 
 def _check_sizes(args) -> None:

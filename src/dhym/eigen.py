@@ -24,14 +24,14 @@ from .reports import InequalityReport, Margins, evaluate
 
 TWO_PI = 2.0 * math.pi
 
-#: rows per block in the row pipelines of the identity suite and the
-#: level-set sampler: a block's temporaries stay in a 2 MiB L2 cache
+#: rows per block in the row pipelines of the suites and the level-set
+#: sampler: a block's temporaries stay in a 2 MiB L2 cache
 ROW_BLOCK = 8192
 
 
 def row_blocks(m: int) -> list[slice]:
     """Slices covering rows 0..m-1, ROW_BLOCK rows each (the last one shorter)."""
-    return [slice(s, s + ROW_BLOCK) for s in range(0, m, ROW_BLOCK)]
+    return [slice(s, min(s + ROW_BLOCK, m)) for s in range(0, m, ROW_BLOCK)]
 
 
 @dataclass(frozen=True)
@@ -51,18 +51,6 @@ class EigenTuple:
     @property
     def n(self) -> int:
         return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-    def to_dict(self):
-        return {"lambda": list(self.values)}
 
 
 def as_eigen(lam) -> EigenTuple:

@@ -11,8 +11,8 @@ rescaling the underlying classes.
 The margin expressions of every pointwise and Chern/KT check live in one
 table, ``MARGINS``, evaluated over arrays of rows: sorted eigenvalue rows
 with their sigma rows for the branch checks, profile rows ``d`` for the
-rest.  A scalar check is the table on one row; the suites evaluate it once
-over all their samples and reduce the columns with ``tally``.
+rest.  A scalar check is the table on one row; the suites evaluate it one
+row block at a time and fold the columns into a ``Tally``.
 """
 
 from __future__ import annotations
@@ -237,32 +237,42 @@ def evaluate(label: str, *cols) -> Margins:
         return compare_rows(label, MARGINS[label](*cols))
 
 
-def tally(blocks, flags=(), qualified=True):
-    """Minimum margin per key and the first FAILURE_CAP failures of a suite.
+class Tally:
+    """Minimum margin per key and the first FAILURE_CAP failures of a suite,
+    folded by ``add`` one row block at a time, in ascending row order.
 
     ``blocks`` lists (rows, margins) in the order one sample reports its
     checks, ``rows`` being the ascending sample indices of the block's
     rows.  Keys, ``label.name`` (the bare name unless ``qualified``) and
-    unique across blocks, enter the dict in the order a loop over samples
-    first meets them.  Failures are (sample, key, margin) ordered by
-    sample, block and entry; ``flags`` = ((key, rows), ...) adds a
-    margin-less failure after the block failures of each listed sample.
+    unique across blocks, enter ``mins`` in the order a loop over samples
+    first meets them, keeping the first of equal minima.  ``failures`` are
+    (sample, key, margin) ordered by sample, block and entry; ``flags`` =
+    ((key, rows), ...) adds a margin-less failure after the block failures
+    of each listed sample.
     """
-    seen, fails = [], []
-    for b, (rows, mg) in enumerate(blocks):
-        keys = [f"{mg.label}.{name}" if qualified else name for name in mg.names]
-        # argmin takes the first of equal minima, as the loop's `<` kept it
-        masked = np.where(mg.present, mg.margin, np.inf)
-        low = masked[masked.argmin(axis=0), np.arange(len(keys))].tolist()
-        first = rows[mg.present.argmax(axis=0)].tolist()
-        for k, exists in enumerate(mg.present.any(axis=0).tolist()):
-            if exists:
-                seen.append((first[k], b, k, keys[k], low[k]))
-        # np.nonzero walks row-major, so each block's first FAILURE_CAP suffice
-        r, c = (x[:FAILURE_CAP] for x in np.nonzero(mg.present & ~mg.passed))
-        hits = zip(rows[r].tolist(), c.tolist(), mg.margin[r, c].tolist())
-        fails += [(i, b, k, keys[k], m) for i, k, m in hits]
-    for f, (key, rows) in enumerate(flags):
-        fails += [(i, len(blocks) + f, 0, key, 0.0) for i in rows[:FAILURE_CAP].tolist()]
-    mins = {key: low for *_, key, low in sorted(seen)}
-    return mins, tuple((i, key, m) for i, _, _, key, m in sorted(fails)[:FAILURE_CAP])
+
+    def __init__(self, qualified=True):
+        self.qualified, self.mins, self.failures = qualified, {}, ()
+
+    def add(self, blocks, flags=()):
+        seen, fails = [], []
+        for b, (rows, mg) in enumerate(blocks):
+            keys = [f"{mg.label}.{name}" if self.qualified else name for name in mg.names]
+            # argmin takes the first of equal minima, as the loop's `<` kept it
+            masked = np.where(mg.present, mg.margin, np.inf)
+            low = masked[masked.argmin(axis=0), np.arange(len(keys))].tolist()
+            first = rows[mg.present.argmax(axis=0)].tolist()
+            for k, exists in enumerate(mg.present.any(axis=0).tolist()):
+                if exists:
+                    seen.append((first[k], b, k, keys[k], low[k]))
+            # np.nonzero walks row-major, so each block's first FAILURE_CAP suffice
+            r, c = (x[:FAILURE_CAP] for x in np.nonzero(mg.present & ~mg.passed))
+            hits = zip(rows[r].tolist(), c.tolist(), mg.margin[r, c].tolist())
+            fails += [(i, b, k, keys[k], m) for i, k, m in hits]
+        for f, (key, rows) in enumerate(flags):
+            fails += [(i, len(blocks) + f, 0, key, 0.0) for i in rows[:FAILURE_CAP].tolist()]
+        for *_, key, low in sorted(seen):
+            # min() keeps its first argument unless the second is smaller
+            self.mins[key] = min(self.mins.get(key, low), low)
+        fails = sorted(fails)[: FAILURE_CAP - len(self.failures)]
+        self.failures += tuple((i, key, m) for i, _, _, key, m in fails)

@@ -1,11 +1,13 @@
 """Batch verification suites: identities, branch theorems and KT chains.
 
-Every suite is one array pass over its random tuples, through the same
-row forms that the scalar API evaluates on a single row, so the code paths
-a user calls are the ones being certified: phase_component_rows,
-factorization_rows and constant_model_rows behind phase_components,
-factorization_identity and constant_model, and the margin table
-(reports.MARGINS) behind branch_check, check_chern_n4 and kt_chain.
+Every suite draws its random tuples first, then checks them ROW_BLOCK rows
+at a time and folds each block into its report: extremes, and a
+reports.Tally of the margins, both exact, so a report equals one pass over
+all rows.  The checks are the row forms that the scalar API evaluates on a
+single row, so the code paths a user calls are the ones being certified:
+phase_component_rows, factorization_rows and constant_model_rows behind
+phase_components, factorization_identity and constant_model, and the margin
+table (reports.MARGINS) behind branch_check, check_chern_n4 and kt_chain.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .eigen import (
 )
 from .errors import DomainError
 from .models import constant_model_rows
-from .reports import evaluate, tally
+from .reports import Tally, evaluate
 from .sampling import sample_level_set_batch
 
 #: pass thresholds, relative to max(1, |lhs|, |rhs|)
@@ -47,11 +49,7 @@ class _SuiteReport:
     (elapsed, passed), then "pass"; wall time never reaches stdout."""
 
     def to_dict(self):
-        out = {f.name: getattr(self, f.name) for f in fields(self)[:-2]}
-        if "failures" in out:
-            out["min_margins"] = dict(self.min_margins)
-            out["failures"] = [list(f) for f in self.failures]
-        return {**out, "pass": self.passed}
+        return {**{f.name: getattr(self, f.name) for f in fields(self)[:-2]}, "pass": self.passed}
 
 
 @dataclass(frozen=True)
@@ -94,10 +92,6 @@ def identity_suite(count: int, seed: int) -> IdentitySuiteReport:
     (iii) Vieta's expansion prod(x + lambda_j) = sum sigma_k x^(4-k) on a
     VIETA_ROWS-row slice, and (iv) Newton log-concavity of the normalised
     means p_k = sigma_k / C(4,k), which holds for every real tuple.
-
-    Every draw comes first; the rows are then checked ROW_BLOCK at a time
-    and each block's extremes folded into the report.  Max and min are
-    exact, so the report equals a single pass over all rows.
     """
     if count < 1:
         raise DomainError(f"suite count must be >= 1, got {count}")
@@ -168,11 +162,11 @@ def theorem_suite(
     """Level-set Monte Carlo over the lifted window (pi, 2*pi).
 
     Draws `count` tuples with phases uniform in [theta_lo, theta_hi],
-    then evaluates, in one array pass, the branch_check facts of the half
-    of the window each phase falls in and the check_chern_n4 inequalities
-    of the matching constant models.  Also certifies
-    the real-axis crossing: sign(Re Z(T*)) must reproduce the sign of the
-    second inequality margin whenever T* = sqrt(d_3/d_1) > 1 exists.
+    then evaluates the branch_check facts of the half of the window each
+    phase falls in and the check_chern_n4 inequalities of the matching
+    constant models.  Also certifies the real-axis crossing: sign(Re Z(T*))
+    must reproduce the sign of the second inequality margin whenever
+    T* = sqrt(d_3/d_1) > 1 exists.
     """
     if count < 1:
         raise DomainError(f"suite count must be >= 1, got {count}")
@@ -186,35 +180,37 @@ def theorem_suite(
     thetas = rng.uniform(theta_lo, theta_hi, size=count)
     lam = sample_level_set_batch(thetas, rng=rng)
 
-    phase = phase_rows(lam)
-    max_phase_err = max(0.0, float(np.max(np.abs(phase - thetas))))
-    blocks = branch_blocks(lam, thetas, phase)
-    d = constant_model_rows(sigma_rows(lam))
-    chern = evaluate("chern_n4", d)
-    blocks.append((np.arange(count), chern))
+    fold = Tally()
+    max_phase_err, tstar_count, mismatches = 0.0, 0, 0
+    for blk in row_blocks(count):
+        phase = phase_rows(lam[blk])
+        max_phase_err = max(max_phase_err, float(np.max(np.abs(phase - thetas[blk]))))
+        samples = np.arange(blk.start, blk.stop)
+        blocks = [(samples[r], mg) for r, mg in branch_blocks(lam[blk], thetas[blk], phase)]
+        d = constant_model_rows(sigma_rows(lam[blk]))
+        chern = evaluate("chern_n4", d)
+        # T*: sign(Re Z(T*)) must match the sign of the second Chern margin
+        t = _im_root(4, d)
+        rows = np.flatnonzero(t > 1.0)
+        t, dr = t[rows], d[rows]
+        # 24 Re Z(t) = -(d_0 t^4 - 6 d_2 t^2 + d_4), summed in z_of_t's order
+        quartic = dr[:, 0] * np.float_power(t, 4.0) - 6.0 * dr[:, 2] * np.float_power(t, 2.0)
+        re = -(quartic + dr[:, 4])
+        second = chern.margin[rows, chern.names.index("second")]
+        mismatch = samples[rows[np.copysign(1.0, re) != np.copysign(1.0, second)]]
+        tstar_count, mismatches = tstar_count + len(rows), mismatches + len(mismatch)
+        fold.add([*blocks, (samples, chern)], flags=[("tstar_sign", mismatch)])
 
-    # T*: sign(Re Z(T*)) must match the sign of the second Chern margin
-    t = _im_root(4, d)
-    rows = np.flatnonzero(t > 1.0)
-    t, dr = t[rows], d[rows]
-    # 24 Re Z(t) = -(d_0 t^4 - 6 d_2 t^2 + d_4), summed in z_of_t's order
-    quartic = dr[:, 0] * np.float_power(t, 4.0) - 6.0 * dr[:, 2] * np.float_power(t, 2.0)
-    re = -(quartic + dr[:, 4])
-    second = chern.margin[rows, chern.names.index("second")]
-    mismatch = rows[np.copysign(1.0, re) != np.copysign(1.0, second)]
-    tstar_count, mismatches = len(rows), len(mismatch)
-    min_margins, failures = tally(blocks, flags=[("tstar_sign", mismatch)])
-
-    passed = not failures and mismatches == 0 and max_phase_err < 1e-12
+    passed = not fold.failures and mismatches == 0 and max_phase_err < 1e-12
     return TheoremSuiteReport(
         count=count,
         theta_lo=theta_lo,
         theta_hi=theta_hi,
         max_phase_error=max_phase_err,
-        min_margins=min_margins,
+        min_margins=fold.mins,
         tstar_count=tstar_count,
         sign_mismatches=mismatches,
-        failures=failures,
+        failures=fold.failures,
         elapsed=time.perf_counter() - start,
         passed=passed,
     )
@@ -233,30 +229,32 @@ class KtSuiteReport(_SuiteReport):
 def kt_suite(count: int, seed: int) -> KtSuiteReport:
     """KT chain on random constant models with Gamma-cone order >= 3.
 
-    Tuples are drawn uniformly from [-SPAN, SPAN]^4 and kept when
-    sigma_1, sigma_2, sigma_3 > 0; every kt_chain entry must pass on the
-    resulting constant models.
+    Tuples are drawn uniformly from [-SPAN, SPAN]^4, in passes of
+    max(4096, count), and kept when sigma_1, sigma_2, sigma_3 > 0; every
+    kt_chain entry must pass on the first `count` kept constant models.
     """
     if count < 1:
         raise DomainError(f"suite count must be >= 1, got {count}")
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    sigmas = []
-    attempts = 0
-    while sum(len(e) for e in sigmas) < count:
+    kept, attempts = [], 0
+    while sum(map(len, kept)) < count:
         block = max(4096, count)
-        lam = np.sort(rng.uniform(-SPAN, SPAN, size=(block, 4)), axis=1)
-        e = sigma_rows(lam)
-        sigmas.append(e[gamma_cone_rows(e) >= 3])
+        for blk in row_blocks(block):
+            lam = np.sort(rng.uniform(-SPAN, SPAN, size=(blk.stop - blk.start, 4)), axis=1)
+            e = sigma_rows(lam)
+            kept.append(e[gamma_cone_rows(e) >= 3])
         attempts += block
-    d = constant_model_rows(np.concatenate(sigmas)[:count])
-
-    min_margins, failures = tally([(np.arange(count), evaluate("kt_chain", d))], qualified=False)
+    e = np.concatenate(kept)[:count]
+    fold = Tally(qualified=False)
+    for blk in row_blocks(count):
+        d = constant_model_rows(e[blk])
+        fold.add([(np.arange(blk.start, blk.stop), evaluate("kt_chain", d))])
     return KtSuiteReport(
         count=count,
         attempts=attempts,
-        min_margins=min_margins,
-        failures=failures,
+        min_margins=fold.mins,
+        failures=fold.failures,
         elapsed=time.perf_counter() - start,
-        passed=not failures,
+        passed=not fold.failures,
     )

@@ -186,7 +186,7 @@ def test_env_seed_default(capsys, monkeypatch):
     assert via_env == explicit
 
 
-@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+@pytest.mark.parametrize("value", ["abc", "1.5", "", "-7"])
 def test_env_seed_invalid_exit_2(capsys, monkeypatch, value):
     monkeypatch.setenv("DHYM_SEED", value)
     code, out = run_cli(capsys, "sample", "--theta", "4.2", "--count", "30")
@@ -194,6 +194,14 @@ def test_env_seed_invalid_exit_2(capsys, monkeypatch, value):
     report = json.loads(out)
     assert report["error"] == "DomainError"
     assert "DHYM_SEED" in report["message"]
+
+
+@pytest.mark.parametrize("command", [["identity"], ["kt"], ["sample", "--theta", "4.2"]])
+def test_negative_seed_exit_2(capsys, command):
+    code, out = run_cli(capsys, *command, "--count", "30", "--seed", "-1")
+    assert code == 2
+    report = json.loads(out)
+    assert report == {"error": "DomainError", "message": "--seed must be non-negative, got -1"}
 
 
 def test_profile_json_round_trip(capsys, profile_2345, tmp_path):
@@ -540,3 +548,30 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["d"] == [1, 1, 1, 1, 1]
+
+
+#: peak RSS allowed for `dhym sample` and `dhym kt` at the largest --count;
+#: the suites check their rows in blocks, so only the drawn tuples grow with
+#: the count (about 180 and 120 MiB in all on x86-64 Linux)
+SUITE_PEAK_RSS_MIB = 250
+
+
+@pytest.mark.parametrize("command", [["sample", "--theta", "4.0"], ["kt"]])
+def test_suite_peak_rss_at_max_count(command):
+    pytest.importorskip("resource")
+    # Linux carries a process's peak RSS across exec, and a child starts as
+    # a copy of its parent, so the run goes in a grandchild of a small
+    # Python process that reports its children's ru_maxrss
+    script = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-m', 'dhym', *sys.argv[1:]],"
+        " stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    argv = [*command, "--count", "1000000", "--seed", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, check=True
+    )
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    mib = int(proc.stdout) / (1024 * 1024 if sys.platform == "darwin" else 1024)
+    assert mib < SUITE_PEAK_RSS_MIB, f"{command[0]}: peak RSS {mib:.0f} MiB"

@@ -36,7 +36,7 @@ from dhym import (
 from dhym.eigen import as_eigen, factorization_rows, phase_component_rows, phase_rows, sigma_rows
 from dhym.errors import PhaseOutsideBranchError, UndefinedAngleError
 from dhym.models import constant_model_rows
-from dhym.reports import Margin, compare_rows, evaluate, tally
+from dhym.reports import FAILURE_CAP, Margin, Margins, Tally, compare_rows, evaluate
 
 REL = 1e-12
 
@@ -298,7 +298,7 @@ def ref_tally(count, blocks, flags, qualified=True, cap=32):
     return mins, tuple(failures)
 
 
-def crafted_blocks(rng, count):
+def crafted_blocks(rng, count, first=1):
     """Two interleaved branch-like blocks, one block over every sample
     (with a guarded entry), and failures scattered over several rows."""
     odd, even = np.arange(1, count, 2), np.arange(0, count, 2)
@@ -307,7 +307,7 @@ def crafted_blocks(rng, count):
     )
     b = compare_rows("b", [Margin(n, rng.normal(size=len(even)), 0.0) for n in "prs"])
     present = rng.random(count) < 0.7
-    present[0] = False  # key c.v first appears after row 0
+    present[:first], present[first] = False, True  # key c.v first appears in row `first`
     c = compare_rows(
         "c",
         [
@@ -316,6 +316,13 @@ def crafted_blocks(rng, count):
         ],
     )
     return [(even, b), (odd, a), (np.arange(count), c)]
+
+
+def tally(blocks, flags=(), qualified=True):
+    """The fold over one row block that holds every sample."""
+    fold = Tally(qualified)
+    fold.add(blocks, flags)
+    return fold.mins, fold.failures
 
 
 @pytest.mark.parametrize("count", [5, 9, 60])
@@ -332,6 +339,50 @@ def test_tally_matches_loop_order_and_cap(count):
     # bare names, as kt_suite reports them; keys must be unique across blocks
     single = blocks[2:]
     assert tally(single, flags, qualified=False) == ref_tally(count, single, flags, False)
+
+
+def row_block_parts(blocks, flags, edges):
+    """(blocks, flags) of the samples in each row block [edges[j], edges[j+1]);
+    a block with no sample there is left out, as branch_blocks leaves out a
+    branch that no row falls in."""
+    parts = []
+    for lo, hi in zip(edges, edges[1:]):
+        part = []
+        for rows, mg in blocks:
+            keep = (lo <= rows) & (rows < hi)
+            if keep.any():
+                part.append((rows[keep], Margins(*mg[:3], *(a[keep] for a in mg[3:]))))
+        parts.append((part, [(key, rows[(lo <= rows) & (rows < hi)]) for key, rows in flags]))
+    return parts
+
+
+@pytest.mark.parametrize("count", [9, 60])
+@pytest.mark.parametrize("cuts", [[1], [5], [4, 7], [1, 2, 3, 8], [5, 20, 40]])
+def test_tally_folds_row_blocks_like_the_loop(count, cuts):
+    """Row blocks added one by one give the sample loop's result: a key
+    first present in a later row block enters after the earlier keys,
+    equal minima in two row blocks keep the first (the sign of a zero
+    shows which), and the failure cap is reached across row blocks."""
+    edges = [0, *(c for c in cuts if c < count), count]
+    rng = np.random.default_rng([count, *cuts])
+    blocks = crafted_blocks(rng, count, first=edges[1])
+    zeros = np.ones((2, count))
+    zeros[:, 0], zeros[:, -1] = (0.0, -0.0), (-0.0, 0.0)
+    ties = compare_rows("t", [Margin(n, z, 0.0, ">=") for n, z in zip(("pos", "neg"), zeros)])
+    blocks.append((np.arange(count), ties))
+    flags = [("flag", np.array([1, 2, count - 1]))]
+    fold, keys, sizes = Tally(), [], []
+    for part in row_block_parts(blocks, flags, edges):
+        fold.add(*part)
+        keys.append(list(fold.mins))
+        sizes.append(len(fold.failures))
+    want = ref_tally(count, blocks, flags)
+    assert (fold.mins, fold.failures) == want
+    assert repr(fold.mins) == repr(want[0])  # key order and the sign of each zero
+    assert "c.v" not in keys[0] and "c.v" in keys[1]
+    assert repr((fold.mins["t.pos"], fold.mins["t.neg"])) == "(0.0, -0.0)"
+    if count == 60:
+        assert sizes[0] < FAILURE_CAP == sizes[-1]
 
 
 signed = st.one_of(st.just(0.0), st.just(-0.0), st.floats(min_value=-1e6, max_value=1e6))

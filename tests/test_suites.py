@@ -3,10 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from dhym import identity_suite, kt_suite, theorem_suite
-from dhym.eigen import ROW_BLOCK, factorization_rows, phase_component_rows, sigma_rows
+from dhym import identity_suite, kt_suite, reports, theorem_suite
+from dhym.charge import _im_root
+from dhym.eigen import (
+    ROW_BLOCK,
+    branch_blocks,
+    factorization_rows,
+    gamma_cone_rows,
+    phase_component_rows,
+    phase_rows,
+    sigma_rows,
+)
 from dhym.errors import DomainError
 from dhym.models import constant_model_rows
+from dhym.reports import FAILURE_CAP, Margin, evaluate
+from dhym.sampling import sample_level_set_batch
 from dhym.suites import SPAN
 
 TWO_PI = 2 * math.pi
@@ -124,3 +135,118 @@ def reference_identity_report(count, seed):
 )
 def test_blocked_identity_suite_matches_unblocked_reference(count, seed):
     assert identity_suite(count, seed).to_dict() == reference_identity_report(count, seed)
+
+
+# -- the blocked theorem and KT suites against whole-array copies of them -----
+
+
+def reference_tally(blocks, flags=(), qualified=True):
+    """Minimum margin per key and the first FAILURE_CAP failures, reduced
+    over whole-sample arrays in one call (see reports.Tally)."""
+    seen, fails = [], []
+    for b, (rows, mg) in enumerate(blocks):
+        keys = [f"{mg.label}.{name}" if qualified else name for name in mg.names]
+        masked = np.where(mg.present, mg.margin, np.inf)
+        low = masked[masked.argmin(axis=0), np.arange(len(keys))].tolist()
+        first = rows[mg.present.argmax(axis=0)].tolist()
+        for k, exists in enumerate(mg.present.any(axis=0).tolist()):
+            if exists:
+                seen.append((first[k], b, k, keys[k], low[k]))
+        r, c = (x[:FAILURE_CAP] for x in np.nonzero(mg.present & ~mg.passed))
+        hits = zip(rows[r].tolist(), c.tolist(), mg.margin[r, c].tolist())
+        fails += [(i, b, k, keys[k], m) for i, k, m in hits]
+    for f, (key, rows) in enumerate(flags):
+        fails += [(i, len(blocks) + f, 0, key, 0.0) for i in rows[:FAILURE_CAP].tolist()]
+    mins = {key: low for *_, key, low in sorted(seen)}
+    return mins, tuple((i, key, m) for i, _, _, key, m in sorted(fails)[:FAILURE_CAP])
+
+
+def reference_theorem_report(count, seed, theta_lo, theta_hi):
+    """theorem_suite's wire form, every step over all rows at once."""
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(theta_lo, theta_hi, size=count)
+    lam = sample_level_set_batch(thetas, rng=rng)
+    phase = phase_rows(lam)
+    max_phase_err = max(0.0, float(np.max(np.abs(phase - thetas))))
+    blocks = branch_blocks(lam, thetas, phase)
+    d = constant_model_rows(sigma_rows(lam))
+    chern = evaluate("chern_n4", d)
+    blocks.append((np.arange(count), chern))
+    t = _im_root(4, d)
+    rows = np.flatnonzero(t > 1.0)
+    t, dr = t[rows], d[rows]
+    quartic = dr[:, 0] * np.float_power(t, 4.0) - 6.0 * dr[:, 2] * np.float_power(t, 2.0)
+    re = -(quartic + dr[:, 4])
+    second = chern.margin[rows, chern.names.index("second")]
+    mismatch = rows[np.copysign(1.0, re) != np.copysign(1.0, second)]
+    mins, failures = reference_tally(blocks, flags=[("tstar_sign", mismatch)])
+    return {
+        "count": count,
+        "theta_lo": theta_lo,
+        "theta_hi": theta_hi,
+        "max_phase_error": max_phase_err,
+        "min_margins": mins,
+        "tstar_count": len(rows),
+        "sign_mismatches": len(mismatch),
+        "failures": failures,
+        "pass": not failures and len(mismatch) == 0 and max_phase_err < 1e-12,
+    }
+
+
+def reference_kt_report(count, seed):
+    """kt_suite's wire form: whole passes of max(4096, count) draws, then
+    one margin table over every kept row."""
+    rng = np.random.default_rng(seed)
+    sigmas, attempts = [], 0
+    while sum(len(e) for e in sigmas) < count:
+        block = max(4096, count)
+        lam = np.sort(rng.uniform(-SPAN, SPAN, size=(block, 4)), axis=1)
+        e = sigma_rows(lam)
+        sigmas.append(e[gamma_cone_rows(e) >= 3])
+        attempts += block
+    d = constant_model_rows(np.concatenate(sigmas)[:count])
+    mins, failures = reference_tally([(np.arange(count), evaluate("kt_chain", d))], qualified=False)
+    return {
+        "count": count,
+        "attempts": attempts,
+        "min_margins": mins,
+        "failures": failures,
+        "pass": not failures,
+    }
+
+
+BLOCK_COUNTS = [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 7]
+
+
+@pytest.mark.parametrize("window", [(math.pi + 0.01, TWO_PI - 0.01), (1.5 * math.pi,) * 2])
+@pytest.mark.parametrize("count", BLOCK_COUNTS)
+def test_blocked_theorem_suite_matches_whole_array_reference(count, window):
+    # repr compares key order and every float bit, -0.0 included
+    got = theorem_suite(count, 107, *window).to_dict()
+    assert repr(got) == repr(reference_theorem_report(count, 107, *window))
+
+
+def test_blocked_theorem_suite_names_failures_by_sample(monkeypatch):
+    # an extra entry in each check that fails on about one row in 2000,
+    # wherever it falls, so the failures come from several row blocks
+    for label in ("branch_supercritical", "branch_mid", "chern_n4"):
+        entries = reports.MARGINS[label]
+
+        def rare(*cols, entries=entries):  # cols[-1]: sigma rows or profile rows
+            return (*entries(*cols), Margin("rare", np.mod(1e6 * cols[-1][:, 1], 1.0), 5e-4))
+
+        monkeypatch.setitem(reports.MARGINS, label, rare)
+    count, window = 3 * ROW_BLOCK + 7, (math.pi + 0.01, TWO_PI - 0.01)
+    got = theorem_suite(count, 107, *window).to_dict()
+    assert repr(got) == repr(reference_theorem_report(count, 107, *window))
+    assert {key for _, key, _ in got["failures"]} == {
+        "branch_supercritical.rare",
+        "branch_mid.rare",
+        "chern_n4.rare",
+    }
+    assert got["failures"][-1][0] >= 2 * ROW_BLOCK
+
+
+@pytest.mark.parametrize("count", BLOCK_COUNTS)
+def test_blocked_kt_suite_matches_whole_array_reference(count):
+    assert repr(kt_suite(count, 108).to_dict()) == repr(reference_kt_report(count, 108))
