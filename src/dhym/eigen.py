@@ -24,8 +24,8 @@ from .reports import InequalityReport, Margins, evaluate
 
 TWO_PI = 2.0 * math.pi
 
-#: rows per block in the row pipelines of the suites and the level-set
-#: sampler: a block's temporaries stay in a 2 MiB L2 cache
+#: rows per block in the row pipelines of the suites: a block's
+#: temporaries stay in a 2 MiB L2 cache
 ROW_BLOCK = 8192
 
 
@@ -254,11 +254,12 @@ def branch_check(lam, branch: Branch) -> InequalityReport:
     theta = lagrangian_phase(t)
     if not branch.contains(theta):
         raise PhaseOutsideBranchError(theta, branch)
-    return _branch_margins(np.array([t.values]), branch).report()
+    rows = np.array([t.values])
+    return _branch_margins(rows, sigma_rows(rows), branch).report()
 
 
-def _branch_margins(lam: np.ndarray, branch: Branch) -> Margins:
-    return evaluate(f"branch_{branch.name.lower()}", lam, sigma_rows(lam))
+def _branch_margins(lam: np.ndarray, e: np.ndarray, branch: Branch) -> Margins:
+    return evaluate(f"branch_{branch.name.lower()}", lam, e)
 
 
 #: the 4-fold branches, indexed by _branch_index
@@ -272,8 +273,8 @@ def _branch_index(theta):
     return np.where(theta > half, 0, np.where(theta < half, 1, 2))
 
 
-def branch_blocks(lam: np.ndarray, thetas: np.ndarray, phase: np.ndarray):
-    """Branch margins of 4-fold rows, grouped by the branch of each target.
+def branch_blocks(lam: np.ndarray, e: np.ndarray, thetas: np.ndarray, phase: np.ndarray):
+    """Branch margins of 4-fold rows lam (sigma rows e), grouped by target branch.
 
     Row i, with thetas[i] in (pi, 2*pi), is checked on
     branch_for_phase(thetas[i]) against its actual phase ``phase[i]``; the
@@ -288,7 +289,7 @@ def branch_blocks(lam: np.ndarray, thetas: np.ndarray, phase: np.ndarray):
         i = outside.argmax()
         raise PhaseOutsideBranchError(float(phase[i]), _FOUR_FOLD[which[i]])
     groups = [(b, np.flatnonzero(which == k)) for k, b in enumerate(_FOUR_FOLD)]
-    return [(rows, _branch_margins(lam[rows], b)) for b, rows in groups if rows.size]
+    return [(rows, _branch_margins(lam[rows], e[rows], b)) for b, rows in groups if rows.size]
 
 
 def branch_for_phase(theta: float, n: int = 4) -> Branch:

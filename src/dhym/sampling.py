@@ -13,6 +13,10 @@ corner simplex of the box, so the same conditional distribution is sampled
 directly there in O(1) per draw; the rejection loop is kept for the easy
 middle range.  All draws come from one seeded generator, so runs are
 reproducible.
+
+The eigenvalues are lambda_i = tan(u_i), with no correction: u_4 is exact
+to a few ulp of 2*pi, and tan, arctan and the four-term sum each add about
+one ulp, so sum(arctan lambda_i) misses theta by about 1e-14 < PHASE_TOL.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 
 import numpy as np
 
-from .eigen import EigenTuple, lagrangian_phase, row_blocks
+from .eigen import EigenTuple, lagrangian_phase
 from .errors import DomainError, SamplingExhaustedError
 
 #: half-width clip on each angle: u_i in (-pi/2 + ANGLE_EPS, pi/2 - ANGLE_EPS)
@@ -30,7 +34,7 @@ ANGLE_EPS = 1e-3
 #: rejection attempts allowed per requested sample before giving up
 MAX_ATTEMPTS_PER_SAMPLE = 10**6
 
-#: |recomputed phase - theta| guaranteed after Newton polish
+#: |recomputed phase - theta| bound that sampled rows meet by construction
 PHASE_TOL = 1e-12
 
 _N = 4
@@ -38,30 +42,6 @@ _N = 4
 
 def _half_width() -> float:
     return 0.5 * math.pi - ANGLE_EPS
-
-
-def _polish(lam: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Newton-correct one entry per row until the phase matches theta.
-
-    The entry with the smallest magnitude takes the correction (largest
-    phase derivative, smallest perturbation).  One step already lands at
-    rounding level; iterate defensively (at most four corrections).  Rows
-    of lam come in sorted, and only the rows that took a correction are
-    sorted again; lam is corrected in place and returned.
-    """
-    err = np.arctan(lam).sum(axis=1) - thetas
-    corrected = rows = np.flatnonzero(np.abs(err) > 0.25 * PHASE_TOL)
-    err = err[rows]
-    for _ in range(4):
-        if not rows.size:
-            break
-        cols = np.abs(lam[rows]).argmin(axis=1)
-        lam[rows, cols] -= err * (1.0 + lam[rows, cols] ** 2)
-        err = np.arctan(lam[rows]).sum(axis=1) - thetas[rows]
-        bad = np.abs(err) > 0.25 * PHASE_TOL
-        rows, err = rows[bad], err[bad]
-    lam[corrected] = np.sort(lam[corrected], axis=1)
-    return lam
 
 
 def _corner_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -85,8 +65,7 @@ def _corner_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     v = np.column_stack((g[:, 0], g[:, 1] - g[:, 0], 1.0 - g[:, 1])) * radius[:, None]
     u = a - v
     u4 = thetas - u.sum(axis=1)
-    # the simplex is open; roundoff cannot push u4 past +/-a except at the
-    # boundary of measure zero, but clamp-check anyway
+    # roundoff can put u4 on +/-a at the open simplex's boundary: redraw those
     if np.any(np.abs(u4) >= a):
         keep = np.abs(u4) < a
         redo = _corner_batch(thetas[~keep], rng)
@@ -150,9 +129,8 @@ def sample_level_set_angles(thetas: np.ndarray, rng: np.random.Generator) -> np.
 def sample_level_set_batch(thetas, seed=None, rng=None) -> np.ndarray:
     """Sorted eigenvalue rows (shape (m, 4)) on the level sets theta_i.
 
-    Each row satisfies |sum(arctan(row)) - theta_i| < 1e-12.  The angles
-    are drawn for all rows first; tan, sort and polish then run ROW_BLOCK
-    rows at a time.
+    Each row satisfies |sum(arctan(row)) - theta_i| < PHASE_TOL by
+    construction: the rows are the tangents of the angle rows, sorted.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if not np.all(np.abs(thetas) < 2.0 * math.pi):  # NaN fails it too
@@ -160,11 +138,8 @@ def sample_level_set_batch(thetas, seed=None, rng=None) -> np.ndarray:
     if rng is None:
         rng = np.random.default_rng(seed)
     lam = sample_level_set_angles(thetas, rng)
-    for blk in row_blocks(lam.shape[0]):
-        u = lam[blk]
-        np.tan(u, out=u)
-        u.sort(axis=1)
-        _polish(u, thetas[blk])
+    np.tan(lam, out=lam)
+    lam.sort(axis=1)
     return lam
 
 
@@ -172,7 +147,7 @@ def level_set_sample(theta_hat: float, count: int, seed: int) -> list[EigenTuple
     """Draw `count` sorted tuples with lagrangian_phase == theta_hat.
 
     Deterministic in `seed`; every returned tuple reproduces the phase to
-    better than 1e-12.  Raises SamplingExhaustedError when the clipped
+    within PHASE_TOL.  Raises SamplingExhaustedError when the clipped
     angle box cannot reach theta_hat within the attempt budget.
     """
     if count < 1:
@@ -186,7 +161,7 @@ def complete_tuple(theta_hat: float, first_three) -> EigenTuple:
 
     lambda_4 = tan(theta_hat - sum(arctan(first_three))); the residual
     angle must lie strictly inside (-pi/2, pi/2) or there is no finite
-    solution.
+    solution.  The phase of the result misses theta_hat by a few ulp.
     """
     first = tuple(float(v) for v in first_three)
     if len(first) != 3:
@@ -197,8 +172,6 @@ def complete_tuple(theta_hat: float, first_three) -> EigenTuple:
             f"residual angle {residual:.12g} leaves no finite fourth "
             "eigenvalue; adjust the fixed entries"
         )
-    lam = np.sort(np.array([*first, math.tan(residual)]))[None, :]
-    out = _polish(lam, np.array([theta_hat]))[0]
-    tup = EigenTuple(tuple(out))
+    tup = EigenTuple((*first, math.tan(residual)))
     assert abs(lagrangian_phase(tup) - theta_hat) < PHASE_TOL
     return tup

@@ -92,10 +92,18 @@ def _as_domain_error(what: str):
         raise DomainError(f"{what}: {exc}") from exc
 
 
+def _numbers(seq) -> tuple[float, ...]:
+    """Floats of a JSON array of numbers; a string, boolean or null raises ValueError."""
+    for x in seq:
+        if type(x) not in (int, float):
+            raise ValueError(f"could not convert {type(x).__name__} to float")
+    return tuple(float(x) for x in seq)
+
+
 def parse_eigen(obj) -> EigenTuple:
     """{"lambda": [a, b, c, d]} -> EigenTuple."""
     with _as_domain_error("malformed eigenvalue object"):
-        values = tuple(float(x) for x in obj["lambda"])
+        values = _numbers(obj["lambda"])
     return EigenTuple(values)
 
 
@@ -103,7 +111,7 @@ def parse_profile(obj) -> IntersectionProfile:
     """{"n": n, "d": [d_0, ..., d_n]} -> IntersectionProfile; an optional
     "synthetic": true marks a weighted model's profile."""
     with _as_domain_error("malformed profile object"):
-        n, d = obj["n"], tuple(float(x) for x in obj["d"])
+        n, d = obj["n"], _numbers(obj["d"])
         synthetic = obj.get("synthetic", False)
         if isinstance(n, bool) or int(n) != n:
             raise ValueError(f"n must be an integer, got {n!r}")
@@ -125,15 +133,13 @@ def parse_model_spec(obj) -> IntersectionProfile:
         return constant_model(parse_eigen(obj))
     if kind == "weighted":
         with _as_domain_error("malformed weighted model points"):
-            points = [
-                (float(pt["w"]), tuple(float(x) for x in pt["lambda"])) for pt in obj["points"]
-            ]
+            points = [(_numbers([pt["w"]])[0], _numbers(pt["lambda"])) for pt in obj["points"]]
         return weighted_model(points)
     if kind == "blowup_p3":
         with _as_domain_error("malformed blow-up spec"):
             a, b = obj["omega"]
             c, e = obj["alpha"]
-            classes = float(a), float(b), float(c), float(e)
+            classes = _numbers((a, b, c, e))
         return blowup_p3(*classes)
     raise DomainError(f"unknown model kind {kind!r}")
 

@@ -186,8 +186,9 @@ def theorem_suite(
         phase = phase_rows(lam[blk])
         max_phase_err = max(max_phase_err, float(np.max(np.abs(phase - thetas[blk]))))
         samples = np.arange(blk.start, blk.stop)
-        blocks = [(samples[r], mg) for r, mg in branch_blocks(lam[blk], thetas[blk], phase)]
-        d = constant_model_rows(sigma_rows(lam[blk]))
+        e = sigma_rows(lam[blk])
+        blocks = [(samples[r], mg) for r, mg in branch_blocks(lam[blk], e, thetas[blk], phase)]
+        d = constant_model_rows(e)
         chern = evaluate("chern_n4", d)
         # T*: sign(Re Z(T*)) must match the sign of the second Chern margin
         t = _im_root(4, d)

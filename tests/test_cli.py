@@ -280,8 +280,26 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
         '{"model": "weighted", "points": [{"w": 1, "lambda": [1, "x", 3, 4]}]}',
         '{"model": "constant", "lambda": [1, "x", 3, 4]}',
         '{"model": "blowup_p3", "omega": ["x", 1], "alpha": [1, 1]}',
+        # float() takes these; the readers must not
+        '{"model": "constant", "lambda": [1, true, 3, 4]}',
+        '{"model": "constant", "lambda": [1, "4", 3, 4]}',
+        '{"model": "weighted", "points": [{"w": true, "lambda": [1, 2, 3, 4]}]}',
+        '{"model": "weighted", "points": [{"w": 1, "lambda": [1, 2, "3", 4]}]}',
+        '{"model": "blowup_p3", "omega": ["2", 1], "alpha": [1, 1]}',
+        '{"model": "blowup_p3", "omega": [2, 1], "alpha": [1, false]}',
     ],
-    ids=["weighted-w", "weighted-lambda", "constant-lambda", "blowup-omega"],
+    ids=[
+        "weighted-w",
+        "weighted-lambda",
+        "constant-lambda",
+        "blowup-omega",
+        "constant-lambda-true",
+        "constant-lambda-numeric-string",
+        "weighted-w-true",
+        "weighted-lambda-numeric-string",
+        "blowup-omega-numeric-string",
+        "blowup-alpha-false",
+    ],
 )
 def test_model_spec_non_numeric_exit_2(capsys, tmp_path, spec):
     path = tmp_path / "spec.json"
@@ -302,8 +320,21 @@ def test_model_spec_non_numeric_exit_2(capsys, tmp_path, spec):
         '{"n": 4.9, "d": [1, 1, 1, 1, 1]}',
         '{"n": 4, "d": [1, 1, 1, 1, 1], "synthetic": "false"}',
         '{"n": 4, "d": [1, 1, 1, 1, 1], "synthetic": 1}',
+        '{"n": 4, "d": ["1", "2", "3", "4", "5"]}',
+        '{"n": 4, "d": [true, 2, 3, 4, 5]}',
+        '{"n": 4, "d": [1, 2, null, 4, 5]}',
     ],
-    ids=["d-string", "n-string", "n-inf", "n-fraction", "synthetic-string", "synthetic-int"],
+    ids=[
+        "d-string",
+        "n-string",
+        "n-inf",
+        "n-fraction",
+        "synthetic-string",
+        "synthetic-int",
+        "d-numeric-strings",
+        "d-true",
+        "d-null",
+    ],
 )
 def test_profile_non_numeric_exit_2(capsys, tmp_path, profile):
     path = tmp_path / "profile.json"

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from dhym import (
     phase_components,
     sigma,
 )
+from dhym.eigen import branch_blocks, sigma_rows
 from dhym.errors import DomainError, PhaseOutsideBranchError
 
 from conftest import sigma_enumeration
@@ -206,6 +208,17 @@ def test_branch_precondition_names_phase():
         branch_check((-0.2, 1, 2, 3), Branch.MID)
     assert "2.944" in str(err.value)
     assert err.value.phase == pytest.approx(2.9441970937399122, abs=1e-12)
+
+
+def test_branch_blocks_names_first_row_outside_its_branch():
+    # targets 5.0 and 5.5 are SUPERCRITICAL, 4.0 is MID; rows 2 and 3 miss
+    lam = np.zeros((4, 4))
+    thetas = np.array([5.0, 4.0, 4.0, 5.5])
+    phase = np.array([5.0, 4.0, 4.9, 3.0])
+    with pytest.raises(PhaseOutsideBranchError) as err:
+        branch_blocks(lam, sigma_rows(lam), thetas, phase)
+    assert err.value.phase == 4.9
+    assert err.value.branch is Branch.MID
 
 
 def test_branch_full_and_n3():

@@ -20,7 +20,7 @@ from make_golden import DATA, cases, exit_code, render  # noqa: E402
 NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 
 #: the cases whose bytes must not depend on numpy's SIMD dispatch; the
-#: sampler behind `sample` and the theorem suite still uses np.tan and np.arctan
+#: sampler behind `sample` and the theorem suite still takes np.tan
 PORTABLE = [
     c
     for c in cases()

@@ -1,6 +1,7 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,8 +12,9 @@ from dhym import (
     lagrangian_phase,
     level_set_sample,
     sample_level_set_batch,
+    sampling,
 )
-from dhym.eigen import ROW_BLOCK
+from dhym.eigen import ROW_BLOCK, phase_rows
 from dhym.errors import DomainError, SamplingExhaustedError
 from dhym.sampling import PHASE_TOL, _corner_batch, _half_width
 
@@ -106,6 +108,38 @@ def test_nan_theta_rejected_at_once(thetas):
     assert time.perf_counter() - start < 1.0
 
 
+def test_rejection_exhaustion_names_attempts(monkeypatch):
+    # a budget of 0 attempts per sample runs out after the first pass
+    monkeypatch.setattr(sampling, "MAX_ATTEMPTS_PER_SAMPLE", 0)
+    with pytest.raises(SamplingExhaustedError, match="rejection sampling exhausted 100 attempts"):
+        sample_level_set_batch(np.full(100, 3.0), seed=0)
+
+
+class EdgeFirst:
+    """A generator whose first random() calls return the given constants."""
+
+    def __init__(self, rng, values):
+        self.rng, self.values = rng, list(values)
+
+    def random(self, size=None):
+        if self.values:
+            return np.full(size, self.values.pop(0))
+        return self.rng.random(size)
+
+
+def test_corner_batch_redraws_rows_on_the_box_edge():
+    # at theta = 2a, the largest radius below 1 gives sum(v) = R = 2a, and
+    # zero spacings put all of it on v_3, so u_4 = 2a - (a + a - a) = a
+    # exactly: every row is redrawn from the real generator
+    a = _half_width()
+    thetas = np.full(5, 2.0 * a)
+    edge = EdgeFirst(np.random.default_rng(9), [np.nextafter(1.0, 0.0), 0.0])
+    got = _corner_batch(thetas, edge)
+    assert not edge.values
+    assert np.array_equal(got, _corner_batch(thetas, np.random.default_rng(9)))
+    assert np.all(np.abs(got) < a)
+
+
 def test_exhaustion_beyond_clipped_box():
     # the clipped angle box tops out at 2*pi - 4*eps; just above is unreachable
     with pytest.raises(SamplingExhaustedError):
@@ -176,3 +210,38 @@ def test_blocked_sampler_matches_unblocked_reference(regime, size):
     seed = 1000 + size
     got = sample_level_set_batch(thetas, seed=seed)
     assert np.array_equal(got, reference_sample_level_set_batch(thetas, seed))
+
+
+# -- the phase bound the sampler meets with no correction ---------------------
+
+
+def construction_bound_thetas():
+    """2e5 thetas across REGIMES, then 2000 each at the corner switch
+    +/-(pi - 2*eps) and within 1e-12 of the reach limit +/-(2*pi - 4*eps)."""
+    rng = np.random.default_rng(2024)
+    a = _half_width()
+    edges = [2.0 * a, 4.0 * a - 1e-12, np.nextafter(4.0 * a, 0.0)]
+    return np.concatenate(
+        [rng.uniform(*REGIMES[r], size=50_000) for r in sorted(REGIMES)]
+        + [np.full(2000, sign * x) for x in edges for sign in (1.0, -1.0)]
+    )
+
+
+def test_rows_meet_phase_tol_by_construction():
+    # PHASE_TOL / 4 is where the dropped Newton polish used to step in
+    thetas = construction_bound_thetas()
+    lam = sample_level_set_batch(thetas, seed=77)
+    assert np.all(np.diff(lam, axis=1) >= 0.0)
+    assert np.max(np.abs(np.arctan(lam).sum(axis=1) - thetas)) <= 0.25 * PHASE_TOL
+    assert np.max(np.abs(phase_rows(lam) - thetas)) <= 0.25 * PHASE_TOL
+
+    # an independent 50-digit re-check on every 106th row (edge rows included)
+    ctx = mpmath.MPContext()
+    ctx.dps = 50
+    rows = np.arange(0, thetas.size, 106)
+    assert rows.size >= 2000
+    worst = max(
+        abs(ctx.fsum(ctx.atan(x) for x in lam[i].tolist()) - ctx.mpf(float(thetas[i])))
+        for i in rows.tolist()
+    )
+    assert worst <= 0.25 * PHASE_TOL

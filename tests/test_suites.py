@@ -168,8 +168,9 @@ def reference_theorem_report(count, seed, theta_lo, theta_hi):
     lam = sample_level_set_batch(thetas, rng=rng)
     phase = phase_rows(lam)
     max_phase_err = max(0.0, float(np.max(np.abs(phase - thetas))))
-    blocks = branch_blocks(lam, thetas, phase)
-    d = constant_model_rows(sigma_rows(lam))
+    e = sigma_rows(lam)
+    blocks = branch_blocks(lam, e, thetas, phase)
+    d = constant_model_rows(e)
     chern = evaluate("chern_n4", d)
     blocks.append((np.arange(count), chern))
     t = _im_root(4, d)
