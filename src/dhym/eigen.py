@@ -24,14 +24,43 @@ from .reports import InequalityReport, Margins, evaluate
 
 TWO_PI = 2.0 * math.pi
 
-#: rows per block in the row pipelines of the suites: a block's
-#: temporaries stay in a 2 MiB L2 cache
+#: rows per block in the row pipelines of the suites and in sort_rows: a
+#: block's temporaries stay in a 2 MiB L2 cache
 ROW_BLOCK = 8192
 
 
 def row_blocks(m: int) -> list[slice]:
     """Slices covering rows 0..m-1, ROW_BLOCK rows each (the last one shorter)."""
     return [slice(s, min(s + ROW_BLOCK, m)) for s in range(0, m, ROW_BLOCK)]
+
+
+#: compare-exchange pairs of an optimal sorting network, by row width; the
+#: first layer of each touches every column
+SORT_NETWORKS = {2: ((0, 1),), 4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))}
+
+
+def sort_rows(lam: np.ndarray) -> np.ndarray:
+    """Sort each row of lam, shape (m, 2) or (m, 4), in place; returns lam.
+
+    Runs SORT_NETWORKS on ROW_BLOCK rows at a time, each compare-exchange
+    an np.minimum and np.maximum of two columns, so a block's temporaries
+    are its columns and no sorted copy of lam is made.
+
+    Precondition: no NaN, and the zeros of a row share one sign.  Then the
+    result is bit-equal to np.sort(lam, axis=1); otherwise min and max may
+    give both zeros of a -0.0/+0.0 pair one sign, which is value-equal only.
+    The callers meet it: uniform draws give only +0.0, the sampler's
+    high-corner rows only +0.0 and its low-corner rows only -0.0, and it
+    refuses a NaN theta first.  (A rejection row at theta = -0.0 mixes
+    signs only if its drawn angles are exactly 0, x and -x.)
+    """
+    net = SORT_NETWORKS[lam.shape[1]]
+    for blk in row_blocks(lam.shape[0]):
+        cols = list(lam[blk].T)
+        for i, j in net:
+            cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
+        np.stack(cols, axis=1, out=lam[blk])
+    return lam
 
 
 @dataclass(frozen=True)

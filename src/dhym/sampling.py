@@ -17,6 +17,9 @@ reproducible.
 The eigenvalues are lambda_i = tan(u_i), with no correction: u_4 is exact
 to a few ulp of 2*pi, and tan, arctan and the four-term sum each add about
 one ulp, so sum(arctan lambda_i) misses theta by about 1e-14 < PHASE_TOL.
+Each row is then sorted in place by eigen.sort_rows, a compare-exchange
+network on columns; the corner draw sorts its pairs of simplex spacings
+with the same kernel.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 
 import numpy as np
 
-from .eigen import EigenTuple, lagrangian_phase
+from .eigen import EigenTuple, lagrangian_phase, sort_rows
 from .errors import DomainError, SamplingExhaustedError
 
 #: half-width clip on each angle: u_i in (-pi/2 + ANGLE_EPS, pi/2 - ANGLE_EPS)
@@ -61,7 +64,7 @@ def _corner_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         )
     m = thetas.shape[0]
     radius = r_free * rng.random(m) ** (1.0 / 3.0)
-    g = np.sort(rng.random((m, 2)), axis=1)
+    g = sort_rows(rng.random((m, 2)))
     v = np.column_stack((g[:, 0], g[:, 1] - g[:, 0], 1.0 - g[:, 1])) * radius[:, None]
     u = a - v
     u4 = thetas - u.sum(axis=1)
@@ -139,8 +142,7 @@ def sample_level_set_batch(thetas, seed=None, rng=None) -> np.ndarray:
         rng = np.random.default_rng(seed)
     lam = sample_level_set_angles(thetas, rng)
     np.tan(lam, out=lam)
-    lam.sort(axis=1)
-    return lam
+    return sort_rows(lam)
 
 
 def level_set_sample(theta_hat: float, count: int, seed: int) -> list[EigenTuple]:

@@ -3,8 +3,10 @@
 Every suite draws its random tuples first, then checks them ROW_BLOCK rows
 at a time and folds each block into its report: extremes, and a
 reports.Tally of the margins, both exact, so a report equals one pass over
-all rows.  The checks are the row forms that the scalar API evaluates on a
-single row, so the code paths a user calls are the ones being certified:
+all rows.  Rows are sorted in place by eigen.sort_rows, a block at a time
+in the identity and KT suites and by the sampler in the theorem suite.
+The checks are the row forms that the scalar API evaluates on a single
+row, so the code paths a user calls are the ones being certified:
 phase_component_rows, factorization_rows and constant_model_rows behind
 phase_components, factorization_identity and constant_model, and the margin
 table (reports.MARGINS) behind branch_check, check_chern_n4 and kt_chain.
@@ -28,6 +30,7 @@ from .eigen import (
     phase_rows,
     row_blocks,
     sigma_rows,
+    sort_rows,
 )
 from .errors import DomainError
 from .models import constant_model_rows
@@ -84,11 +87,31 @@ def _newton_mins(p) -> list[float]:
     return out
 
 
+def _product_rows(lam) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary part of prod_j (1 + i*lambda_j) for each row, by
+    the recurrence (re, im) <- (re - im*x, re*x + im) from (1, lambda_1):
+    the arithmetic of np.prod(1 + 1j*lam, axis=1), in reals.  Bit for bit
+    on rows without -0.0, which 1j*lam turns into +0.0; a -0.0 can change
+    only the sign of a zero, never a magnitude."""
+    re, im = 1.0, lam[:, 0]
+    for x in lam.T[1:]:
+        re, im = re - im * x, re * x + im
+    return re, im
+
+
+def _complex(re, im) -> np.ndarray:
+    """re + i*im, without re + 1j*im's complex temporaries."""
+    z = np.empty(re.shape, complex)
+    z.real, z.imag = re, im
+    return z
+
+
 def identity_suite(count: int, seed: int) -> IdentitySuiteReport:
     """Random-tuple identity checks on [-SPAN, SPAN]^4.
 
     Verifies (i) the alternating-sigma components against the complex
-    product prod(1 + i*lambda_j), (ii) the quartic factorization identity,
+    product prod(1 + i*lambda_j), multiplied out factor by factor
+    (_product_rows), (ii) the quartic factorization identity,
     (iii) Vieta's expansion prod(x + lambda_j) = sum sigma_k x^(4-k) on a
     VIETA_ROWS-row slice, and (iv) Newton log-concavity of the normalised
     means p_k = sigma_k / C(4,k), which holds for every real tuple.
@@ -100,7 +123,21 @@ def identity_suite(count: int, seed: int) -> IdentitySuiteReport:
     draws = rng.uniform(-SPAN, SPAN, size=(count, 4))
     x = rng.uniform(-SPAN, SPAN, size=min(count, VIETA_ROWS))
 
-    lam = np.sort(draws[: x.size], axis=1)
+    product, fact, newton = [], [], []
+    for blk in row_blocks(count):
+        lam = sort_rows(draws[blk])
+        e = sigma_rows(lam)
+        sums = _complex(*phase_component_rows(e))
+        product.append(_max_rel(sums, _complex(*_product_rows(lam))))
+        fact.append(_max_rel(*factorization_rows(lam, e)))
+        newton.append(_newton_mins(constant_model_rows(e)))
+    rel_product = float(np.max(product))
+    rel_fact = float(np.max(fact))
+    # each k's minimum over all blocks, then the least of k = 1, 2, 3
+    newton = min(np.inf, *np.min(newton, axis=0).tolist())
+
+    # every row of draws is sorted in place by now
+    lam = draws[: x.size]
     e = sigma_rows(lam)
     # x ** 3 and x ** 4 would take numpy's SIMD pow, whose last bit depends
     # on the CPU; np.float_power is libm pow everywhere, and numpy squares
@@ -108,19 +145,6 @@ def identity_suite(count: int, seed: int) -> IdentitySuiteReport:
     powers = (np.float_power(x, 4.0), np.float_power(x, 3.0), x**2, x, 1.0)
     vieta = sum(e[:, k] * powers[k] for k in range(5))
     rel_vieta = _max_rel(np.prod(x[:, None] + lam, axis=1), vieta)
-
-    product, fact, newton = [], [], []
-    for blk in row_blocks(count):
-        lam = np.sort(draws[blk], axis=1)
-        e = sigma_rows(lam)
-        re, im = phase_component_rows(e)
-        product.append(_max_rel(re + 1j * im, np.prod(1.0 + 1j * lam, axis=1)))
-        fact.append(_max_rel(*factorization_rows(lam, e)))
-        newton.append(_newton_mins(constant_model_rows(e)))
-    rel_product = float(np.max(product))
-    rel_fact = float(np.max(fact))
-    # each k's minimum over all blocks, then the least of k = 1, 2, 3
-    newton = min(np.inf, *np.min(newton, axis=0).tolist())
 
     passed = (
         rel_product <= PRODUCT_IDENTITY_TOL
@@ -238,13 +262,13 @@ def kt_suite(count: int, seed: int) -> KtSuiteReport:
         raise DomainError(f"suite count must be >= 1, got {count}")
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    kept, attempts = [], 0
-    while sum(map(len, kept)) < count:
+    kept, n_kept, attempts = [], 0, 0
+    while n_kept < count:
         block = max(4096, count)
         for blk in row_blocks(block):
-            lam = np.sort(rng.uniform(-SPAN, SPAN, size=(blk.stop - blk.start, 4)), axis=1)
-            e = sigma_rows(lam)
+            e = sigma_rows(sort_rows(rng.uniform(-SPAN, SPAN, size=(blk.stop - blk.start, 4))))
             kept.append(e[gamma_cone_rows(e) >= 3])
+            n_kept += len(kept[-1])
         attempts += block
     e = np.concatenate(kept)[:count]
     fold = Tally(qualified=False)

@@ -18,8 +18,9 @@ from dhym import (
     phase_components,
     sigma,
 )
-from dhym.eigen import branch_blocks, sigma_rows
+from dhym.eigen import ROW_BLOCK, SORT_NETWORKS, branch_blocks, sigma_rows, sort_rows
 from dhym.errors import DomainError, PhaseOutsideBranchError
+from dhym.suites import _product_rows
 
 from conftest import sigma_enumeration
 
@@ -254,3 +255,58 @@ def test_branch_endpoints_fixed_by_kind():
     assert Branch.MID.endpoints == (math.pi, 1.5 * math.pi)
     assert Branch.FULL.endpoints == (math.pi, 2 * math.pi)
     assert Branch.N3.endpoints == (0.5 * math.pi, 1.5 * math.pi)
+
+
+# -- the compare-exchange row sort and the product recurrence -----------------
+
+#: doubles that stress a comparison: ties, subnormals, extremes, infinities
+SORT_POOL = [1.0, -1.0, 5e-324, -5e-324, 2.2e-308, 1.7976931348623157e308, -math.inf, math.inf]
+sort_values = st.floats(allow_nan=False) | st.sampled_from(SORT_POOL)
+#: row counts on both sides of every block edge sort_rows crosses
+SORT_LENGTHS = st.sampled_from([ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 5])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@given(
+    st.sampled_from(sorted(SORT_NETWORKS)).flatmap(
+        lambda n: st.lists(st.lists(sort_values, min_size=n, max_size=n), min_size=1, max_size=40)
+    ),
+    st.sampled_from([0.0, -0.0]),
+    st.integers(min_value=1, max_value=60) | SORT_LENGTHS,
+)
+def test_sort_rows_bit_equal_to_np_sort(rows, zero, m):
+    # the precondition: no NaN, and the zeros of a row share one sign
+    rows = np.array([[zero if v == 0.0 else v for v in row] for row in rows])
+    lam = np.resize(rows, (m, rows.shape[1]))
+    want = np.sort(lam, axis=1)
+    got = sort_rows(lam)
+    assert got is lam
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_sort_rows_mixed_zeros_value_equal():
+    lam = np.array([[0.0, -0.0, -1.0, 0.0], [-0.0, 0.0, 2.0, -0.0], [0.0, -0.0, 0.0, -0.0]])
+    want = np.sort(lam, axis=1)
+    got = sort_rows(lam.copy())
+    # -0.0 == 0.0: value-equal, though min and max may change a zero's sign
+    assert np.array_equal(got, want)
+
+
+@given(
+    st.lists(
+        st.lists(st.floats(min_value=-1e75, max_value=1e75), min_size=4, max_size=4),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_product_recurrence_bit_equal_to_complex_prod(rows):
+    # +0.0 for -0.0: the suites' uniform draws hold no -0.0, and a -0.0 can
+    # change only the sign of a zero in the recurrence's result
+    lam = np.array(rows) + 0.0
+    want = np.prod(1.0 + 1j * lam, axis=1)
+    re, im = _product_rows(lam)
+    assert np.array_equal(_bits(re), _bits(want.real))
+    assert np.array_equal(_bits(im), _bits(want.imag))
