@@ -3,13 +3,17 @@
 The eigenvalues of G^{-1}A that feed the pointwise machinery come from
 numpy's LAPACK: Cholesky-factor the metric, G = L L*, diagonalise the
 Hermitian matrix B = L^{-1} A L^{-*} with `eigh`, and map the eigenvectors
-back through L^{-*}.  Every eigensystem is checked against the residual
-gate RESIDUAL_REL before it is returned.
+back through L^{-*}.  A pair keeps the factor L of its positivity gate and
+solves once, on first use: `eigensystem`, `relative_spectrum` and
+`phase_of_pair` all read that one solve.  It is checked against the
+residual gate RESIDUAL_REL before it is returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,13 +34,14 @@ def _hermitized(m: np.ndarray, name: str) -> np.ndarray:
         raise InvalidPairError(f"{name} must be a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidPairError(f"{name} has a non-finite entry (NaN or inf)")
-    dev = np.linalg.norm(m - m.conj().T)
-    scale = np.linalg.norm(m)
-    if dev > HERMITICITY_REL * max(scale, 1e-300):
-        raise InvalidPairError(
-            f"{name} is not Hermitian: relative deviation {dev / max(scale, 1e-300):.3e}"
-        )
-    return 0.5 * (m + m.conj().T)
+    # a power-of-two scale keeps the norms finite near 1e308 and their ratio's bits
+    parts = np.ascontiguousarray(m).view(float)
+    s = np.ldexp(parts, -math.frexp(np.abs(parts).max(initial=0.0))[1]).view(complex)
+    dev = np.linalg.norm(s - s.conj().T)
+    scale = np.linalg.norm(s)
+    if dev > HERMITICITY_REL * scale:
+        raise InvalidPairError(f"{name} is not Hermitian: relative deviation {dev / scale:.3e}")
+    return 0.5 * m + 0.5 * m.conj().T  # halves are exact: no overflow, same bits
 
 
 def cholesky_lower(g: np.ndarray) -> np.ndarray:
@@ -59,23 +64,56 @@ def cholesky_lower(g: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianPair:
-    """A positive-definite metric matrix G and a Hermitian form matrix A."""
+    """A positive-definite metric matrix G and a Hermitian form matrix A.
+
+    G, A and the Cholesky factor L (G = L L*) are private read-only copies,
+    so a pair compares by identity and its eigensystem is solved once.
+    """
 
     G: np.ndarray
     A: np.ndarray
+    L: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         g = _hermitized(self.G, "G")
         a = _hermitized(self.A, "A")
         if g.shape != a.shape:
             raise InvalidPairError(f"shape mismatch: G {g.shape} vs A {a.shape}")
-        cholesky_lower(g)  # positivity gate
-        g.setflags(write=False)
-        a.setflags(write=False)
-        object.__setattr__(self, "G", g)
-        object.__setattr__(self, "A", a)
+        low = cholesky_lower(g)  # positivity gate
+        for name, m in (("G", g), ("A", a), ("L", low)):
+            m.setflags(write=False)
+            object.__setattr__(self, name, m)
+
+    @cached_property
+    def eigensystem(self):
+        """Eigenvalues (ascending EigenTuple), G-orthonormal read-only
+        eigenvectors and the worst residual relative to ||A||.
+
+        Solves A u = lambda G u via B = L^{-1} A L^{-*} and maps eigenvectors
+        back through u = L^{-*} v; the residual ||A u - lambda G u|| is
+        guaranteed below RESIDUAL_REL * ||A||, else ConvergenceError (which
+        is not cached: every call raises it again).
+        """
+        # overflow (a subnormal G, entries near 1e308) fails the gate below
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                inv = np.linalg.inv(self.L)
+                w, v = np.linalg.eigh(inv @ self.A @ inv.conj().T)
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(f"eigensolve failed: {exc}") from exc
+            u = inv.conj().T @ v
+            norm_a = max(float(np.linalg.norm(self.A, 2)), 1e-300)
+            residuals = np.linalg.norm(self.A @ u - (self.G @ u) * w, axis=0)
+            worst = float(np.max(residuals, initial=0.0))
+        rel = worst / norm_a
+        if not rel <= RESIDUAL_REL:  # NaN fails too, and inf / inf is NaN
+            raise ConvergenceError(
+                f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_REL:.1e} * ||A||"
+            )
+        u.setflags(write=False)
+        return EigenTuple(tuple(w)), u, rel
 
     def to_dict(self):
         return {"G": matrix_to_dict(self.G), "A": matrix_to_dict(self.A)}
@@ -106,29 +144,13 @@ def matrix_from_dict(obj) -> np.ndarray:
 
 
 def eigensystem(pair: HermitianPair):
-    """Eigenvalues (ascending EigenTuple), G-orthonormal eigenvectors and
-    the worst residual relative to ||A||.
-
-    Solves A u = lambda G u via B = L^{-1} A L^{-*} and maps eigenvectors
-    back through u = L^{-*} v; the residual ||A u - lambda G u|| is
-    guaranteed below RESIDUAL_REL * ||A||.
-    """
-    inv = np.linalg.inv(cholesky_lower(pair.G))
-    w, v = np.linalg.eigh(inv @ pair.A @ inv.conj().T)
-    u = inv.conj().T @ v
-    norm_a = max(float(np.linalg.norm(pair.A, 2)), 1e-300)
-    residuals = np.linalg.norm(pair.A @ u - (pair.G @ u) * w, axis=0)
-    worst = float(np.max(residuals, initial=0.0))
-    if worst > RESIDUAL_REL * norm_a:
-        raise ConvergenceError(
-            f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_REL:.1e} * ||A||"
-        )
-    return EigenTuple(tuple(w)), u, worst / norm_a
+    """The pair's solve: see `HermitianPair.eigensystem`."""
+    return pair.eigensystem
 
 
 def relative_spectrum(pair: HermitianPair) -> EigenTuple:
     """Real eigenvalues of G^{-1}A, sorted ascending."""
-    return eigensystem(pair)[0]
+    return pair.eigensystem[0]
 
 
 def phase_of_pair(pair: HermitianPair) -> float:

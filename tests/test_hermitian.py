@@ -11,8 +11,9 @@ from dhym import (
     phase_of_pair,
     relative_spectrum,
 )
-from dhym.errors import InvalidPairError
-from dhym.hermitian import RESIDUAL_REL, matrix_from_dict, matrix_to_dict
+from dhym import hermitian
+from dhym.errors import ConvergenceError, DomainError, InvalidPairError
+from dhym.hermitian import RESIDUAL_REL, _hermitized, matrix_from_dict, matrix_to_dict
 
 
 def random_hermitian(rng, dim):
@@ -91,6 +92,12 @@ def test_rejects_shape_problems():
         HermitianPair(np.ones((2, 3)), np.eye(2))
     with pytest.raises(InvalidPairError, match="mismatch"):
         HermitianPair(np.eye(3), np.eye(2))
+
+
+def test_empty_pair_has_no_spectrum():
+    pair = HermitianPair(np.zeros((0, 0)), np.zeros((0, 0)))
+    with pytest.raises(DomainError, match="non-empty"):
+        relative_spectrum(pair)
 
 
 def test_tolerates_roundtrip_noise():
@@ -187,3 +194,89 @@ def test_matrix_from_dict_validation():
         matrix_from_dict({"re": [[1.0]]})
     m = matrix_from_dict(matrix_to_dict(np.eye(2)))
     assert np.allclose(m, np.eye(2))
+
+
+def test_rejects_non_hermitian_near_overflow():
+    # m - m^H and the norms overflow unscaled, which let this through as inf+nanj
+    bad = np.array([[1e308, 1e308], [-1e308, 1.0]])
+    with pytest.raises(InvalidPairError, match="A is not Hermitian"):
+        HermitianPair(np.eye(2), bad)
+    with pytest.raises(InvalidPairError, match="G is not Hermitian"):
+        HermitianPair(bad, np.eye(2))
+
+
+def test_huge_metric_keeps_its_spectrum():
+    eye = np.eye(3)
+    assert np.array_equal(HermitianPair(1e308 * eye, eye).G, 1e308 * eye)
+    for g, a in ((1e308, 1e300), (1e307, 1e299)):
+        spectrum = relative_spectrum(HermitianPair(g * eye, a * eye))
+        assert spectrum.values == pytest.approx((1e-8,) * 3, rel=1e-15)
+
+
+def test_hermitized_bits_match_plain_symmetrisation():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        dim = int(rng.integers(1, 7))
+        m = random_hermitian(rng, dim) * 10.0 ** rng.uniform(-150, 150)
+        m = m + 1e-14 * np.max(np.abs(m)) * np.triu(rng.normal(size=(dim, dim)), 1)
+        got = _hermitized(m, "A")
+        want = 0.5 * (m + m.conj().T)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "g, a",
+    [
+        (1e-310 * np.eye(3), np.eye(3)),  # subnormal metric: NaN residuals
+        (np.eye(3), np.full((3, 3), 1e308)),  # eigenvalue 3e308 overflows
+        (1e-310 * np.eye(3), np.ones((3, 3))),  # eigh itself fails to converge
+        (1e10 * np.eye(3), np.full((3, 3), 1e308)),  # ||A||_2 and the residual norm overflow
+    ],
+)
+def test_non_finite_solve_raises_convergence_error(g, a):
+    pair = HermitianPair(g, a)
+    for _ in range(2):  # a failed solve is not cached
+        with pytest.raises(ConvergenceError):
+            relative_spectrum(pair)
+    with pytest.raises(ConvergenceError):
+        phase_of_pair(pair)
+
+
+def test_pairs_compare_by_identity():
+    pair = HermitianPair(np.eye(2), np.eye(2))
+    twin = HermitianPair(np.eye(2), np.eye(2))
+    assert pair == pair
+    assert pair != twin
+    assert len({pair, twin, pair}) == 2
+
+
+def test_one_solve_per_pair(monkeypatch):
+    calls = {"cholesky": 0, "eigh": 0}
+    for name in calls:
+        real = getattr(hermitian.np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(hermitian.np.linalg, name, counted)
+    rng = np.random.default_rng(9)
+    for cond in (1.0, 1e3, 1e6):
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        s = np.array([1.0, cond, cond**0.3, cond**0.7])
+        calls.update(cholesky=0, eigh=0)
+        pair = HermitianPair((q * s) @ q.conj().T, random_hermitian(rng, 4))
+        spectrum = relative_spectrum(pair)
+        phase = phase_of_pair(pair)
+        w, u, _ = eigensystem(pair)
+        assert calls == {"cholesky": 1, "eigh": 1}
+        assert eigensystem(pair) is eigensystem(pair)
+        assert not u.flags.writeable and not pair.L.flags.writeable
+        with pytest.raises(ValueError):
+            u[0, 0] = 0.0
+        inv = np.linalg.inv(np.linalg.cholesky(pair.G))
+        want, v = np.linalg.eigh(inv @ pair.A @ inv.conj().T)
+        assert np.asarray(spectrum.values).tobytes() == want.tobytes()
+        assert w is spectrum
+        assert u.tobytes() == (inv.conj().T @ v).tobytes()
+        assert phase == lagrangian_phase(tuple(want))
