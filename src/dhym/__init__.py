@@ -49,12 +49,7 @@ from .errors import (
     SamplingExhaustedError,
     UndefinedAngleError,
 )
-from .hermitian import (
-    HermitianPair,
-    eigensystem,
-    phase_of_pair,
-    relative_spectrum,
-)
+from .hermitian import HermitianPair, phase_of_pair, relative_spectrum
 from .models import (
     ConsistencyReport,
     blowup_p3,

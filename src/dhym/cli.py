@@ -34,7 +34,7 @@ EXIT_VIOLATION = 1
 EXIT_INVALID = 2
 
 #: largest --samples and --count accepted; at these bounds peak RSS is about
-#: 121 MiB for `path`, 184 MiB for `sample`, 118 MiB for `kt` and 67 MiB for
+#: 121 MiB for `path`, 184 MiB for `sample`, 118 MiB for `kt` and 37 MiB for
 #: `identity` (x86-64 Linux, numpy 2.4)
 MAX_SAMPLES = 100_000
 MAX_COUNT = 1_000_000

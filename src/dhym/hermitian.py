@@ -4,9 +4,9 @@ The eigenvalues of G^{-1}A that feed the pointwise machinery come from
 numpy's LAPACK: Cholesky-factor the metric, G = L L*, diagonalise the
 Hermitian matrix B = L^{-1} A L^{-*} with `eigh`, and map the eigenvectors
 back through L^{-*}.  A pair keeps the factor L of its positivity gate and
-solves once, on first use: `eigensystem`, `relative_spectrum` and
-`phase_of_pair` all read that one solve.  It is checked against the
-residual gate RESIDUAL_REL before it is returned.
+solves once, on first use (`HermitianPair.eigensystem`), checked against
+the residual gate RESIDUAL_REL; `relative_spectrum` and `phase_of_pair` read
+that solve.  Pairs are read from JSON by `serialize.parse_pair`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ def _hermitized(m: np.ndarray, name: str) -> np.ndarray:
     scale = np.linalg.norm(s)
     if dev > HERMITICITY_REL * scale:
         raise InvalidPairError(f"{name} is not Hermitian: relative deviation {dev / scale:.3e}")
-    return 0.5 * m + 0.5 * m.conj().T  # halves are exact: no overflow, same bits
+    half = (0.5 * parts).view(complex)  # exact, no overflow; unlike 0.5 * m, keeps -0.0
+    return half + half.conj().T
 
 
 def cholesky_lower(g: np.ndarray) -> np.ndarray:
@@ -114,38 +115,6 @@ class HermitianPair:
             )
         u.setflags(write=False)
         return EigenTuple(tuple(w)), u, rel
-
-    def to_dict(self):
-        return {"G": matrix_to_dict(self.G), "A": matrix_to_dict(self.A)}
-
-    @classmethod
-    def from_dict(cls, obj) -> "HermitianPair":
-        return cls(matrix_from_dict(obj["G"]), matrix_from_dict(obj["A"]))
-
-
-def matrix_to_dict(m: np.ndarray):
-    m = np.asarray(m, dtype=complex)
-    return {
-        "dim": m.shape[0],
-        "re": m.real.tolist(),
-        "im": m.imag.tolist(),
-    }
-
-
-def matrix_from_dict(obj) -> np.ndarray:
-    try:
-        dim = int(obj["dim"])
-        m = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidPairError(f"malformed matrix object: {exc}") from exc
-    if m.shape != (dim, dim):
-        raise InvalidPairError(f"matrix shape {m.shape} does not match dim {dim}")
-    return m
-
-
-def eigensystem(pair: HermitianPair):
-    """The pair's solve: see `HermitianPair.eigensystem`."""
-    return pair.eigensystem
 
 
 def relative_spectrum(pair: HermitianPair) -> EigenTuple:

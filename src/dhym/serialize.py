@@ -1,4 +1,8 @@
-"""Deterministic JSON and CSV emission.
+"""Every file format: JSON readers, deterministic JSON and CSV emission.
+
+The readers share one rule: a number is a JSON number (not a string or a
+boolean), an integer is integral, an array has the promised length, and
+any other fault raises DomainError.
 
 Floats are rendered with 17 significant digits (`%.17g`), which
 round-trips any IEEE double exactly; dictionaries keep insertion order
@@ -12,9 +16,12 @@ import contextlib
 import json
 import math
 
+import numpy as np
+
 from .charge import IntersectionProfile
 from .eigen import EigenTuple
 from .errors import DomainError
+from .hermitian import HermitianPair
 from .models import blowup_p3, constant_model, weighted_model
 
 
@@ -93,11 +100,21 @@ def _as_domain_error(what: str):
 
 
 def _numbers(seq) -> tuple[float, ...]:
-    """Floats of a JSON array of numbers; a string, boolean or null raises ValueError."""
+    """Floats of a JSON array of numbers; a non-array raises TypeError, and a
+    string, boolean or null entry ValueError."""
+    if not isinstance(seq, (list, tuple)):
+        raise TypeError(f"expected an array, got {type(seq).__name__}")
     for x in seq:
         if type(x) not in (int, float):
             raise ValueError(f"could not convert {type(x).__name__} to float")
     return tuple(float(x) for x in seq)
+
+
+def _integer(x, name: str) -> int:
+    """`x` as an int; a boolean, string or fraction raises ValueError."""
+    if isinstance(x, bool) or int(x) != x:
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
 
 
 def parse_eigen(obj) -> EigenTuple:
@@ -111,13 +128,11 @@ def parse_profile(obj) -> IntersectionProfile:
     """{"n": n, "d": [d_0, ..., d_n]} -> IntersectionProfile; an optional
     "synthetic": true marks a weighted model's profile."""
     with _as_domain_error("malformed profile object"):
-        n, d = obj["n"], _numbers(obj["d"])
+        n, d = _integer(obj["n"], "n"), _numbers(obj["d"])
         synthetic = obj.get("synthetic", False)
-        if isinstance(n, bool) or int(n) != n:
-            raise ValueError(f"n must be an integer, got {n!r}")
         if not isinstance(synthetic, bool):
             raise ValueError(f"synthetic must be true or false, got {synthetic!r}")
-    return IntersectionProfile(int(n), d, synthetic)
+    return IntersectionProfile(n, d, synthetic)
 
 
 def parse_model_spec(obj) -> IntersectionProfile:
@@ -142,6 +157,25 @@ def parse_model_spec(obj) -> IntersectionProfile:
             classes = _numbers((a, b, c, e))
         return blowup_p3(*classes)
     raise DomainError(f"unknown model kind {kind!r}")
+
+
+def _matrix(obj) -> np.ndarray:
+    """{"dim": n, "re": [[...]], "im": [[...]]} -> the n x n matrix re + i*im."""
+    n = _integer(obj["dim"], "dim")
+    parts = [[_numbers(row) for row in obj[key]] for key in ("re", "im")]
+    if any(len(rows) != n or any(len(row) != n for row in rows) for rows in parts):
+        raise ValueError(f"re and im must each hold {n} rows of {n} numbers")
+    m = np.empty((n, n), complex)
+    m.real, m.imag = parts  # keeps a -0.0 in im, which re + 1j * im would not
+    return m
+
+
+def parse_pair(obj) -> HermitianPair:
+    """{"G": m, "A": m} -> HermitianPair, each m a `_matrix` object.  The pair
+    rejects a non-Hermitian, non-finite or indefinite input (InvalidPairError)."""
+    with _as_domain_error("malformed matrix pair"):
+        g, a = _matrix(obj["G"]), _matrix(obj["A"])
+    return HermitianPair(g, a)
 
 
 def trace_csv(trace) -> str:

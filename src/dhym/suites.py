@@ -1,10 +1,11 @@
 """Batch verification suites: identities, branch theorems and KT chains.
 
-Every suite draws its random tuples first, then checks them ROW_BLOCK rows
-at a time and folds each block into its report: extremes, and a
-reports.Tally of the margins, both exact, so a report equals one pass over
-all rows.  Rows are sorted in place by eigen.sort_rows, a block at a time
-in the identity and KT suites and by the sampler in the theorem suite.
+Every suite checks its random tuples ROW_BLOCK rows at a time and folds
+each block into its report: extremes, and a reports.Tally of the margins,
+both exact, so a report equals one pass over all rows.  The identity suite
+draws each block as it folds it; the theorem and KT suites draw first.
+Rows are sorted in place by eigen.sort_rows, a block at a time in the
+identity and KT suites and by the sampler in the theorem suite.
 The checks are the row forms that the scalar API evaluates on a single
 row, so the code paths a user calls are the ones being certified:
 phase_component_rows, factorization_rows and constant_model_rows behind
@@ -120,13 +121,13 @@ def identity_suite(count: int, seed: int) -> IdentitySuiteReport:
         raise DomainError(f"suite count must be >= 1, got {count}")
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    draws = rng.uniform(-SPAN, SPAN, size=(count, 4))
-    x = rng.uniform(-SPAN, SPAN, size=min(count, VIETA_ROWS))
-
     product, fact, newton = [], [], []
     for blk in row_blocks(count):
-        lam = sort_rows(draws[blk])
+        # uniform fills sequentially, so block draws are the rows of one draw
+        lam = sort_rows(rng.uniform(-SPAN, SPAN, size=(blk.stop - blk.start, 4)))
         e = sigma_rows(lam)
+        if blk.start == 0:  # ROW_BLOCK >= VIETA_ROWS: the Vieta rows
+            head = lam[:VIETA_ROWS], e[:VIETA_ROWS]
         sums = _complex(*phase_component_rows(e))
         product.append(_max_rel(sums, _complex(*_product_rows(lam))))
         fact.append(_max_rel(*factorization_rows(lam, e)))
@@ -136,9 +137,8 @@ def identity_suite(count: int, seed: int) -> IdentitySuiteReport:
     # each k's minimum over all blocks, then the least of k = 1, 2, 3
     newton = min(np.inf, *np.min(newton, axis=0).tolist())
 
-    # every row of draws is sorted in place by now
-    lam = draws[: x.size]
-    e = sigma_rows(lam)
+    x = rng.uniform(-SPAN, SPAN, size=min(count, VIETA_ROWS))
+    lam, e = head
     # x ** 3 and x ** 4 would take numpy's SIMD pow, whose last bit depends
     # on the CPU; np.float_power is libm pow everywhere, and numpy squares
     # x ** 2 itself

@@ -17,7 +17,6 @@ from dhym import (
     check_chern_n4,
     constant_model,
     blowup_p3,
-    eigensystem,
     identity_suite,
     kt_chain,
     kt_suite,
@@ -207,7 +206,7 @@ def test_criterion_10_hermitian_bridge():
         g = m @ m.conj().T + dim * np.eye(dim)
         h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         pair = HermitianPair(g, 0.5 * (h + h.conj().T))
-        w, u, _ = eigensystem(pair)
+        w, u, _ = pair.eigensystem
         norm_a = np.linalg.norm(pair.A, 2)
         for i in range(dim):
             res = np.linalg.norm(pair.A @ u[:, i] - w.values[i] * (pair.G @ u[:, i]))

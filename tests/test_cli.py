@@ -585,11 +585,13 @@ def test_console_script_entry_point(tmp_path):
 #: the suites check their rows in blocks, so only the drawn tuples grow with
 #: the count (about 180 and 120 MiB in all on x86-64 Linux)
 SUITE_PEAK_RSS_MIB = 250
+#: growth of `dhym identity`'s peak RSS from --count 1 to the largest
+#: --count; it draws each row block as it folds it (about 2 MiB on x86-64
+#: Linux, against 32 MiB when it held all 1e6 x 4 draws)
+IDENTITY_RSS_GROWTH_MIB = 8
 
 
-@pytest.mark.parametrize("command", [["sample", "--theta", "4.0"], ["kt"]])
-def test_suite_peak_rss_at_max_count(command):
-    pytest.importorskip("resource")
+def _peak_rss_mib(argv) -> float:
     # Linux carries a process's peak RSS across exec, and a child starts as
     # a copy of its parent, so the run goes in a grandchild of a small
     # Python process that reports its children's ru_maxrss
@@ -599,10 +601,19 @@ def test_suite_peak_rss_at_max_count(command):
         " stdout=subprocess.DEVNULL, check=True)\n"
         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
     )
-    argv = [*command, "--count", "1000000", "--seed", "1"]
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True, text=True, check=True
     )
     # ru_maxrss is in KiB on Linux and in bytes on macOS
-    mib = int(proc.stdout) / (1024 * 1024 if sys.platform == "darwin" else 1024)
-    assert mib < SUITE_PEAK_RSS_MIB, f"{command[0]}: peak RSS {mib:.0f} MiB"
+    return int(proc.stdout) / (1024 * 1024 if sys.platform == "darwin" else 1024)
+
+
+@pytest.mark.parametrize("command", [["sample", "--theta", "4.0"], ["kt"], ["identity"]])
+def test_suite_peak_rss_at_max_count(command):
+    pytest.importorskip("resource")
+    mib = _peak_rss_mib([*command, "--count", "1000000", "--seed", "1"])
+    if command == ["identity"]:
+        growth = mib - _peak_rss_mib([*command, "--count", "1", "--seed", "1"])
+        assert growth < IDENTITY_RSS_GROWTH_MIB, f"identity: peak RSS grew {growth:.0f} MiB"
+    else:
+        assert mib < SUITE_PEAK_RSS_MIB, f"{command[0]}: peak RSS {mib:.0f} MiB"

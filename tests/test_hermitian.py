@@ -4,16 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from dhym import (
-    HermitianPair,
-    eigensystem,
-    lagrangian_phase,
-    phase_of_pair,
-    relative_spectrum,
-)
+from dhym import HermitianPair, lagrangian_phase, phase_of_pair, relative_spectrum
 from dhym import hermitian
 from dhym.errors import ConvergenceError, DomainError, InvalidPairError
-from dhym.hermitian import RESIDUAL_REL, _hermitized, matrix_from_dict, matrix_to_dict
+from dhym.hermitian import RESIDUAL_REL, _hermitized
 
 
 def random_hermitian(rng, dim):
@@ -111,7 +105,7 @@ def test_residuals_on_random_pairs():
     for _ in range(20):
         dim = int(rng.integers(2, 9))
         pair = random_pair(rng, dim)
-        w, u, _ = eigensystem(pair)
+        w, u, _ = pair.eigensystem
         norm_a = np.linalg.norm(pair.A, 2)
         for i in range(dim):
             res = np.linalg.norm(pair.A @ u[:, i] - w.values[i] * (pair.G @ u[:, i]))
@@ -146,7 +140,7 @@ def test_eigensystem_dim16():
     rng = np.random.default_rng(4)
     for _ in range(5):
         pair = random_pair(rng, 16)
-        w, u, rel_residual = eigensystem(pair)
+        w, u, rel_residual = pair.eigensystem
         assert np.all(np.diff(w.values) >= 0.0)
         # G-orthonormal eigenvectors
         assert np.allclose(u.conj().T @ pair.G @ u, np.eye(16), atol=1e-12)
@@ -174,26 +168,6 @@ def test_spectrum_matches_mpmath_oracle():
             got = np.array(relative_spectrum(pair).values)
             tol = 1e-13 * cond * np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= tol
-
-
-def test_matrix_json_round_trip():
-    rng = np.random.default_rng(5)
-    pair = random_pair(rng, 3)
-    d = pair.to_dict()
-    assert set(d) == {"G", "A"}
-    assert set(d["G"]) == {"dim", "re", "im"}
-    back = HermitianPair.from_dict(d)
-    assert np.allclose(back.G, pair.G)
-    assert np.allclose(back.A, pair.A)
-
-
-def test_matrix_from_dict_validation():
-    with pytest.raises(InvalidPairError):
-        matrix_from_dict({"dim": 3, "re": [[1.0]], "im": [[0.0]]})
-    with pytest.raises(InvalidPairError):
-        matrix_from_dict({"re": [[1.0]]})
-    m = matrix_from_dict(matrix_to_dict(np.eye(2)))
-    assert np.allclose(m, np.eye(2))
 
 
 def test_rejects_non_hermitian_near_overflow():
@@ -268,9 +242,9 @@ def test_one_solve_per_pair(monkeypatch):
         pair = HermitianPair((q * s) @ q.conj().T, random_hermitian(rng, 4))
         spectrum = relative_spectrum(pair)
         phase = phase_of_pair(pair)
-        w, u, _ = eigensystem(pair)
+        w, u, _ = pair.eigensystem
         assert calls == {"cholesky": 1, "eigh": 1}
-        assert eigensystem(pair) is eigensystem(pair)
+        assert pair.eigensystem is pair.eigensystem
         assert not u.flags.writeable and not pair.L.flags.writeable
         with pytest.raises(ValueError):
             u[0, 0] = 0.0

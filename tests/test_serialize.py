@@ -1,13 +1,31 @@
 import json
 import math
+import os
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dhym import IntersectionProfile
-from dhym.errors import DomainError
-from dhym.serialize import dumps, format_float, parse_eigen, parse_model_spec, parse_profile
+from dhym import (
+    HermitianPair,
+    IntersectionProfile,
+    lagrangian_phase,
+    phase_of_pair,
+    relative_spectrum,
+)
+from dhym.errors import DhymError, DomainError
+from dhym.serialize import (
+    dumps,
+    format_float,
+    load_json,
+    parse_eigen,
+    parse_model_spec,
+    parse_pair,
+    parse_profile,
+)
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 any_float = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -77,3 +95,94 @@ def test_parse_eigen_and_model_specs():
     ):
         with pytest.raises(DomainError):
             parse_model_spec(bad)
+
+
+def matrix(m):
+    m = np.asarray(m, dtype=complex)
+    return {"dim": m.shape[0], "re": m.real.tolist(), "im": m.imag.tolist()}
+
+
+ONE = {"dim": 1, "re": [[1]], "im": [[0]]}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        pytest.param({"G": {**ONE, "re": [["2.5"]]}, "A": ONE}, id="number-as-string"),
+        pytest.param({"G": ONE, "A": {**ONE, "re": [[True]]}}, id="boolean-entry"),
+        pytest.param({"G": ONE, "A": {**ONE, "im": [["nan"]]}}, id="nan-as-string"),
+        pytest.param({"G": {**ONE, "dim": 1.9}, "A": ONE}, id="fractional-dim"),
+        pytest.param({"G": {**ONE, "dim": "1"}, "A": ONE}, id="dim-as-string"),
+        pytest.param({"G": {**ONE, "dim": True}, "A": ONE}, id="boolean-dim"),
+        pytest.param({"A": ONE}, id="missing-G"),
+        pytest.param([ONE, ONE], id="array-pair"),
+        pytest.param("G", id="string-pair"),
+        pytest.param({"G": 1, "A": ONE}, id="number-matrix"),
+        pytest.param({"G": ONE, "A": {**ONE, "re": {"0": [1]}}}, id="object-rows"),
+        pytest.param(
+            {"G": {"dim": 2, "re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]}, "A": ONE},
+            id="ragged-rows",
+        ),
+    ],
+)
+def test_parse_pair_rejects_lax_input(obj):
+    with pytest.raises(DomainError, match="malformed matrix pair"):
+        parse_pair(obj)
+
+
+def test_parse_pair_validation():
+    eye = matrix(np.eye(2))
+    with pytest.raises(DomainError, match="must each hold 3 rows of 3 numbers"):
+        parse_pair({"G": {"dim": 3, "re": [[1.0]], "im": [[0.0]]}, "A": eye})
+    with pytest.raises(DomainError, match="'dim'"):
+        parse_pair({"G": {"re": [[1.0]]}, "A": eye})
+    pair = parse_pair({"G": eye, "A": eye})
+    assert np.array_equal(pair.G, np.eye(2)) and np.array_equal(pair.A, np.eye(2))
+
+
+def test_parse_pair_keeps_every_bit():
+    rng = np.random.default_rng(5)
+    g = np.empty((3, 3), dtype=complex)
+    g.real = [[2.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 3.0]]
+    g.imag = [[0.0, -0.0, 0.25], [0.0, 0.0, 1 / 3], [-0.25, -1 / 3, 0.0]]
+    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    a = 0.5 * (m + m.conj().T)  # exactly Hermitian
+    pair = parse_pair(json.loads(dumps({"G": matrix(g), "A": matrix(a)})))
+    assert np.signbit(pair.G.imag[0, 1])
+    assert pair.G.tobytes() == g.tobytes()
+    assert pair.A.tobytes() == a.tobytes()
+
+
+def test_pair_file_has_the_spectrum_it_was_built_from():
+    # G = P^H P and A = P^H diag(2, 3, 4, 5) P for one integer matrix P
+    pair = parse_pair(load_json(os.path.join(DATA, "pair_2345.json")))
+    assert relative_spectrum(pair).values == pytest.approx((2, 3, 4, 5), rel=1e-13)
+    assert phase_of_pair(pair) == pytest.approx(lagrangian_phase((2, 3, 4, 5)), abs=1e-13)
+
+
+_leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+_json = st.recursive(
+    _leaves,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    max_leaves=10,
+)
+_rows = st.integers(0, 3).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-3, 3) | st.floats() | _leaves, min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+_matrices = st.fixed_dictionaries(
+    {"dim": st.integers(-1, 3) | _json, "re": _rows | _json, "im": _rows | _json}
+)
+
+
+@given(_json | st.fixed_dictionaries({"G": _matrices | _json, "A": _matrices | _json}))
+@example({"G": ONE, "A": ONE})
+def test_parse_pair_returns_a_pair_or_raises_a_dhym_error(obj):
+    try:
+        pair = parse_pair(obj)
+    except DhymError:
+        return
+    assert isinstance(pair, HermitianPair)
