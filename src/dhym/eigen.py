@@ -43,8 +43,11 @@ def sort_rows(lam: np.ndarray) -> np.ndarray:
     """Sort each row of lam, shape (m, 2) or (m, 4), in place; returns lam.
 
     Runs SORT_NETWORKS on ROW_BLOCK rows at a time, each compare-exchange
-    an np.minimum and np.maximum of two columns, so a block's temporaries
-    are its columns and no sorted copy of lam is made.
+    an np.minimum and np.maximum of two columns, and writes each sorted
+    column back into its place in lam, so a block's temporaries are its
+    columns and no sorted copy of lam is made.  Either layout works; on a
+    column-major (F-ordered) lam every column the network reads and writes
+    is contiguous, which is how the suites and the sampler pass it.
 
     Precondition: no NaN, and the zeros of a row share one sign.  Then the
     result is bit-equal to np.sort(lam, axis=1); otherwise min and max may
@@ -59,7 +62,9 @@ def sort_rows(lam: np.ndarray) -> np.ndarray:
         cols = list(lam[blk].T)
         for i, j in net:
             cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
-        np.stack(cols, axis=1, out=lam[blk])
+        # the first layer replaced every column, so none aliases lam
+        for j, col in enumerate(cols):
+            lam[blk, j] = col
     return lam
 
 
@@ -114,11 +119,13 @@ def sigma_rows(lam) -> np.ndarray:
     """Elementary symmetric polynomials row-wise: shape (m, n) -> (m, n+1).
 
     Uses the stable one-pass recurrence e_k += v * e_{k-1}; tests compare
-    it against direct subset enumeration.
+    it against direct subset enumeration.  e is column-major (F-ordered),
+    so each update runs on contiguous columns, and the rows derived from e
+    by broadcasting (constant_model_rows, the margin table) keep that layout.
     """
     lam = np.asarray(lam, dtype=float)
     m, n = lam.shape
-    e = np.zeros((m, n + 1))
+    e = np.zeros((m, n + 1), order="F")
     e[:, 0] = 1.0
     # huge eigenvalues overflow to inf silently, as Python float arithmetic does
     with np.errstate(over="ignore", invalid="ignore"):

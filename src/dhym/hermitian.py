@@ -30,8 +30,8 @@ RESIDUAL_REL = 1e-9
 def _hermitized(m: np.ndarray, name: str) -> np.ndarray:
     """Symmetrise round-trip noise below HERMITICITY_REL; reject more."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidPairError(f"{name} must be a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise InvalidPairError(f"{name} must be a non-empty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidPairError(f"{name} has a non-finite entry (NaN or inf)")
     # a power-of-two scale keeps the norms finite near 1e308 and their ratio's bits

@@ -14,12 +14,22 @@ directly there in O(1) per draw; the rejection loop is kept for the easy
 middle range.  All draws come from one seeded generator, so runs are
 reproducible.
 
+The angle rows are built column by column in one (4, m) buffer, and the
+sampler returns its transpose: an F-ordered (m, 4) array whose columns are
+contiguous.  The rejection loop writes its first pass, which covers every
+row, into the buffer in place; only the rows that pass rejects are gathered
+and scattered after that.  The corner draw writes its columns straight into
+the buffer.  A batch that is all in one regime (all rejection, or all
+corner, as every theta in (pi, 2*pi) is) fills the buffer with no index
+scatter.
+
 The eigenvalues are lambda_i = tan(u_i), with no correction: u_4 is exact
 to a few ulp of 2*pi, and tan, arctan and the four-term sum each add about
 one ulp, so sum(arctan lambda_i) misses theta by about 1e-14 < PHASE_TOL.
-Each row is then sorted in place by eigen.sort_rows, a compare-exchange
-network on columns; the corner draw sorts its pairs of simplex spacings
-with the same kernel.
+np.tan runs once over the whole buffer, and each row is then sorted in
+place by eigen.sort_rows, a compare-exchange network on contiguous
+columns; the corner draw sorts its pairs of simplex spacings with the same
+kernel.
 """
 
 from __future__ import annotations
@@ -53,6 +63,7 @@ def _corner_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     With v_i = a - u_i (i = 1..3) the accepted region is
     {v_i > 0, v_1+v_2+v_3 < R}, R = 4a - theta: sample the radius from its
     volume law R*U^(1/3) and the direction from uniform simplex spacings.
+    Returns the transpose of a (4, m) buffer, an F-ordered (m, 4) array.
     """
     a = _half_width()
     r_free = 4.0 * a - thetas
@@ -65,52 +76,54 @@ def _corner_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     m = thetas.shape[0]
     radius = r_free * rng.random(m) ** (1.0 / 3.0)
     g = sort_rows(rng.random((m, 2)))
-    v = np.column_stack((g[:, 0], g[:, 1] - g[:, 0], 1.0 - g[:, 1])) * radius[:, None]
-    u = a - v
-    u4 = thetas - u.sum(axis=1)
+    u = np.empty((_N, m))
+    for i, v in enumerate((g[:, 0], g[:, 1] - g[:, 0], 1.0 - g[:, 1])):
+        u[i] = a - v * radius
+    np.subtract(thetas, u[0] + u[1] + u[2], out=u[3])
     # roundoff can put u4 on +/-a at the open simplex's boundary: redraw those
-    if np.any(np.abs(u4) >= a):
-        keep = np.abs(u4) < a
-        redo = _corner_batch(thetas[~keep], rng)
-        out = np.empty((m, _N))
-        out[keep] = np.column_stack((u[keep], u4[keep]))
-        out[~keep] = redo
-        return out
-    return np.column_stack((u, u4))
+    edge = np.flatnonzero(np.abs(u[3]) >= a)
+    if edge.size:
+        u[:, edge] = _corner_batch(thetas[edge], rng).T
+    return u.T
 
 
 def _rejection_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Vectorised rejection for the easy range |theta| < pi - 2*eps; each
-    pass draws one triple for every row still pending."""
+    pass draws one triple for every row still pending.  The first pass
+    covers every row and writes its draws into the (4, m) buffer in place;
+    later passes gather and scatter only the rows still pending.  Returns
+    the buffer's transpose, an F-ordered (m, 4) array."""
     a = _half_width()
     m = thetas.shape[0]
-    out = np.empty((m, _N))
-    pending = np.arange(m)
-    theta = thetas
-    attempts = 0
+    out = np.empty((_N, m))
+    out[:3] = rng.uniform(-a, a, size=(m, 3)).T
+    np.subtract(thetas, out[0] + out[1] + out[2], out=out[3])
+    pending = np.flatnonzero(np.abs(out[3]) >= a)
+    attempts = m
     budget = MAX_ATTEMPTS_PER_SAMPLE * m
     while pending.size:
-        block = pending.size
-        u = rng.uniform(-a, a, size=(block, 3))
-        # u.sum(axis=1) adds left to right too, at a reduction's extra cost
-        u4 = theta - (u[:, 0] + u[:, 1] + u[:, 2])
-        ok = np.abs(u4) < a
-        hit, miss = np.flatnonzero(ok), np.flatnonzero(~ok)
-        rows = pending[hit]
-        out[rows, :3] = u[hit]
-        out[rows, 3] = u4[hit]
-        pending, theta = pending[miss], theta[miss]
-        attempts += block
-        if pending.size and attempts > budget:
+        if attempts > budget:
             raise SamplingExhaustedError(
                 f"rejection sampling exhausted {attempts} attempts for "
                 f"{m} samples at theta = {float(thetas[0]):.12g}"
             )
-    return out
+        u = rng.uniform(-a, a, size=(pending.size, 3))
+        u1, u2, u3 = u.T
+        u4 = thetas[pending] - (u1 + u2 + u3)
+        ok = np.abs(u4) < a
+        hit = np.flatnonzero(ok)
+        rows = pending[hit]
+        # one integer gather and scatter per column: cheaper than a (3, k) block
+        for i, col in enumerate((u1, u2, u3, u4)):
+            out[i, rows] = col[hit]
+        attempts += pending.size
+        pending = pending[~ok]
+    return out.T
 
 
 def sample_level_set_angles(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Angle rows u (shape (m, 4)) with sum(u_i) = theta_i, each |u_i| < pi/2 - eps."""
+    """Angle rows u (shape (m, 4), F-ordered) with sum(u_i) = theta_i, each
+    |u_i| < pi/2 - eps."""
     thetas = np.asarray(thetas, dtype=float)
     a = _half_width()
     hi = thetas >= 2.0 * a
@@ -118,19 +131,21 @@ def sample_level_set_angles(thetas: np.ndarray, rng: np.random.Generator) -> np.
     mid = ~(hi | lo)
     if mid.all():
         return _rejection_batch(thetas, rng)
-    u = np.empty((thetas.shape[0], _N))
+    if hi.all():
+        return _corner_batch(thetas, rng)
+    u = np.empty((_N, thetas.shape[0]))
     hi, lo, mid = np.flatnonzero(hi), np.flatnonzero(lo), np.flatnonzero(mid)
     if hi.size:
-        u[hi] = _corner_batch(thetas[hi], rng)
+        u[:, hi] = _corner_batch(thetas[hi], rng).T
     if lo.size:
-        u[lo] = -_corner_batch(-thetas[lo], rng)
+        u[:, lo] = -_corner_batch(-thetas[lo], rng).T
     if mid.size:
-        u[mid] = _rejection_batch(thetas[mid], rng)
-    return u
+        u[:, mid] = _rejection_batch(thetas[mid], rng).T
+    return u.T
 
 
 def sample_level_set_batch(thetas, seed=None, rng=None) -> np.ndarray:
-    """Sorted eigenvalue rows (shape (m, 4)) on the level sets theta_i.
+    """Sorted eigenvalue rows (shape (m, 4), F-ordered) on the level sets theta_i.
 
     Each row satisfies |sum(arctan(row)) - theta_i| < PHASE_TOL by
     construction: the rows are the tangents of the angle rows, sorted.
@@ -163,7 +178,8 @@ def complete_tuple(theta_hat: float, first_three) -> EigenTuple:
 
     lambda_4 = tan(theta_hat - sum(arctan(first_three))); the residual
     angle must lie strictly inside (-pi/2, pi/2) or there is no finite
-    solution.  The phase of the result misses theta_hat by a few ulp.
+    solution.  The phase of the result misses theta_hat by a few ulp; a
+    miss of PHASE_TOL or more raises DomainError.
     """
     first = tuple(float(v) for v in first_three)
     if len(first) != 3:
@@ -175,5 +191,10 @@ def complete_tuple(theta_hat: float, first_three) -> EigenTuple:
             "eigenvalue; adjust the fixed entries"
         )
     tup = EigenTuple((*first, math.tan(residual)))
-    assert abs(lagrangian_phase(tup) - theta_hat) < PHASE_TOL
+    miss = abs(lagrangian_phase(tup) - theta_hat)
+    if not miss < PHASE_TOL:
+        raise DomainError(
+            f"completed tuple misses the phase {theta_hat:.12g} by {miss:.3e} "
+            f">= PHASE_TOL = {PHASE_TOL:.0e}"
+        )
     return tup

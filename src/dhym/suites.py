@@ -5,7 +5,11 @@ each block into its report: extremes, and a reports.Tally of the margins,
 both exact, so a report equals one pass over all rows.  The identity suite
 draws each block as it folds it; the theorem and KT suites draw first.
 Rows are sorted in place by eigen.sort_rows, a block at a time in the
-identity and KT suites and by the sampler in the theorem suite.
+identity and KT suites and by the sampler in the theorem suite.  Every row
+block is column-major (F-ordered): the identity and KT suites turn each
+drawn block into F-order once before sorting it, the sampler returns
+F-ordered rows, and sigma_rows builds F-ordered sigma rows, so the sort,
+the sigma recurrence and the checks read and write contiguous columns.
 The checks are the row forms that the scalar API evaluates on a single
 row, so the code paths a user calls are the ones being certified:
 phase_component_rows, factorization_rows and constant_model_rows behind
@@ -124,8 +128,8 @@ def identity_suite(count: int, seed: int) -> IdentitySuiteReport:
     product, fact, newton = [], [], []
     for blk in row_blocks(count):
         # uniform fills sequentially, so block draws are the rows of one draw
-        lam = sort_rows(rng.uniform(-SPAN, SPAN, size=(blk.stop - blk.start, 4)))
-        e = sigma_rows(lam)
+        lam = np.asfortranarray(rng.uniform(-SPAN, SPAN, size=(blk.stop - blk.start, 4)))
+        e = sigma_rows(sort_rows(lam))
         if blk.start == 0:  # ROW_BLOCK >= VIETA_ROWS: the Vieta rows
             head = lam[:VIETA_ROWS], e[:VIETA_ROWS]
         sums = _complex(*phase_component_rows(e))
@@ -266,7 +270,8 @@ def kt_suite(count: int, seed: int) -> KtSuiteReport:
     while n_kept < count:
         block = max(4096, count)
         for blk in row_blocks(block):
-            e = sigma_rows(sort_rows(rng.uniform(-SPAN, SPAN, size=(blk.stop - blk.start, 4))))
+            lam = np.asfortranarray(rng.uniform(-SPAN, SPAN, size=(blk.stop - blk.start, 4)))
+            e = sigma_rows(sort_rows(lam))
             kept.append(e[gamma_cone_rows(e) >= 3])
             n_kept += len(kept[-1])
         attempts += block

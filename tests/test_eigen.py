@@ -18,8 +18,16 @@ from dhym import (
     phase_components,
     sigma,
 )
-from dhym.eigen import ROW_BLOCK, SORT_NETWORKS, branch_blocks, sigma_rows, sort_rows
+from dhym.eigen import (
+    ROW_BLOCK,
+    SORT_NETWORKS,
+    branch_blocks,
+    phase_rows,
+    sigma_rows,
+    sort_rows,
+)
 from dhym.errors import DomainError, PhaseOutsideBranchError
+from dhym.models import constant_model_rows
 from dhym.suites import _product_rows
 
 from conftest import sigma_enumeration
@@ -270,21 +278,56 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
+#: row layouts sort_rows must handle: row-major, column-major, and rows
+#: 2..m+1 of a NaN-padded column-major block (contiguous columns, yet not
+#: F-contiguous as a whole)
+SORT_LAYOUTS = ("C", "F", "F rows")
+
+
+def _in_layout(lam, layout):
+    """lam copied into the layout, and the array that holds it."""
+    if layout == "C":
+        return lam.copy(), None
+    if layout == "F":
+        return np.asfortranarray(lam), None
+    padded = np.asfortranarray(np.pad(lam, ((2, 1), (0, 0)), constant_values=np.nan))
+    return padded[2:-1], padded
+
+
 @given(
     st.sampled_from(sorted(SORT_NETWORKS)).flatmap(
         lambda n: st.lists(st.lists(sort_values, min_size=n, max_size=n), min_size=1, max_size=40)
     ),
     st.sampled_from([0.0, -0.0]),
     st.integers(min_value=1, max_value=60) | SORT_LENGTHS,
+    st.sampled_from(SORT_LAYOUTS),
 )
-def test_sort_rows_bit_equal_to_np_sort(rows, zero, m):
+def test_sort_rows_bit_equal_to_np_sort(rows, zero, m, layout):
     # the precondition: no NaN, and the zeros of a row share one sign
     rows = np.array([[zero if v == 0.0 else v for v in row] for row in rows])
-    lam = np.resize(rows, (m, rows.shape[1]))
-    want = np.sort(lam, axis=1)
+    drawn = np.resize(rows, (m, rows.shape[1]))
+    want = np.sort(drawn, axis=1)
+    lam, padded = _in_layout(drawn, layout)
     got = sort_rows(lam)
     assert got is lam
     assert np.array_equal(_bits(got), _bits(want))
+    if padded is not None:  # the rows around the slice are untouched
+        assert np.isnan(padded[:2]).all() and np.isnan(padded[-1]).all()
+
+
+def test_sigma_rows_are_column_major():
+    lam = np.sort(np.random.default_rng(3).uniform(-10.0, 10.0, size=(ROW_BLOCK + 3, 4)), axis=1)
+    e = sigma_rows(lam)
+    assert e.flags.f_contiguous and e.shape == (ROW_BLOCK + 3, 5)
+    assert constant_model_rows(e).flags.f_contiguous  # inherited by broadcasting
+    assert np.array_equal(_bits(sigma_rows(np.asfortranarray(lam))), _bits(e))
+
+
+def test_phase_rows_bit_equal_on_either_layout():
+    lam = np.random.default_rng(4).standard_normal((1001, 4)) * 10.0 ** np.arange(-3, 5, 2)
+    want = phase_rows(lam)
+    assert np.array_equal(_bits(phase_rows(np.asfortranarray(lam))), _bits(want))
+    assert np.array_equal(_bits(phase_rows(_in_layout(lam, "F rows")[0])), _bits(want))
 
 
 def test_sort_rows_mixed_zeros_value_equal():

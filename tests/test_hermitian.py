@@ -6,7 +6,7 @@ import pytest
 
 from dhym import HermitianPair, lagrangian_phase, phase_of_pair, relative_spectrum
 from dhym import hermitian
-from dhym.errors import ConvergenceError, DomainError, InvalidPairError
+from dhym.errors import ConvergenceError, InvalidPairError
 from dhym.hermitian import RESIDUAL_REL, _hermitized
 
 
@@ -88,10 +88,12 @@ def test_rejects_shape_problems():
         HermitianPair(np.eye(3), np.eye(2))
 
 
-def test_empty_pair_has_no_spectrum():
-    pair = HermitianPair(np.zeros((0, 0)), np.zeros((0, 0)))
-    with pytest.raises(DomainError, match="non-empty"):
-        relative_spectrum(pair)
+def test_rejects_empty_pair():
+    # a 0x0 pair has no spectrum: it is refused when built, not at first use
+    with pytest.raises(InvalidPairError, match=r"G must be a non-empty .* shape \(0, 0\)"):
+        HermitianPair(np.zeros((0, 0)), np.zeros((0, 0)))
+    with pytest.raises(InvalidPairError, match=r"A must be a non-empty .* shape \(0, 0\)"):
+        HermitianPair(np.eye(2), np.zeros((0, 0)))
 
 
 def test_tolerates_roundtrip_noise():

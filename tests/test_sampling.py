@@ -4,6 +4,8 @@ import time
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from dhym import (
     Branch,
@@ -21,10 +23,35 @@ from dhym.sampling import PHASE_TOL, _corner_batch, _half_width
 TWO_PI = 2 * math.pi
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
 def test_complete_tuple_solves_fourth_entry():
     t = complete_tuple(math.pi, (1.0, 1.0, 1.0))
     assert t.values[3] == pytest.approx(1.0, abs=1e-12)
     assert lagrangian_phase(t) == pytest.approx(math.pi, abs=1e-12)
+
+
+@given(
+    st.floats(min_value=-0.5 * math.pi + 1e-9, max_value=0.5 * math.pi - 1e-9),
+    st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=3, max_size=3),
+)
+def test_complete_tuple_meets_phase_tol(residual, first):
+    theta_hat = sum(math.atan(v) for v in first) + residual
+    try:
+        t = complete_tuple(theta_hat, first)
+    except DomainError:
+        # rounding in theta_hat can move a residual at the edge out of range
+        assume(False)
+    assert abs(lagrangian_phase(t) - theta_hat) < PHASE_TOL
+
+
+def test_complete_tuple_checks_its_phase(monkeypatch):
+    # the check is a raise, not an assert that python -O would strip
+    monkeypatch.setattr(sampling, "lagrangian_phase", lambda t: math.pi + PHASE_TOL)
+    with pytest.raises(DomainError, match="misses the phase"):
+        complete_tuple(math.pi, (1.0, 1.0, 1.0))
 
 
 def test_complete_tuple_rejects_unreachable_residual():
@@ -209,7 +236,10 @@ def test_blocked_sampler_matches_unblocked_reference(regime, size):
     thetas = np.random.default_rng([size, 7]).uniform(lo, hi, size=size)
     seed = 1000 + size
     got = sample_level_set_batch(thetas, seed=seed)
-    assert np.array_equal(got, reference_sample_level_set_batch(thetas, seed))
+    assert got.flags.f_contiguous  # column-major, so the row kernels read contiguous columns
+    # bit views: np.array_equal would take -0.0 for 0.0
+    want = reference_sample_level_set_batch(thetas, seed)
+    assert np.array_equal(_bits(got), _bits(want))
 
 
 # -- the phase bound the sampler meets with no correction ---------------------

@@ -140,6 +140,12 @@ def test_parse_pair_validation():
     assert np.array_equal(pair.G, np.eye(2)) and np.array_equal(pair.A, np.eye(2))
 
 
+def test_parse_pair_rejects_empty_pair():
+    empty = {"dim": 0, "re": [], "im": []}
+    with pytest.raises(DhymError, match=r"G must be a non-empty .* shape \(0, 0\)"):
+        parse_pair({"G": empty, "A": empty})
+
+
 def test_parse_pair_keeps_every_bit():
     rng = np.random.default_rng(5)
     g = np.empty((3, 3), dtype=complex)
