@@ -5,9 +5,9 @@ Each case is one `dhym` command line (or one suite call) with a fixed
 seed; its stdout is written to tests/data/<case>.json, and a CSV trace
 that `--out` writes goes to tests/data/<case>.csv.  tests/test_golden.py
 asserts that the current code reproduces every file byte for byte and
-exits with the code listed here.  The profile and model-spec inputs are
-the tests/data/profile_*.json and tests/data/spec_*.json files.  Rerun
-this only when a change to the reports is intended.
+exits with the code listed here.  The profile, model-spec and matrix-pair
+inputs are the tests/data/profile_*.json, spec_*.json and pair_*.json
+files.  Rerun this only when a change to the reports is intended.
 
     PYTHONPATH=src python scripts/make_golden.py
 """
@@ -37,6 +37,10 @@ def _spec(name: str) -> str:
     return os.path.join(DATA, f"spec_{name}.json")
 
 
+def _pair(name: str) -> str:
+    return os.path.join(DATA, f"pair_{name}.json")
+
+
 def _path(name: str) -> list:
     return ["path", "--profile", _profile(name), "--samples", "64", "--out", TRACE]
 
@@ -45,8 +49,9 @@ def _path(name: str) -> list:
 #: 3*pi/2 FULL; blowup_3_1_m2_1 is omega = 3H - E, alpha = -2H - E on the
 #: blow-up of P^3, and the degenerate profile's path hits Z(2) = 0; the
 #: tuple (-0.5, 1, 2, 3) starts with a negative eigenvalue, as mid-branch
-#: tuples do; identity_2184 is a run whose max_rel_vieta numpy's AVX-512
-#: pow would change; identity_100000 spans many row blocks of the suite
+#: tuples do; pair_2345 is a 4x4 metric pair whose relative spectrum is
+#: about (2, 3, 4, 5); identity_2184 is a run whose max_rel_vieta numpy's
+#: AVX-512 pow would change; identity_100000 spans many row blocks of the suite
 CLI_CASES = {
     "sample_mid": (["sample", "--theta", "4.0", "--count", "1000", "--seed", "101"], 0),
     "sample_supercritical": (
@@ -65,6 +70,7 @@ CLI_CASES = {
     "angle_blowup_3_1_m2_1": (["angle", "--profile", _profile("blowup_3_1_m2_1")], 0),
     "consistency_2345": (["consistency", "--lambda", "2,3,4,5"], 0),
     "consistency_neg_first": (["consistency", "--lambda=-0.5,1,2,3"], 0),
+    "consistency_pair_2345": (["consistency", "--pair", _pair("2345")], 0),
     "identity": (["identity", "--count", "1000", "--seed", "105"], 0),
     "identity_2184": (["identity", "--count", "2184", "--seed", "1975363178"], 0),
     "identity_100000": (["identity", "--count", "100000", "--seed", "106"], 0),

@@ -15,6 +15,8 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from .charge import (
     analytic_angle_from_integrals,
     check_chern_n3,
@@ -26,7 +28,7 @@ from .charge import (
 )
 from .errors import DegeneratePathError, DhymError, DomainError
 from .models import consistency_suite
-from .serialize import dumps, load_json, parse_model_spec, parse_profile, trace_csv
+from .serialize import dumps, load_json, parse_model_spec, parse_pair, parse_profile, trace_csv
 from .suites import identity_suite, kt_suite, theorem_suite
 
 EXIT_OK = 0
@@ -150,7 +152,15 @@ def _parse_lambda(text: str):
 
 
 def _cmd_consistency(args) -> int:
-    return _print_report(consistency_suite(_parse_lambda(args.eigenvalues)))
+    if args.pair is None:
+        return _print_report(consistency_suite(_parse_lambda(args.eigenvalues)))
+    pair = parse_pair(load_json(args.pair))
+    spectrum, _, residual_rel = pair.eigensystem
+    out = consistency_suite(spectrum).to_dict()
+    passed = out.pop("pass")
+    cond_g = float(np.linalg.cond(pair.G))
+    _print_json({**out, "residual_rel": residual_rel, "cond_G": cond_g, "pass": passed})
+    return EXIT_OK if passed else EXIT_VIOLATION
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,12 +209,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_model)
 
     p = sub.add_parser("consistency", help="pointwise vs integrated cross-checks")
-    p.add_argument(
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument(
         "--lambda",
         dest="eigenvalues",
-        required=True,
         metavar="A,B,C,D",
         help="comma-separated eigenvalues of a constant model",
+    )
+    source.add_argument(
+        "--pair",
+        metavar="FILE",
+        help="matrix pair JSON file (metric G, form A); checks the eigenvalues of G^-1 A",
     )
     # read "-0.5,1,2,3" (a mid-branch tuple) as a value, not as an unknown option
     p._negative_number_matcher = re.compile(r"-\.?\d")

@@ -7,6 +7,15 @@ back through L^{-*}.  A pair keeps the factor L of its positivity gate and
 solves once, on first use (`HermitianPair.eigensystem`), checked against
 the residual gate RESIDUAL_REL; `relative_spectrum` and `phase_of_pair` read
 that solve.  Pairs are read from JSON by `serialize.parse_pair`.
+
+The Hermiticity gate scans each matrix once: its largest |entry| is both
+the finiteness test and the scale.  Only outside (2^-200, 2^200) does it
+rescale by a power of two before taking norms, which keeps them finite
+near 1e308 and their ratio's bits near 1e-308; inside, the rescale changes
+no bit.  A range of 2^+-500 would: at max |entry| near 1e-150 a deviation
+near HERMITICITY_REL squares to a subnormal and prints differently.  The
+norms of both gates are the arithmetic np.linalg.norm runs, without its
+dispatch, so every decision, message and result keeps its bits.
 """
 
 from __future__ import annotations
@@ -27,18 +36,28 @@ HERMITICITY_REL = 1e-12
 RESIDUAL_REL = 1e-9
 
 
+def _frobenius(x: np.ndarray) -> float:
+    """np.linalg.norm(x) of a C-contiguous complex x, without its dispatch."""
+    x = x.ravel()
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
 def _hermitized(m: np.ndarray, name: str) -> np.ndarray:
     """Symmetrise round-trip noise below HERMITICITY_REL; reject more."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise InvalidPairError(f"{name} must be a non-empty square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidPairError(f"{name} has a non-finite entry (NaN or inf)")
-    # a power-of-two scale keeps the norms finite near 1e308 and their ratio's bits
     parts = np.ascontiguousarray(m).view(float)
-    s = np.ldexp(parts, -math.frexp(np.abs(parts).max(initial=0.0))[1]).view(complex)
-    dev = np.linalg.norm(s - s.conj().T)
-    scale = np.linalg.norm(s)
+    top = np.abs(parts).max(initial=0.0)  # one scan: NaN or inf makes it non-finite
+    if not math.isfinite(top):
+        raise InvalidPairError(f"{name} has a non-finite entry (NaN or inf)")
+    s = parts.view(complex)
+    if not 2.0**-200 < top < 2.0**200:
+        # a power-of-two scale keeps the norms finite and their ratio's bits;
+        # inside 2^+-200 it changes no bit, but not inside 2^+-500 (module doc)
+        s = np.ldexp(parts, -math.frexp(top)[1]).view(complex)
+    dev = _frobenius(s - s.conj().T)
+    scale = _frobenius(s)
     if dev > HERMITICITY_REL * scale:
         raise InvalidPairError(f"{name} is not Hermitian: relative deviation {dev / scale:.3e}")
     half = (0.5 * parts).view(complex)  # exact, no overflow; unlike 0.5 * m, keeps -0.0
@@ -54,12 +73,13 @@ def cholesky_lower(g: np.ndarray) -> np.ndarray:
     # on failure only: pivot j is det G[:j+1, :j+1] / det G[:j, :j]; report the first
     # one that is not positive, or the last one if rounding in the minors hides it
     prev = 1.0
-    for j in range(g.shape[0]):
-        det = np.linalg.det(g[: j + 1, : j + 1]).real
-        pivot = det / prev
-        if not pivot > 0.0:
-            break
-        prev = det
+    with np.errstate(over="ignore", invalid="ignore"):  # minors near 1e308 overflow
+        for j in range(g.shape[0]):
+            det = np.linalg.det(g[: j + 1, : j + 1]).real
+            pivot = det / prev
+            if not pivot > 0.0:
+                break
+            prev = det
     raise InvalidPairError(
         f"metric is not positive definite: Cholesky pivot {j} is {pivot:.6e}"
     )
@@ -105,8 +125,11 @@ class HermitianPair:
             except np.linalg.LinAlgError as exc:
                 raise ConvergenceError(f"eigensolve failed: {exc}") from exc
             u = inv.conj().T @ v
-            norm_a = max(float(np.linalg.norm(self.A, 2)), 1e-300)
-            residuals = np.linalg.norm(self.A @ u - (self.G @ u) * w, axis=0)
+            # ||A||_2 and the column norms as np.linalg.norm computes them; amax
+            # propagates a NaN singular value, so the gate below rejects it
+            norm_a = max(float(np.linalg.svd(self.A, compute_uv=False).max()), 1e-300)
+            r = self.A @ u - (self.G @ u) * w
+            residuals = np.sqrt(np.add.reduce((r.conj() * r).real, axis=0))
             worst = float(np.max(residuals, initial=0.0))
         rel = worst / norm_a
         if not rel <= RESIDUAL_REL:  # NaN fails too, and inf / inf is NaN

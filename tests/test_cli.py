@@ -2,15 +2,19 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dhym.cli import MAX_SAMPLES, main
-from dhym.serialize import dumps, format_float, load_json, parse_profile
+from dhym.serialize import dumps, format_float, load_json, parse_pair, parse_profile
+
+PAIR_2345 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "pair_2345.json")
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +172,86 @@ def test_consistency_cli(capsys):
     report = json.loads(out)
     assert report["pass"] is True
     assert report["theta_alg"] == pytest.approx(5.05541292, abs=1e-8)
+
+
+def test_consistency_pair_cli(capsys):
+    code, out = run_cli(capsys, "consistency", "--pair", PAIR_2345)
+    assert code == 0
+    report = json.loads(out)
+    eigenvalues = ",".join(map(repr, report["lambda"]))
+    _, by_lambda = run_cli(capsys, "consistency", "--lambda", eigenvalues)
+    # the --lambda report of the pair's spectrum, then the solve's diagnostics
+    assert [*json.loads(by_lambda)][:-1] == [*report][:-3]
+    assert [*report][-3:] == ["residual_rel", "cond_G", "pass"]
+    assert report["lambda"] == pytest.approx([2.0, 3.0, 4.0, 5.0], rel=1e-14)
+    assert report["phase"] == pytest.approx(5.0554129208, abs=1e-9)
+    assert report["pass"] is True
+    pair = parse_pair(load_json(PAIR_2345))
+    assert report["residual_rel"] == pair.eigensystem[2] <= 1e-9
+    assert report["cond_G"] == np.linalg.cond(pair.G)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--lambda", "2,3,4,5", "--pair", PAIR_2345], []],
+    ids=["both", "neither"],
+)
+def test_consistency_takes_lambda_or_pair(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["consistency", *argv])
+    assert exc.value.code == 2
+    assert "--lambda" in capsys.readouterr().err
+
+
+def _matrix(re, im=None) -> dict:
+    n = len(re)
+    return {"dim": n, "re": re, "im": im or [[0] * n for _ in range(n)]}
+
+
+_EYE2 = _matrix([[1, 0], [0, 1]])
+_EYE3 = _matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+#: pair file -> (error, message) of `consistency --pair`
+BAD_PAIRS = {
+    "indefinite-G": (
+        {"G": _matrix([[1, 0], [0, -1]]), "A": _EYE2},
+        ("InvalidPairError", "metric is not positive definite: Cholesky pivot 1 is -1.000000e+00"),
+    ),
+    "non-hermitian-A": (
+        {"G": _EYE2, "A": _matrix([[1, 2], [0, 1]])},
+        ("InvalidPairError", "A is not Hermitian: relative deviation 1.155e+00"),
+    ),
+    "empty": (
+        {"G": _matrix([]), "A": _matrix([])},
+        ("InvalidPairError", "G must be a non-empty square matrix, got shape (0, 0)"),
+    ),
+    "dim-mismatch": (
+        {"G": _EYE2, "A": _EYE3},
+        ("InvalidPairError", "shape mismatch: G (2, 2) vs A (3, 3)"),
+    ),
+    "malformed": ({"G": _EYE2}, ("DomainError", "malformed matrix pair: 'A'")),
+    "subnormal-G": (
+        {"G": _matrix([[1e-310, 0, 0], [0, 1e-310, 0], [0, 0, 1e-310]]), "A": _EYE3},
+        ("ConvergenceError", "eigenpair residual nan exceeds 1.0e-09 * ||A||"),
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("document, error", BAD_PAIRS.values(), ids=BAD_PAIRS.keys())
+def test_consistency_bad_pair_exit_2(capsys, tmp_path, document, error):
+    code = main(["consistency", "--pair", write(tmp_path / "pair.json", document)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out) == {"error": error[0], "message": error[1]}
+    assert captured.err == ""
+
+
+def test_consistency_unreadable_pair_exit_2(capsys, tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_bytes(b'{"G": ')
+    code, out = run_cli(capsys, "consistency", "--pair", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "DomainError"
 
 
 def test_determinism_byte_identical(capsys):
@@ -385,6 +469,13 @@ _json = st.recursive(
     max_leaves=12,
 )
 _floats = st.lists(_numbers, max_size=6)
+_matrices = st.fixed_dictionaries(
+    {
+        "dim": st.integers(-1, 4) | _json,
+        "re": st.lists(_floats, max_size=4) | _json,
+        "im": st.lists(_floats, max_size=4) | _json,
+    }
+)
 _shaped = st.one_of(
     st.fixed_dictionaries(
         {"n": st.integers(-1, 6) | _json, "d": _floats}, optional={"synthetic": _json}
@@ -401,6 +492,7 @@ _shaped = st.one_of(
     st.fixed_dictionaries(
         {"model": st.just("blowup_p3"), "omega": _floats | _json, "alpha": _floats | _json}
     ),
+    st.fixed_dictionaries({"G": _matrices, "A": _matrices}),
 )
 _documents = st.one_of(
     (_json | _shaped).map(_json_bytes),
@@ -450,6 +542,7 @@ def test_outside_input_keeps_exit_code_contract(tmp_path, document, samples, eig
         ["kt", "--profile", f],
         ["model", "--spec", f],
         ["consistency", f"--lambda={eigenvalues}"],
+        ["consistency", "--pair", f],
     ):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):

@@ -3,11 +3,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dhym import HermitianPair, lagrangian_phase, phase_of_pair, relative_spectrum
 from dhym import hermitian
 from dhym.errors import ConvergenceError, InvalidPairError
-from dhym.hermitian import RESIDUAL_REL, _hermitized
+from dhym.hermitian import HERMITICITY_REL, RESIDUAL_REL, _hermitized
 
 
 def random_hermitian(rng, dim):
@@ -70,6 +72,13 @@ def test_rejects_indefinite_metric():
         HermitianPair(g, np.eye(2))
     with pytest.raises(InvalidPairError, match=r"pivot 2 is -3\.000000e\+00"):
         HermitianPair(np.diag([1.0, 2.0, -3.0]), np.eye(3))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_indefinite_metric_near_overflow_warns_nothing():
+    # the leading minor det G[:2, :2] = -1e616 overflows a double
+    with pytest.raises(InvalidPairError, match="pivot 1 is -inf"):
+        HermitianPair(np.array([[1.0, 1e308], [1e308, 0.0]]), np.eye(2))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -200,15 +209,15 @@ def test_hermitized_bits_match_plain_symmetrisation():
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize(
-    "g, a",
-    [
-        (1e-310 * np.eye(3), np.eye(3)),  # subnormal metric: NaN residuals
-        (np.eye(3), np.full((3, 3), 1e308)),  # eigenvalue 3e308 overflows
-        (1e-310 * np.eye(3), np.ones((3, 3))),  # eigh itself fails to converge
-        (1e10 * np.eye(3), np.full((3, 3), 1e308)),  # ||A||_2 and the residual norm overflow
-    ],
-)
+NON_FINITE_SOLVES = [
+    (1e-310 * np.eye(3), np.eye(3)),  # subnormal metric: NaN residuals
+    (np.eye(3), np.full((3, 3), 1e308)),  # eigenvalue 3e308 overflows
+    (1e-310 * np.eye(3), np.ones((3, 3))),  # eigh itself fails to converge
+    (1e10 * np.eye(3), np.full((3, 3), 1e308)),  # ||A||_2 and the residual norm overflow
+]
+
+
+@pytest.mark.parametrize("g, a", NON_FINITE_SOLVES)
 def test_non_finite_solve_raises_convergence_error(g, a):
     pair = HermitianPair(g, a)
     for _ in range(2):  # a failed solve is not cached
@@ -256,3 +265,147 @@ def test_one_solve_per_pair(monkeypatch):
         assert w is spectrum
         assert u.tobytes() == (inv.conj().T @ v).tobytes()
         assert phase == lagrangian_phase(tuple(want))
+
+
+def reference_hermitized(m, name):
+    """The Hermiticity gate with its power-of-two rescale on every matrix and
+    np.linalg.norm for both norms: what `_hermitized` reproduces bit for bit."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise InvalidPairError(f"{name} must be a non-empty square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InvalidPairError(f"{name} has a non-finite entry (NaN or inf)")
+    parts = np.ascontiguousarray(m).view(float)
+    s = np.ldexp(parts, -math.frexp(np.abs(parts).max(initial=0.0))[1]).view(complex)
+    dev = np.linalg.norm(s - s.conj().T)
+    scale = np.linalg.norm(s)
+    if dev > HERMITICITY_REL * scale:
+        raise InvalidPairError(f"{name} is not Hermitian: relative deviation {dev / scale:.3e}")
+    half = (0.5 * parts).view(complex)
+    return half + half.conj().T
+
+
+def reference_eigensystem(pair):
+    """`HermitianPair.eigensystem` with np.linalg.norm for ||A||_2 and the
+    residual column norms, as (eigenvalues, eigenvectors, rel)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = np.linalg.inv(pair.L)
+        try:
+            w, v = np.linalg.eigh(inv @ pair.A @ inv.conj().T)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"eigensolve failed: {exc}") from exc
+        u = inv.conj().T @ v
+        norm_a = max(float(np.linalg.norm(pair.A, 2)), 1e-300)
+        residuals = np.linalg.norm(pair.A @ u - (pair.G @ u) * w, axis=0)
+        worst = float(np.max(residuals, initial=0.0))
+    rel = worst / norm_a
+    if not rel <= RESIDUAL_REL:
+        raise ConvergenceError(
+            f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_REL:.1e} * ||A||"
+        )
+    return w, u, rel
+
+
+def gate_outcome(gate, m):
+    """("ok", bytes, shape) of the symmetrised matrix, or the error message."""
+    try:
+        out = gate(m, "A")
+    except InvalidPairError as exc:
+        return "InvalidPairError", str(exc)
+    return "ok", out.tobytes(), out.shape
+
+
+#: the 2^+-200 edges of the unscaled range, and the whole double range
+_exponents = st.one_of(
+    st.sampled_from([-201, -200, -199, 199, 200, 201]), st.integers(-1074, 1023)
+)
+
+#: how far below the top scale an entry sits: not at all, a little, or anywhere
+_shifts = st.one_of(st.just(0), st.integers(0, 64), st.integers(0, 2100))
+
+
+@st.composite
+def near_hermitian(draw):
+    """A Hermitian matrix with entries up to 2^top in magnitude (top in
+    -1074..1023) at mixed scales, +-0.0 included; then perhaps one deviation
+    near HERMITICITY_REL or one non-finite entry; in C, F or strided layout."""
+    dim = draw(st.integers(1, 5))
+    top = draw(_exponents)
+    unit = st.floats(-1.0, 1.0)  # includes +-0.0 and +-1.0
+    m = np.empty((dim, dim), complex)
+    for i in range(dim):
+        for j in range(i, dim):
+            re = math.ldexp(draw(unit), top - draw(_shifts))
+            if j > i:
+                im = math.ldexp(draw(unit), top - draw(_shifts))
+            else:
+                im = draw(st.sampled_from([0.0, -0.0]))
+            m[i, j] = complex(re, im)
+            m[j, i] = m[i, j].conjugate()
+    i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+    rel = draw(st.one_of(st.just(0.0), st.floats(-14.0, -10.0).map(lambda x: 10.0**x)))
+    if rel:
+        m[i, j] += rel * math.ldexp(1.0, top) * draw(st.sampled_from([1.0, 1j, -1 + 1j]))
+    bad = draw(st.sampled_from([None] * 5 + [math.nan, math.inf, -math.inf]))
+    if bad is not None:
+        m.real[i, j] = bad
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        m = np.asfortranarray(m)
+    elif layout == "strided":
+        wide = np.zeros((dim, 2 * dim), complex)
+        wide[:, ::2] = m
+        m = wide[:, ::2]
+    return m
+
+
+@settings(max_examples=500, deadline=None)
+@given(near_hermitian())
+# max |entry| about 1e-150 and a relative deviation about 1.4e-11: the
+# deviation squares to a subnormal, so leaving this matrix unscaled (as a
+# range of 2^+-500 would) prints 1.415e-11 where the rescaled gate prints 1.414e-11
+@example(np.array([[1e-150, 1.00000000002e-150], [1e-150, 1e-150]]))
+def test_hermitized_bits_match_always_rescaled_reference(m):
+    assert gate_outcome(_hermitized, m) == gate_outcome(reference_hermitized, m)
+
+
+def times_power_of_two(m, e):
+    """m * 2**e, exact unless an entry leaves the normal range."""
+    return np.ldexp(np.ascontiguousarray(m).view(float), e).view(complex)
+
+
+def test_eigensystem_bits_match_norm_reference():
+    rng = np.random.default_rng(10)
+    pairs = list(NON_FINITE_SOLVES)
+    for _ in range(300):
+        dim = int(rng.integers(2, 6))
+        cond = 10.0 ** rng.uniform(0.0, 8.0)
+        s = np.concatenate(([1.0, cond], cond ** rng.uniform(0.0, 1.0, size=dim - 2)))
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        g, a = (q * s) @ q.conj().T, random_hermitian(rng, dim)
+        eg, ea = (int(e) for e in rng.integers(-300, 301, size=2))
+        pairs.append((times_power_of_two(g, eg), times_power_of_two(a, ea)))
+    for g, a in pairs:
+        pair = HermitianPair(g, a)
+        try:
+            w, u, rel = reference_eigensystem(pair)
+        except ConvergenceError as exc:
+            with pytest.raises(ConvergenceError) as got:
+                pair.eigensystem
+            assert str(got.value) == str(exc)
+            continue
+        spectrum, vectors, residual = pair.eigensystem
+        assert np.asarray(spectrum.values).tobytes() == w.tobytes()
+        assert vectors.tobytes() == u.tobytes()
+        assert residual == rel
+
+
+def test_nan_singular_value_fails_the_residual_gate(monkeypatch):
+    # ||A||_2 is the largest singular value with NaN propagated, as amax does;
+    # the first one (inf here) would make the relative residual 0 and pass
+    pair = HermitianPair(np.eye(2), np.eye(2))
+    monkeypatch.setattr(
+        hermitian.np.linalg, "svd", lambda a, compute_uv: np.array([math.inf, math.nan])
+    )
+    with pytest.raises(ConvergenceError, match="residual"):
+        pair.eigensystem
