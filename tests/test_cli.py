@@ -203,9 +203,9 @@ def test_consistency_takes_lambda_or_pair(capsys, argv):
     assert "--lambda" in capsys.readouterr().err
 
 
-def _matrix(re, im=None) -> dict:
+def _matrix(re) -> dict:
     n = len(re)
-    return {"dim": n, "re": re, "im": im or [[0] * n for _ in range(n)]}
+    return {"dim": n, "re": re, "im": [[0] * n for _ in range(n)]}
 
 
 _EYE2 = _matrix([[1, 0], [0, 1]])
@@ -244,14 +244,6 @@ def test_consistency_bad_pair_exit_2(capsys, tmp_path, document, error):
     assert code == 2
     assert json.loads(captured.out) == {"error": error[0], "message": error[1]}
     assert captured.err == ""
-
-
-def test_consistency_unreadable_pair_exit_2(capsys, tmp_path):
-    path = tmp_path / "pair.json"
-    path.write_bytes(b'{"G": ')
-    code, out = run_cli(capsys, "consistency", "--pair", str(path))
-    assert code == 2
-    assert json.loads(out)["error"] == "DomainError"
 
 
 def test_determinism_byte_identical(capsys):
