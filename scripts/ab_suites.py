@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Time two dhym source trees against each other in one process.
+
+Loads PARENT_SRC/dhym and CHANGE_SRC/dhym as two packages under different
+names, then runs a seeded mix of `dhym sample --theta T --count 1000` and
+`dhym kt --count 1000` through each tree's cli.main in turn.  The mix is
+built as perfbench's mc_window workload builds its operations for the
+same seed.  Each round runs every operation through both trees, and the
+rounds alternate which tree goes first.  Every operation must print the
+same bytes and exit code in both trees.  Prints, per operation kind, the
+median microseconds per operation of each tree (the median over rounds of
+each round's median), their ratio and the rounds the change was faster in.
+
+    python scripts/ab_suites.py PARENT_SRC CHANGE_SRC --rounds 6 --ops 400
+
+In one process both trees run on the same CPU speed, which on a shared
+machine drifts between separate runs by more than a 10 % change.
+"""
+
+import argparse
+import contextlib
+import importlib
+import importlib.util
+import io
+import math
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+
+def load_tree(src, name):
+    """Import SRC/dhym as the package `name`; its relative imports stay
+    inside that tree.  Returns the package."""
+    pkg = Path(src) / "dhym"
+    if not (pkg / "__init__.py").is_file():
+        raise SystemExit(f"no dhym package under {src}")
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def op_mix(n_ops, seed, count=1000):
+    """argv of n_ops operations: sample at even positions, kt at odd ones."""
+    rng = np.random.default_rng([seed, 1])
+    thetas = rng.uniform(math.pi + 0.01, 2.0 * math.pi - 0.01, size=(n_ops + 1) // 2)
+    seeds = rng.integers(0, 2**31, size=n_ops)
+    ops = []
+    for i in range(n_ops):
+        argv = ["sample", "--theta", repr(float(thetas[i // 2]))] if i % 2 == 0 else ["kt"]
+        ops.append(argv + ["--count", str(count), "--seed", str(int(seeds[i]))])
+    return ops
+
+
+def run(cli, argv):
+    """(exit code, stdout, seconds) of one in-process CLI call."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        start = time.perf_counter()
+        code = cli.main(list(argv))
+        elapsed = time.perf_counter() - start
+    return code, buf.getvalue(), elapsed
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent_src", help="src directory holding the parent's dhym package")
+    ap.add_argument("change_src", help="src directory holding the change's dhym package")
+    ap.add_argument("--rounds", type=int, default=6)
+    ap.add_argument("--ops", type=int, default=400, help="operations per round")
+    ap.add_argument("--seed", type=int, default=1831)
+    args = ap.parse_args(argv)
+
+    trees = {
+        side: importlib.import_module(f"{load_tree(src, f'dhym_{side}').__name__}.cli")
+        for side, src in (("parent", args.parent_src), ("change", args.change_src))
+    }
+    ops = op_mix(args.ops, args.seed)
+    for argv_ in ops[:2]:  # warm-up: the parser cache and first-call imports
+        for cli in trees.values():
+            run(cli, argv_)
+
+    kinds = sorted({argv_[0] for argv_ in ops})
+    medians = {(side, kind): [] for side in trees for kind in kinds}
+    for r in range(args.rounds):
+        order = list(trees) if r % 2 == 0 else list(trees)[::-1]
+        times = {key: [] for key in medians}
+        for argv_ in ops:
+            out = {}
+            for side in order:
+                code, text, elapsed = run(trees[side], argv_)
+                out[side] = (code, text)
+                times[side, argv_[0]].append(elapsed)
+            if out["parent"] != out["change"]:
+                raise SystemExit(f"outputs differ for {' '.join(argv_)}")
+        for key, ts in times.items():
+            medians[key].append(statistics.median(ts) * 1e6)
+
+    print(f"{len(ops)} ops x {args.rounds} rounds, seed {args.seed}; every output byte-equal")
+    print("kind    parent_us  change_us  change/parent  change_faster_rounds")
+    for kind in kinds:
+        parent, change = medians["parent", kind], medians["change", kind]
+        p, c = statistics.median(parent), statistics.median(change)
+        faster = sum(b < a for a, b in zip(parent, change))
+        print(f"{kind:<7} {p:9.1f}  {c:9.1f}  {c / p:13.3f}  {faster} of {args.rounds}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -166,11 +166,10 @@ def phase_rows(lam: np.ndarray) -> np.ndarray:
     The arctangents come from math.atan: np.arctan differs from it in the
     last bit on about 0.1 % of doubles.
     """
-    atan = np.fromiter(map(math.atan, lam.ravel().tolist()), float, lam.size)
-    atan = atan.reshape(lam.shape)
-    theta = np.zeros(lam.shape[0])
-    for j in range(lam.shape[1]):
-        theta += atan[:, j]
+    m = lam.shape[0]
+    theta = np.zeros(m)
+    for col in lam.T:
+        theta += np.fromiter(map(math.atan, col.tolist()), float, m)
     return theta
 
 
@@ -325,7 +324,13 @@ def branch_blocks(lam: np.ndarray, e: np.ndarray, thetas: np.ndarray, phase: np.
         i = outside.argmax()
         raise PhaseOutsideBranchError(float(phase[i]), _FOUR_FOLD[which[i]])
     groups = [(b, np.flatnonzero(which == k)) for k, b in enumerate(_FOUR_FOLD)]
-    return [(rows, _branch_margins(lam[rows], e[rows], b)) for b, rows in groups if rows.size]
+    # take along the columns keeps each branch's rows F-ordered; lam[rows]
+    # and lam.T[:, rows].T both return C-ordered copies
+    return [
+        (rows, _branch_margins(lam.T.take(rows, axis=1).T, e.T.take(rows, axis=1).T, b))
+        for b, rows in groups
+        if rows.size
+    ]
 
 
 def branch_for_phase(theta: float, n: int = 4) -> Branch:

@@ -12,7 +12,10 @@ The margin expressions of every pointwise and Chern/KT check live in one
 table, ``MARGINS``, evaluated over arrays of rows: sorted eigenvalue rows
 with their sigma rows for the branch checks, profile rows ``d`` for the
 rest.  A scalar check is the table on one row; the suites evaluate it one
-row block at a time and fold the columns into a ``Tally``.
+row block at a time and fold the columns into a ``Tally``.  The table is
+column-major: ``compare_rows`` allocates every (m, K) array F-ordered, so
+each entry is one contiguous column write and each per-entry reduction of
+the fold reads contiguous columns, like the F-ordered row blocks that feed it.
 """
 
 from __future__ import annotations
@@ -122,7 +125,8 @@ def compare_rows(label: str, entries) -> Margins:
     tolerated) or ``"=="`` (equality within the boundary tolerance).
     """
     shape = (len(entries[0].lhs), len(entries))
-    lhs, rhs, present = np.empty(shape), np.empty(shape), np.ones(shape, dtype=bool)
+    lhs, rhs = np.empty(shape, order="F"), np.empty(shape, order="F")
+    present = np.ones(shape, dtype=bool, order="F")
     for k, entry in enumerate(entries):
         if entry.relation not in (">", ">=", "=="):
             raise ValueError(f"unknown relation {entry.relation!r}")
@@ -133,8 +137,9 @@ def compare_rows(label: str, entries) -> Margins:
     tol = BOUNDARY_REL * np.maximum(np.abs(lhs), np.abs(rhs))
     boundary = np.abs(margin) <= tol
     names, relations = (tuple(x) for x in zip(*((e.name, e.relation) for e in entries)))
-    strict, loose = (np.array([r == rel for r in relations]) for rel in (">", ">="))
-    passed = np.where(strict, margin > 0.0, np.where(loose, margin >= -tol, boundary))
+    # relations are validated above, so the three masks partition the columns
+    strict, loose, equal = (np.array([r == rel for r in relations]) for rel in (">", ">=", "=="))
+    passed = (strict & (margin > 0.0)) | (loose & (margin >= -tol)) | (equal & boundary)
     return Margins(label, names, relations, lhs, rhs, margin, passed, boundary, present)
 
 
@@ -265,10 +270,13 @@ class Tally:
             for k, exists in enumerate(mg.present.any(axis=0).tolist()):
                 if exists:
                     seen.append((first[k], b, k, keys[k], low[k]))
-            # np.nonzero walks row-major, so each block's first FAILURE_CAP suffice
-            r, c = (x[:FAILURE_CAP] for x in np.nonzero(mg.present & ~mg.passed))
-            hits = zip(rows[r].tolist(), c.tolist(), mg.margin[r, c].tolist())
-            fails += [(i, b, k, keys[k], m) for i, k, m in hits]
+            failed = mg.present & ~mg.passed
+            if failed.any():
+                # np.nonzero walks row-major whatever the layout, so each
+                # block's first FAILURE_CAP suffice
+                r, c = (x[:FAILURE_CAP] for x in np.nonzero(failed))
+                hits = zip(rows[r].tolist(), c.tolist(), mg.margin[r, c].tolist())
+                fails += [(i, b, k, keys[k], m) for i, k, m in hits]
         for f, (key, rows) in enumerate(flags):
             fails += [(i, len(blocks) + f, 0, key, 0.0) for i in rows[:FAILURE_CAP].tolist()]
         for *_, key, low in sorted(seen):

@@ -6,10 +6,13 @@ both exact, so a report equals one pass over all rows.  The identity suite
 draws each block as it folds it; the theorem and KT suites draw first.
 Rows are sorted in place by eigen.sort_rows, a block at a time in the
 identity and KT suites and by the sampler in the theorem suite.  Every row
-block is column-major (F-ordered): the identity and KT suites turn each
-drawn block into F-order once before sorting it, the sampler returns
-F-ordered rows, and sigma_rows builds F-ordered sigma rows, so the sort,
-the sigma recurrence and the checks read and write contiguous columns.
+block is column-major (F-ordered) from the draw to the fold: the identity
+and KT suites turn each drawn block into F-order once before sorting it,
+the sampler returns F-ordered rows, sigma_rows builds F-ordered sigma rows,
+the branch rows and the KT suite's kept rows are gathered column by
+column, and the margin table is F-ordered, so the sort, the sigma
+recurrence and the checks read and write contiguous columns.  The KT suite
+stops drawing at its count-th kept row.
 The checks are the row forms that the scalar API evaluates on a single
 row, so the code paths a user calls are the ones being certified:
 phase_component_rows, factorization_rows and constant_model_rows behind
@@ -27,6 +30,7 @@ import numpy as np
 
 from .charge import _im_root
 from .eigen import (
+    ROW_BLOCK,
     TWO_PI,
     branch_blocks,
     factorization_rows,
@@ -258,31 +262,39 @@ class KtSuiteReport(_SuiteReport):
 def kt_suite(count: int, seed: int) -> KtSuiteReport:
     """KT chain on random constant models with Gamma-cone order >= 3.
 
-    Tuples are drawn uniformly from [-SPAN, SPAN]^4, in passes of
-    max(4096, count), and kept when sigma_1, sigma_2, sigma_3 > 0; every
-    kt_chain entry must pass on the first `count` kept constant models.
+    Tuples are drawn uniformly from [-SPAN, SPAN]^4 and kept when
+    sigma_1, sigma_2, sigma_3 > 0; every kt_chain entry must pass on the
+    first `count` kept constant models.  The draw stops at the count-th
+    kept row, in chunks sized from the acceptance so far; `attempts`
+    counts whole passes of max(4096, count) draws, which is what drawing
+    whole passes until `count` rows were kept reported.
     """
     if count < 1:
         raise DomainError(f"suite count must be >= 1, got {count}")
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    kept, n_kept, attempts = [], 0, 0
+    block = max(4096, count)
+    kept, n_kept, drawn = [], 0, 0
     while n_kept < count:
-        block = max(4096, count)
-        for blk in row_blocks(block):
-            lam = np.asfortranarray(rng.uniform(-SPAN, SPAN, size=(blk.stop - blk.start, 4)))
-            e = sigma_rows(sort_rows(lam))
-            kept.append(e[gamma_cone_rows(e) >= 3])
-            n_kept += len(kept[-1])
-        attempts += block
-    e = np.concatenate(kept)[:count]
+        # the rows still needed at the acceptance so far, plus 1/8 and 64,
+        # within ROW_BLOCK and the pass; uniform fills sequentially, so the
+        # chunks are the rows of the pass draws
+        want = (count - n_kept) * drawn // n_kept * 9 // 8 + 64 if n_kept else ROW_BLOCK
+        size = min(want, ROW_BLOCK, block - drawn % block)
+        lam = np.asfortranarray(rng.uniform(-SPAN, SPAN, size=(size, 4)))
+        e = sigma_rows(sort_rows(lam))
+        # kept as columns: e.T[:, mask] and e[mask] would copy row-major
+        kept.append(e.T.compress(gamma_cone_rows(e) >= 3, axis=1))
+        n_kept += kept[-1].shape[1]
+        drawn += size
+    e = np.concatenate(kept, axis=1)[:, :count].T
     fold = Tally(qualified=False)
     for blk in row_blocks(count):
         d = constant_model_rows(e[blk])
         fold.add([(np.arange(blk.start, blk.stop), evaluate("kt_chain", d))])
     return KtSuiteReport(
         count=count,
-        attempts=attempts,
+        attempts=block * -(-drawn // block),  # whole passes, as the report counts them
         min_margins=fold.mins,
         failures=fold.failures,
         elapsed=time.perf_counter() - start,

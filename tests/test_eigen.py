@@ -324,10 +324,18 @@ def test_sigma_rows_are_column_major():
 
 
 def test_phase_rows_bit_equal_on_either_layout():
-    lam = np.random.default_rng(4).standard_normal((1001, 4)) * 10.0 ** np.arange(-3, 5, 2)
-    want = phase_rows(lam)
-    assert np.array_equal(_bits(phase_rows(np.asfortranarray(lam))), _bits(want))
-    assert np.array_equal(_bits(phase_rows(_in_layout(lam, "F rows")[0])), _bits(want))
+    # row by row against the scalar fold, on sorted rows of widths 3 and 4
+    # held row-major, column-major, as rows of a larger F block, and as
+    # every other row of a C block
+    rng = np.random.default_rng(4)
+    for width in (3, 4):
+        scale = 10.0 ** rng.integers(-3, 5, size=(1001, width))
+        lam = np.sort(rng.standard_normal((1001, width)) * scale, axis=1)
+        want = np.array([lagrangian_phase(row) for row in lam.tolist()])
+        held = [_in_layout(lam, layout)[0] for layout in ("C", "F", "F rows")]
+        held.append(np.repeat(lam, 2, axis=0)[::2])
+        for got in map(phase_rows, held):
+            assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_sort_rows_mixed_zeros_value_equal():

@@ -33,10 +33,20 @@ from dhym import (
     phase_components,
     weighted_model,
 )
-from dhym.eigen import as_eigen, factorization_rows, phase_component_rows, phase_rows, sigma_rows
+from dhym import eigen
+from dhym.eigen import (
+    _FOUR_FOLD,
+    as_eigen,
+    branch_blocks,
+    factorization_rows,
+    phase_component_rows,
+    phase_rows,
+    sigma_rows,
+)
 from dhym.errors import PhaseOutsideBranchError, UndefinedAngleError
 from dhym.models import constant_model_rows
 from dhym.reports import FAILURE_CAP, Margin, Margins, Tally, compare_rows, evaluate
+from dhym.sampling import sample_level_set_batch
 
 REL = 1e-12
 
@@ -456,3 +466,148 @@ def test_analytic_angle_matches_scalar_reference(row):
             analytic_angle_from_integrals(p)
     else:
         assert analytic_angle_from_integrals(p).hex() == want.hex()
+
+
+# -- the column-major margin table against the row-major one it replaced ------
+
+
+def reference_compare_rows(label, entries):
+    """compare_rows with C-ordered (m, K) blocks and the pass column picked
+    by a nested np.where over the relation masks."""
+    shape = (len(entries[0].lhs), len(entries))
+    lhs, rhs, present = np.empty(shape), np.empty(shape), np.ones(shape, dtype=bool)
+    for k, entry in enumerate(entries):
+        lhs[:, k], rhs[:, k] = entry.lhs, entry.rhs
+        if entry.present is not None:
+            present[:, k] = entry.present
+    margin = lhs - rhs
+    tol = REL * np.maximum(np.abs(lhs), np.abs(rhs))
+    boundary = np.abs(margin) <= tol
+    names, relations = (tuple(x) for x in zip(*((e.name, e.relation) for e in entries)))
+    strict, loose = (np.array([r == rel for r in relations]) for rel in (">", ">="))
+    passed = np.where(strict, margin > 0.0, np.where(loose, margin >= -tol, boundary))
+    return Margins(label, names, relations, lhs, rhs, margin, passed, boundary, present)
+
+
+class ReferenceTally(Tally):
+    """Tally.add scanning every block for failures, failing or not."""
+
+    def add(self, blocks, flags=()):
+        seen, fails = [], []
+        for b, (rows, mg) in enumerate(blocks):
+            keys = [f"{mg.label}.{name}" if self.qualified else name for name in mg.names]
+            masked = np.where(mg.present, mg.margin, np.inf)
+            low = masked[masked.argmin(axis=0), np.arange(len(keys))].tolist()
+            first = rows[mg.present.argmax(axis=0)].tolist()
+            for k, exists in enumerate(mg.present.any(axis=0).tolist()):
+                if exists:
+                    seen.append((first[k], b, k, keys[k], low[k]))
+            r, c = (x[:FAILURE_CAP] for x in np.nonzero(mg.present & ~mg.passed))
+            hits = zip(rows[r].tolist(), c.tolist(), mg.margin[r, c].tolist())
+            fails += [(i, b, k, keys[k], m) for i, k, m in hits]
+        for f, (key, rows) in enumerate(flags):
+            fails += [(i, len(blocks) + f, 0, key, 0.0) for i in rows[:FAILURE_CAP].tolist()]
+        for *_, key, low in sorted(seen):
+            self.mins[key] = min(self.mins.get(key, low), low)
+        fails = sorted(fails)[: FAILURE_CAP - len(self.failures)]
+        self.failures += tuple((i, key, m) for i, _, _, key, m in fails)
+
+
+# a small pool makes ties, signed zeros and non-finite margins common
+cells = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.0 + 1e-12, math.inf, -math.inf, math.nan, 1e308]),
+    st.floats(),
+)
+
+
+def columns(m):
+    return st.lists(cells, min_size=m, max_size=m).map(np.array)
+
+
+@st.composite
+def margin_entries(draw, m=None):
+    """1-5 entries over m rows: every relation, a constant or a column on
+    the right, and absent rows."""
+    m = draw(st.integers(1, 24)) if m is None else m
+    return [
+        Margin(
+            f"e{k}",
+            draw(columns(m)),
+            draw(cells | columns(m)),
+            draw(st.sampled_from([">", ">=", "=="])),
+            draw(st.none() | st.lists(st.booleans(), min_size=m, max_size=m).map(np.array)),
+        )
+        for k in range(draw(st.integers(1, 5)))
+    ]
+
+
+def assert_same_margins(got, want):
+    assert got[:3] == want[:3]
+    for a, b in zip(got[3:], want[3:]):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()  # every bit, NaN payloads and -0.0 included
+
+
+@settings(max_examples=200, deadline=None)
+@given(margin_entries())
+def test_compare_rows_bits_match_row_major_reference(entries):
+    with np.errstate(all="ignore"):
+        got, want = compare_rows("x", entries), reference_compare_rows("x", entries)
+    assert_same_margins(got, want)
+    assert all(a.flags.f_contiguous for a in got[3:])
+
+
+@st.composite
+def tally_folds(draw):
+    """Row blocks of ascending samples, each with 1-3 entry blocks over
+    subsets of its rows and a flag over another subset."""
+    folds, start = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 24))
+        samples = np.arange(start, start + n)
+        blocks = []
+        for _ in range(draw(st.integers(1, 3))):
+            rows = samples[draw(st.lists(st.booleans(), min_size=n, max_size=n).map(np.array))]
+            if rows.size:
+                blocks.append((rows, draw(margin_entries(rows.size))))
+        flag = samples[draw(st.lists(st.booleans(), min_size=n, max_size=n).map(np.array))]
+        folds.append((blocks, flag))
+        start += n
+    return folds
+
+
+def _all_failing(m):
+    return [Margin(f"e{k}", np.zeros(m), 1.0, ">") for k in range(3)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(tally_folds(), st.booleans())
+@example([([(np.arange(40), _all_failing(40))], np.arange(0))], True)  # 120 > FAILURE_CAP
+def test_tally_matches_reference_fold(folds, qualified):
+    fold, ref = Tally(qualified), ReferenceTally(qualified)
+    for blocks, flag in folds:
+        with np.errstate(all="ignore"):
+            got = [(rows, compare_rows(f"b{b}", e)) for b, (rows, e) in enumerate(blocks)]
+            want = [(rows, reference_compare_rows(f"b{b}", e)) for b, (rows, e) in enumerate(blocks)]
+        fold.add(got, [("flag", flag)])
+        ref.add(want, [("flag", flag)])
+        # repr: the key order of mins and the sign of each zero
+        assert repr((fold.mins, fold.failures)) == repr((ref.mins, ref.failures))
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_branch_blocks_hand_evaluate_column_major_rows(monkeypatch, layout):
+    seen, margins = [], eigen._branch_margins
+
+    def spy(lam, e, branch):
+        seen.append((branch, lam.flags.f_contiguous, e.flags.f_contiguous))
+        return margins(lam, e, branch)
+
+    monkeypatch.setattr(eigen, "_branch_margins", spy)
+    thetas = np.random.default_rng(5).uniform(math.pi + 0.01, 2.0 * math.pi - 0.01, 500)
+    thetas[:3] = 1.5 * math.pi  # the FULL branch
+    lam = sample_level_set_batch(thetas, rng=np.random.default_rng(6))
+    lam = np.asfortranarray(lam) if layout == "F" else np.ascontiguousarray(lam)
+    blocks = branch_blocks(lam, sigma_rows(lam), thetas, phase_rows(lam))
+    assert [b for b, *_ in seen] == list(_FOUR_FOLD) and len(blocks) == 3
+    assert all(lam_f and e_f for _, lam_f, e_f in seen)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dhym import identity_suite, kt_suite, reports, theorem_suite
+from dhym import identity_suite, kt_suite, reports, suites, theorem_suite
 from dhym.charge import _im_root
 from dhym.eigen import (
     ROW_BLOCK,
@@ -251,3 +251,23 @@ def test_blocked_theorem_suite_names_failures_by_sample(monkeypatch):
 @pytest.mark.parametrize("count", BLOCK_COUNTS)
 def test_blocked_kt_suite_matches_whole_array_reference(count):
     assert repr(kt_suite(count, 108).to_dict()) == repr(reference_kt_report(count, 108))
+
+
+#: counts around one pass (4096 draws), and above ROW_BLOCK, where a pass
+#: spans several chunks
+KT_COUNTS = [1, 2, 999, 1000, 1001, 4096, 5000, 9000, 20000]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2024])
+@pytest.mark.parametrize("count", KT_COUNTS)
+def test_kt_draw_stops_at_the_count_th_kept_row(count, seed, monkeypatch):
+    """The chunked draw reports what whole passes of max(4096, count) draws
+    report, attempts included, and its last chunk holds the count-th kept row."""
+    sizes, sort = [], suites.sort_rows
+    monkeypatch.setattr(suites, "sort_rows", lambda lam: sizes.append(len(lam)) or sort(lam))
+    got = kt_suite(count, seed).to_dict()
+    assert repr(got) == repr(reference_kt_report(count, seed))
+    rng = np.random.default_rng(seed)
+    e = sigma_rows(np.sort(rng.uniform(-SPAN, SPAN, size=(got["attempts"], 4)), axis=1))
+    needed = np.flatnonzero(gamma_cone_rows(e) >= 3)[count - 1] + 1
+    assert sum(sizes[:-1]) < needed <= sum(sizes) and max(sizes) <= ROW_BLOCK
