@@ -17,9 +17,7 @@ from .charge import (
     analytic_angle_from_integrals,
     check_chern_n3,
     check_chern_n4,
-    general_kt,
     integrated_sigma_chain,
-    intersection_number,
     kt_chain,
     path_polynomials,
     winding_report,
@@ -31,11 +29,9 @@ from .eigen import (
     EigenTuple,
     branch_check,
     branch_for_phase,
-    elementary_all,
     factorization_identity,
     gamma_cone,
     lagrangian_phase,
-    mixed_sigma,
     phase_components,
     sigma,
 )
@@ -58,7 +54,7 @@ from .models import (
     weighted_model,
 )
 from .reports import InequalityEntry, InequalityReport, compare
-from .sampling import complete_tuple, level_set_sample, sample_level_set_batch
+from .sampling import sample_level_set_batch
 from .suites import identity_suite, kt_suite, theorem_suite
 
 __version__ = "0.1.0"

@@ -27,9 +27,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .eigen import TWO_PI, as_eigen, gamma_cone, mixed_sigma, phase_component_rows
+from .eigen import TWO_PI, phase_component_rows
 from .errors import DegeneratePathError, DomainError, UndefinedAngleError
-from .reports import InequalityReport, compare, evaluate
+from .reports import InequalityReport, evaluate
 
 #: |Z| below DEGENERACY_REL * max|d_k| / n! counts as an origin hit
 DEGENERACY_REL = 1e-10
@@ -180,6 +180,18 @@ def _im_root(n: int, d) -> np.ndarray:
         num, den = (d[..., 3], d[..., 1]) if n == 4 else (3.0 * d[..., 2], d[..., 0])
         ratio = num / den
     return np.sqrt(np.where((den != 0.0) & (ratio > 0.0), ratio, np.nan))
+
+
+def _re_z_at_tstar_rows(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of 4-fold profiles d (m, 5) whose T* = `_im_root` exceeds 1,
+    and 24 Re Z(T*) = -(d_0 T*^4 - 6 d_2 T*^2 + d_4) at each, summed in
+    z_of_t's order.  Its sign is the sign of Re Z(T*)."""
+    t = _im_root(4, d)
+    rows = np.flatnonzero(t > 1.0)
+    t, d = t[rows], d[rows]
+    # np.float_power is libm pow on every CPU, where numpy's SIMD pow is not
+    quartic = d[:, 0] * np.float_power(t, 4.0) - 6.0 * d[:, 2] * np.float_power(t, 2.0)
+    return rows, -(quartic + d[:, 4])
 
 
 def _positive_axis_roots(p: IntersectionProfile, t_im: float, re_c, im_c) -> list:
@@ -447,46 +459,6 @@ def kt_chain(p: IntersectionProfile) -> InequalityReport:
     if p.n != 4:
         raise DomainError(f"KT chain needs an n=4 profile, got n={p.n}")
     return evaluate("kt_chain", np.array([p.d])).report()
-
-
-def intersection_number(lam, mu, j: int, k: int) -> float:
-    """Diagonal-model intersection number omega^(n-j-k) . alpha^j . beta^k.
-
-    Normalised so that mu = lam collapses to d_{j+k} of the constant
-    model: j! k! (n-j-k)! / n! times the brute-force mixed sum.
-    """
-    lt = as_eigen(lam)
-    n = lt.n
-    w = (
-        math.factorial(j)
-        * math.factorial(k)
-        * math.factorial(n - j - k)
-        / math.factorial(n)
-    )
-    return w * mixed_sigma(lt, mu, j, k)
-
-
-def general_kt(lam, mu, m: int) -> InequalityReport:
-    """Two-class Khovanskii-Teissier inequality on the diagonal model.
-
-    For lam in the Gamma_m cone (sigma_1..sigma_m > 0) and any real mu:
-    I(m-1,1)^2 >= I(m-2,2) * I(m,0), where I(j,k) pairs j copies of the
-    cone class and k copies of mu against omega^(n-j-k).  Equality holds
-    exactly when mu is proportional to lam.
-    """
-    lt, mt = as_eigen(lam), as_eigen(mu)
-    n = lt.n
-    if not 2 <= m <= n:
-        raise DomainError(f"order m={m} outside 2..{n}")
-    cone = gamma_cone(lt)
-    if cone < m:
-        raise DomainError(
-            f"Gamma-cone order {cone} < m={m}; the inequality needs "
-            "sigma_1..sigma_m > 0"
-        )
-    lhs = intersection_number(lt, mt, m - 1, 1) ** 2
-    rhs = intersection_number(lt, mt, m - 2, 2) * intersection_number(lt, mt, m, 0)
-    return InequalityReport(f"general_kt_m{m}", (compare(f"kt_m{m}", lhs, rhs, ">="),))
 
 
 def integrated_sigma_chain(p: IntersectionProfile) -> InequalityReport:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 
 import numpy as np
 
@@ -136,17 +135,12 @@ def sigma_rows(lam) -> np.ndarray:
     return e
 
 
-def elementary_all(values) -> list[float]:
-    """All elementary symmetric polynomials [sigma_0, ..., sigma_n] of one tuple."""
-    return sigma_rows([tuple(values)])[0].tolist()
-
-
 def sigma(lam, k: int) -> float:
     """k-th elementary symmetric polynomial of the tuple; sigma_0 = 1."""
     t = as_eigen(lam)
     if not 0 <= k <= t.n:
         raise DomainError(f"sigma index k={k} out of range 0..{t.n}")
-    return elementary_all(t.values)[k]
+    return float(sigma_rows([t.values])[0, k])
 
 
 def lagrangian_phase(lam) -> float:
@@ -241,29 +235,6 @@ def factorization_identity(lam) -> tuple[float, float]:
     rows = np.array([t.values])
     lhs, rhs = factorization_rows(rows, sigma_rows(rows))
     return float(lhs[0]), float(rhs[0])
-
-
-def mixed_sigma(lam, mu, j: int, k: int) -> float:
-    """Brute-force two-class symmetric sum over disjoint index subsets.
-
-    Sum over disjoint I (|I| = j) and J (|J| = k) of
-    prod_{i in I} lambda_i * prod_{i in J} mu_i.  With mu = lam this equals
-    C(j+k, j) * sigma_{j+k}(lam).  Kept as plain enumeration: it is the
-    oracle for diagonal-model intersection numbers.
-    """
-    lt, mt = as_eigen(lam), as_eigen(mu)
-    if lt.n != mt.n:
-        raise DomainError(f"dimension mismatch: {lt.n} vs {mt.n}")
-    n = lt.n
-    if j < 0 or k < 0 or j + k > n:
-        raise DomainError(f"subset sizes j={j}, k={k} invalid for n={n}")
-    total = 0.0
-    for idx_i in combinations(range(n), j):
-        rest = [i for i in range(n) if i not in idx_i]
-        pi = math.prod(lt.values[i] for i in idx_i)
-        for idx_j in combinations(rest, k):
-            total += pi * math.prod(mt.values[i] for i in idx_j)
-    return total
 
 
 def branch_check(lam, branch: Branch) -> InequalityReport:

@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .eigen import EigenTuple, lagrangian_phase, sort_rows
+from .eigen import sort_rows
 from .errors import DomainError, SamplingExhaustedError
 
 #: half-width clip on each angle: u_i in (-pi/2 + ANGLE_EPS, pi/2 - ANGLE_EPS)
@@ -159,42 +159,3 @@ def sample_level_set_batch(thetas, seed=None, rng=None) -> np.ndarray:
     np.tan(lam, out=lam)
     return sort_rows(lam)
 
-
-def level_set_sample(theta_hat: float, count: int, seed: int) -> list[EigenTuple]:
-    """Draw `count` sorted tuples with lagrangian_phase == theta_hat.
-
-    Deterministic in `seed`; every returned tuple reproduces the phase to
-    within PHASE_TOL.  Raises SamplingExhaustedError when the clipped
-    angle box cannot reach theta_hat within the attempt budget.
-    """
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
-    lam = sample_level_set_batch(np.full(count, float(theta_hat)), seed=seed)
-    return [EigenTuple(tuple(row)) for row in lam]
-
-
-def complete_tuple(theta_hat: float, first_three) -> EigenTuple:
-    """Solve the fourth eigenvalue so the phase of the tuple is theta_hat.
-
-    lambda_4 = tan(theta_hat - sum(arctan(first_three))); the residual
-    angle must lie strictly inside (-pi/2, pi/2) or there is no finite
-    solution.  The phase of the result misses theta_hat by a few ulp; a
-    miss of PHASE_TOL or more raises DomainError.
-    """
-    first = tuple(float(v) for v in first_three)
-    if len(first) != 3:
-        raise DomainError(f"need exactly 3 fixed eigenvalues, got {len(first)}")
-    residual = theta_hat - sum(math.atan(v) for v in first)
-    if not -0.5 * math.pi < residual < 0.5 * math.pi:
-        raise DomainError(
-            f"residual angle {residual:.12g} leaves no finite fourth "
-            "eigenvalue; adjust the fixed entries"
-        )
-    tup = EigenTuple((*first, math.tan(residual)))
-    miss = abs(lagrangian_phase(tup) - theta_hat)
-    if not miss < PHASE_TOL:
-        raise DomainError(
-            f"completed tuple misses the phase {theta_hat:.12g} by {miss:.3e} "
-            f">= PHASE_TOL = {PHASE_TOL:.0e}"
-        )
-    return tup

@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .charge import _im_root
+from .charge import _re_z_at_tstar_rows
 from .eigen import (
     ROW_BLOCK,
     TWO_PI,
@@ -223,12 +223,7 @@ def theorem_suite(
         d = constant_model_rows(e)
         chern = evaluate("chern_n4", d)
         # T*: sign(Re Z(T*)) must match the sign of the second Chern margin
-        t = _im_root(4, d)
-        rows = np.flatnonzero(t > 1.0)
-        t, dr = t[rows], d[rows]
-        # 24 Re Z(t) = -(d_0 t^4 - 6 d_2 t^2 + d_4), summed in z_of_t's order
-        quartic = dr[:, 0] * np.float_power(t, 4.0) - 6.0 * dr[:, 2] * np.float_power(t, 2.0)
-        re = -(quartic + dr[:, 4])
+        rows, re = _re_z_at_tstar_rows(d)
         second = chern.margin[rows, chern.names.index("second")]
         mismatch = samples[rows[np.copysign(1.0, re) != np.copysign(1.0, second)]]
         tstar_count, mismatches = tstar_count + len(rows), mismatches + len(mismatch)

@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 
 from dhym import (
-    EigenTuple,
     IntersectionProfile,
     check_chern_n3,
     check_chern_n4,
     constant_model,
-    general_kt,
     integrated_sigma_chain,
-    intersection_number,
     kt_chain,
-    mixed_sigma,
     z_of_t,
 )
 from dhym.errors import DomainError
@@ -153,62 +149,6 @@ def test_kt_chain_equality_at_proportional(c):
 def test_kt_chain_omits_combined_on_zero_denominators():
     report = kt_chain(IntersectionProfile(4, (1, 0, 0, 0, 0)))
     assert "combined" not in report.names()
-
-
-def test_general_kt_degenerate_equality():
-    lam = (1, 2, 3, 4)
-    for m in (2, 3, 4):
-        report = general_kt(lam, lam, m)
-        assert report.entry(f"kt_m{m}").boundary
-
-
-def test_general_kt_reduces_to_chain():
-    report = general_kt((1, 2, 3, 4), (1, 1, 1, 1), 3)
-    d = constant_model((1, 2, 3, 4)).d
-    assert report.margin("kt_m3") == pytest.approx(d[2] ** 2 - d[1] * d[3], abs=1e-12)
-    assert report.passed
-
-
-def test_general_kt_brute_force_cross_check():
-    lam, mu, m = (1, 2, 3, 4), (1, -1, 2, 0), 2
-
-    def weight(j, k):
-        return math.factorial(j) * math.factorial(k) * math.factorial(4 - j - k) / 24.0
-
-    report = general_kt(lam, mu, m)
-    lhs = (weight(1, 1) * mixed_sigma(lam, mu, 1, 1)) ** 2
-    rhs = (weight(0, 2) * mixed_sigma(lam, mu, 0, 2)) * (
-        weight(2, 0) * mixed_sigma(lam, mu, 2, 0)
-    )
-    assert report.entry("kt_m2").lhs == pytest.approx(lhs, abs=1e-12)
-    assert report.entry("kt_m2").rhs == pytest.approx(rhs, abs=1e-12)
-    assert report.passed
-
-
-def test_general_kt_random_mu_nonnegative():
-    rng = np.random.default_rng(17)
-    lam = EigenTuple((1.0, 2.0, 3.0, 4.0))
-    for _ in range(200):
-        mu = tuple(rng.uniform(-4.0, 4.0, size=4))
-        for m in (2, 3, 4):
-            entry = general_kt(lam, mu, m).entry(f"kt_m{m}")
-            assert entry.passed, (mu, m, entry.margin)
-
-
-def test_general_kt_cone_precondition():
-    with pytest.raises(DomainError):
-        general_kt((-1, -1, -1, 5), (1, 1, 1, 1), 3)
-    with pytest.raises(DomainError):
-        general_kt((1, 2, 3, 4), (1, 1, 1, 1), 5)
-    with pytest.raises(DomainError):
-        general_kt((1, 2, 3, 4), (1, 1, 1, 1), 1)
-
-
-def test_intersection_number_matches_constant_model():
-    lam = (0.5, 1.5, 2.5, 3.5)
-    d = constant_model(lam).d
-    for j in range(5):
-        assert intersection_number(lam, lam, j, 0) == pytest.approx(d[j], abs=1e-12)
 
 
 def test_integrated_chain_example():

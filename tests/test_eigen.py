@@ -10,11 +10,9 @@ from dhym import (
     EigenTuple,
     branch_check,
     branch_for_phase,
-    elementary_all,
     factorization_identity,
     gamma_cone,
     lagrangian_phase,
-    mixed_sigma,
     phase_components,
     sigma,
 )
@@ -67,8 +65,9 @@ def test_sigma_out_of_range():
 
 @given(st.lists(reals, min_size=1, max_size=6))
 def test_sigma_matches_subset_enumeration(vals):
-    e = elementary_all(sorted(vals))
+    e = sigma_rows([sorted(vals)])[0]
     for k in range(len(vals) + 1):
+        assert sigma(vals, k) == e[k]  # the scalar form is one row of sigma_rows
         want = sigma_enumeration(sorted(vals), k)
         scale = max(1.0, abs(want))
         assert abs(e[k] - want) <= 1e-10 * scale
@@ -77,7 +76,7 @@ def test_sigma_matches_subset_enumeration(vals):
 @given(tuples4, reals)
 def test_vieta_expansion(vals, x):
     t = EigenTuple(tuple(vals))
-    e = elementary_all(t.values)
+    e = sigma_rows([t.values])[0]
     lhs = math.prod(x + v for v in t.values)
     rhs = sum(e[k] * x ** (4 - k) for k in range(5))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
@@ -164,37 +163,12 @@ def test_factorization_is_an_identity(vals):
 @given(tuples4)
 def test_newton_log_concavity(vals):
     # p_{k-1} p_{k+1} <= p_k^2 holds for every real tuple
-    e = elementary_all(sorted(vals))
+    e = sigma_rows([sorted(vals)])[0]
     p = [e[k] / math.comb(4, k) for k in range(5)]
     for k in (1, 2, 3):
         lhs = p[k - 1] * p[k + 1]
         rhs = p[k] ** 2
         assert lhs <= rhs + 1e-12 * max(1.0, abs(lhs), rhs)
-
-
-def test_mixed_sigma_examples():
-    assert mixed_sigma((1, 1, 1, 1), (1, 1, 1, 1), 1, 1) == 12.0
-    assert mixed_sigma((1, 2, 3, 4), (1, 1, 1, 1), 2, 1) == 70.0
-    assert mixed_sigma((5, -2, 7, 0.5), (1, 1, 1, 1), 0, 0) == 1.0
-
-
-def test_mixed_sigma_errors():
-    with pytest.raises(DomainError):
-        mixed_sigma((1, 2, 3), (1, 2, 3, 4), 1, 1)
-    with pytest.raises(DomainError):
-        mixed_sigma((1, 2, 3, 4), (1, 2, 3, 4), 3, 2)
-    with pytest.raises(DomainError):
-        mixed_sigma((1, 2, 3, 4), (1, 2, 3, 4), -1, 1)
-
-
-@given(tuples4, st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4))
-def test_mixed_sigma_collapses_to_sigma(vals, j, k):
-    if j + k > 4:
-        return
-    t = EigenTuple(tuple(vals))
-    got = mixed_sigma(t, t, j, k)
-    want = math.comb(j + k, j) * sigma_enumeration(t.values, j + k)
-    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
 def test_branch_supercritical_example():

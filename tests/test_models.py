@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from dhym import (
@@ -8,7 +9,7 @@ from dhym import (
     check_chern_n3,
     consistency_suite,
     constant_model,
-    level_set_sample,
+    sample_level_set_batch,
     weighted_model,
 )
 from dhym.errors import DomainError
@@ -38,7 +39,7 @@ def test_weighted_model_averages():
 def test_weighted_model_common_level_set_angle():
     # complex numbers with one argument add without rotating it
     theta = 4.0
-    pts = level_set_sample(theta, 3, seed=21)
+    pts = sample_level_set_batch(np.full(3, theta), seed=21)
     profile = weighted_model([(0.25, pts[0]), (0.35, pts[1]), (0.4, pts[2])])
     assert analytic_angle_from_integrals(profile) == pytest.approx(theta, abs=1e-9)
 

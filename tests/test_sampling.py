@@ -4,15 +4,11 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given
-from hypothesis import strategies as st
 
 from dhym import (
     Branch,
     branch_check,
-    complete_tuple,
     lagrangian_phase,
-    level_set_sample,
     sample_level_set_batch,
     sampling,
 )
@@ -27,84 +23,46 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
-def test_complete_tuple_solves_fourth_entry():
-    t = complete_tuple(math.pi, (1.0, 1.0, 1.0))
-    assert t.values[3] == pytest.approx(1.0, abs=1e-12)
-    assert lagrangian_phase(t) == pytest.approx(math.pi, abs=1e-12)
-
-
-@given(
-    st.floats(min_value=-0.5 * math.pi + 1e-9, max_value=0.5 * math.pi - 1e-9),
-    st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=3, max_size=3),
-)
-def test_complete_tuple_meets_phase_tol(residual, first):
-    theta_hat = sum(math.atan(v) for v in first) + residual
-    try:
-        t = complete_tuple(theta_hat, first)
-    except DomainError:
-        # rounding in theta_hat can move a residual at the edge out of range
-        assume(False)
-    assert abs(lagrangian_phase(t) - theta_hat) < PHASE_TOL
-
-
-def test_complete_tuple_checks_its_phase(monkeypatch):
-    # the check is a raise, not an assert that python -O would strip
-    monkeypatch.setattr(sampling, "lagrangian_phase", lambda t: math.pi + PHASE_TOL)
-    with pytest.raises(DomainError, match="misses the phase"):
-        complete_tuple(math.pi, (1.0, 1.0, 1.0))
-
-
-def test_complete_tuple_rejects_unreachable_residual():
-    # residual angle of 2.0 rad exceeds pi/2: no finite fourth eigenvalue
-    with pytest.raises(DomainError):
-        complete_tuple(2.0, (0.0, 0.0, 0.0))
-    with pytest.raises(DomainError):
-        complete_tuple(1.0, (0.0, 0.0))
-
-
 def test_level_set_phase_accuracy():
     target = 5.05541292
-    tuples = level_set_sample(target, 100, seed=42)
-    assert len(tuples) == 100
-    for t in tuples:
-        assert abs(lagrangian_phase(t) - target) < 1e-12
-        assert t.values == tuple(sorted(t.values))
+    lam = sample_level_set_batch(np.full(100, target), seed=42)
+    assert lam.shape == (100, 4)
+    assert np.all(np.diff(lam, axis=1) >= 0.0)
+    for row in lam:
+        assert abs(lagrangian_phase(row) - target) < 1e-12
 
 
 def test_level_set_determinism():
-    a = level_set_sample(4.0, 25, seed=3)
-    b = level_set_sample(4.0, 25, seed=3)
-    c = level_set_sample(4.0, 25, seed=4)
-    assert [t.values for t in a] == [t.values for t in b]
-    assert [t.values for t in a] != [t.values for t in c]
+    a = sample_level_set_batch(np.full(25, 4.0), seed=3)
+    b = sample_level_set_batch(np.full(25, 4.0), seed=3)
+    c = sample_level_set_batch(np.full(25, 4.0), seed=4)
+    assert np.array_equal(_bits(a), _bits(b))
+    assert not np.array_equal(a, c)
 
 
 def test_supercritical_samples_are_positive():
-    target = TWO_PI - 0.01
-    tuples = level_set_sample(target, 300, seed=11)
-    for t in tuples:
-        assert t.values[0] > 0.0
-        assert branch_check(t, Branch.SUPERCRITICAL).passed
+    lam = sample_level_set_batch(np.full(300, TWO_PI - 0.01), seed=11)
+    assert np.all(lam[:, 0] > 0.0)
+    for row in lam:
+        assert branch_check(row, Branch.SUPERCRITICAL).passed
 
 
 def test_mid_branch_samples():
-    tuples = level_set_sample(3.3, 300, seed=12)
-    for t in tuples:
-        assert branch_check(t, Branch.MID).passed
+    for row in sample_level_set_batch(np.full(300, 3.3), seed=12):
+        assert branch_check(row, Branch.MID).passed
 
 
 def test_negative_targets_mirror():
     target = -5.0
-    tuples = level_set_sample(target, 100, seed=13)
-    for t in tuples:
-        assert abs(lagrangian_phase(t) - target) < 1e-12
-        assert t.values[-1] < 0.0
+    lam = sample_level_set_batch(np.full(100, target), seed=13)
+    assert np.all(lam[:, -1] < 0.0)
+    for row in lam:
+        assert abs(lagrangian_phase(row) - target) < 1e-12
 
 
 def test_easy_band_uses_rejection():
-    tuples = level_set_sample(1.0, 200, seed=14)
-    for t in tuples:
-        assert abs(lagrangian_phase(t) - 1.0) < 1e-12
+    for row in sample_level_set_batch(np.full(200, 1.0), seed=14):
+        assert abs(lagrangian_phase(row) - 1.0) < 1e-12
 
 
 def test_batch_api_mixed_thetas():
@@ -116,14 +74,9 @@ def test_batch_api_mixed_thetas():
 
 
 def test_preconditions():
-    with pytest.raises(DomainError):
-        level_set_sample(TWO_PI, 10, seed=0)
-    with pytest.raises(DomainError):
-        level_set_sample(-TWO_PI, 10, seed=0)
-    with pytest.raises(DomainError):
-        level_set_sample(math.nan, 10, seed=0)
-    with pytest.raises(DomainError):
-        level_set_sample(1.0, 0, seed=0)
+    for theta in (TWO_PI, -TWO_PI, math.nan):
+        with pytest.raises(DomainError):
+            sample_level_set_batch(np.full(10, theta), seed=0)
 
 
 @pytest.mark.parametrize("thetas", [[math.nan], [1.0, math.nan, 4.0, -2.0]], ids=["nan", "mixed"])
@@ -170,9 +123,9 @@ def test_corner_batch_redraws_rows_on_the_box_edge():
 def test_exhaustion_beyond_clipped_box():
     # the clipped angle box tops out at 2*pi - 4*eps; just above is unreachable
     with pytest.raises(SamplingExhaustedError):
-        level_set_sample(TWO_PI - 1e-4, 1, seed=0)
+        sample_level_set_batch([TWO_PI - 1e-4], seed=0)
     with pytest.raises(SamplingExhaustedError):
-        level_set_sample(-(TWO_PI - 1e-4), 1, seed=0)
+        sample_level_set_batch([-(TWO_PI - 1e-4)], seed=0)
 
 
 # -- the blocked sampler against a plain, unblocked copy of it ----------------

@@ -18,8 +18,8 @@ from dhym import (
     check_chern_n4,
     constant_model,
     lagrangian_phase,
-    level_set_sample,
     path_polynomials,
+    sample_level_set_batch,
     winding_report,
     winding_trace,
     z_of_t,
@@ -387,7 +387,7 @@ def test_lift_refinement_stability():
 
 def test_angle_agreement_on_level_set_models():
     for i, theta in enumerate((3.2, 3.9, 4.7, 5.5, 6.1)):
-        for t in level_set_sample(theta, 40, seed=50 + i):
+        for t in sample_level_set_batch(np.full(40, theta), seed=50 + i):
             report = winding_report(constant_model(t))
             assert abs(report.theta_alg - lagrangian_phase(t)) < 1e-9
 
@@ -403,7 +403,7 @@ def test_winding_scaling_invariance():
 
 def test_tstar_sign_matches_second_inequality():
     for theta, seed in ((3.3, 60), (4.9, 61)):
-        for t in level_set_sample(theta, 50, seed=seed):
+        for t in sample_level_set_batch(np.full(50, theta), seed=seed):
             p = constant_model(t)
             report = winding_report(p)
             assert report.t_star is not None
