@@ -329,15 +329,15 @@ def _lift(re_c, im_c, ts: np.ndarray, anchor: float):
     return re_v, im_v, raw + TWO_PI * np.cumsum(turns[::-1])[::-1]
 
 
-def _winding_path(p: IntersectionProfile):
-    """The stages `winding_report` and `winding_trace` share, all read off
-    one coefficient set: the `path_polynomials` arrays, the Im root, t_max,
-    the lift points and the origin check's (min |Z|, t at min).
+def _winding(p: IntersectionProfile, samples):
+    """`winding_report` of p and, unless samples is None, the `winding_trace`
+    rows: the stages read off one coefficient set, and one lift.
 
     The lift points are 1, t_max, every real root of Re Z and Im Z in
     between, and the midpoints of those breakpoints.  Each piece between
     breakpoints stays inside one quadrant, so unwrapping atan2 between
-    neighbouring lift points is exact.
+    neighbouring lift points is exact; grid points split pieces, which
+    leaves lift(1) as it is.
     """
     if p.n not in (3, 4):
         raise DomainError(f"winding analysis supports n in (3, 4), got {p.n}")
@@ -354,7 +354,16 @@ def _winding_path(p: IntersectionProfile):
     closest = _origin(p, re_c, im_c, roots, t_hi)
     breakpoints = [1.0] + [r for r in roots if 1.0 < r < t_hi] + [t_hi]
     mids = [0.5 * (a + b) for a, b in zip(breakpoints, breakpoints[1:])]
-    return re_c, im_c, t_im, t_hi, sorted({*breakpoints, *mids}), closest
+    ts = np.array(sorted({*breakpoints, *mids}))
+    if samples is not None:
+        ts = np.unique(np.concatenate([ts, np.linspace(1.0, t_hi, max(int(samples), 2))]))
+    anchor = _lift_anchor(p.n)
+    re_v, im_v, lift = _lift(re_c, im_c, ts, anchor)
+    t_star = t_im if t_im > 1.0 else None
+    report = WindingReport(p.n, float(lift[0] - anchor), t_star, t_hi, anchor, *closest)
+    if samples is None:
+        return report, None
+    return report, tuple(map(tuple, np.column_stack([ts, re_v, im_v, lift]).tolist()))
 
 
 def winding_report(p: IntersectionProfile) -> WindingReport:
@@ -369,30 +378,15 @@ def winding_report(p: IntersectionProfile) -> WindingReport:
     scale-relative origin threshold: the winding angle is then undefined.
     Raises DomainError when Z(t) overflows a double on [1, t_max].
     """
-    re_c, im_c, t_im, t_hi, knots, (min_abs_z, t_at_min) = _winding_path(p)
-    anchor = _lift_anchor(p.n)
-    _, _, lift = _lift(re_c, im_c, np.array(knots), anchor)
-    return WindingReport(
-        n=p.n,
-        theta_alg=float(lift[0] - anchor),
-        t_star=t_im if t_im > 1.0 else None,
-        t_max=t_hi,
-        anchor=anchor,
-        min_abs_z=min_abs_z,
-        t_at_min=t_at_min,
-    )
+    return _winding(p, None)[0]
 
 
 def winding_trace(p: IntersectionProfile, samples: int = 129) -> tuple:
-    """Rows (t, Re Z, Im Z, lifted argument) in ascending t over [1, t_max]:
-    the lift points of `winding_report` and a uniform grid of `samples`
-    points.  Row 0 holds lift(1), so theta_alg = trace[0][3] - anchor.
-    Raises as `winding_report` does.
-    """
-    re_c, im_c, _, t_hi, knots, _ = _winding_path(p)
-    ts = np.unique(np.concatenate([knots, np.linspace(1.0, t_hi, max(int(samples), 2))]))
-    re_v, im_v, lift = _lift(re_c, im_c, ts, _lift_anchor(p.n))
-    return tuple(map(tuple, np.column_stack([ts, re_v, im_v, lift]).tolist()))
+    """(winding_report(p), rows) from one analysis: rows (t, Re Z, Im Z,
+    lifted argument) in ascending t at the lift points and a uniform grid of
+    `samples` points over [1, t_max].  Row 0 holds lift(1), so theta_alg =
+    rows[0][3] - anchor.  Raises as `winding_report` does."""
+    return _winding(p, samples)
 
 
 def analytic_angle_from_integrals(p: IntersectionProfile) -> float:

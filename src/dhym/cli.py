@@ -35,9 +35,8 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INVALID = 2
 
-#: largest --samples and --count accepted; at these bounds peak RSS is about
-#: 121 MiB for `path`, 184 MiB for `sample`, 118 MiB for `kt` and 37 MiB for
-#: `identity` (x86-64 Linux, numpy 2.4)
+#: largest --samples and --count accepted; README.md states the peak RSS of
+#: each command at these bounds
 MAX_SAMPLES = 100_000
 MAX_COUNT = 1_000_000
 
@@ -91,8 +90,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_path(args) -> int:
     profile = parse_profile(load_json(args.profile))
-    report = winding_report(profile)
-    trace = winding_trace(profile, args.samples)
+    report, trace = winding_trace(profile, args.samples)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(trace_csv(trace))
@@ -163,7 +161,9 @@ def _cmd_consistency(args) -> int:
     return EXIT_OK if passed else EXIT_VIOLATION
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: building it takes about as long as a 1000-sample suite
     parser = argparse.ArgumentParser(
         prog="dhym",
         description="Verification toolkit for dHYM Chern-number inequalities.",
@@ -225,12 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p._negative_number_matcher = re.compile(r"-\.?\d")
     p.set_defaults(func=_cmd_consistency)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built once per process: building it takes about as long as a 1000-sample suite
-    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -105,10 +105,6 @@ class Branch(Enum):
     FULL = (math.pi, TWO_PI)
     N3 = (0.5 * math.pi, 1.5 * math.pi)
 
-    @property
-    def endpoints(self) -> tuple[float, float]:
-        return self.value
-
     def contains(self, theta: float) -> bool:
         lo, hi = self.value
         return lo < theta < hi

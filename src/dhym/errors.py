@@ -17,7 +17,7 @@ class PhaseOutsideBranchError(DomainError):
     def __init__(self, phase, branch):
         self.phase = phase
         self.branch = branch
-        lo, hi = branch.endpoints
+        lo, hi = branch.value
         super().__init__(
             f"phase {phase:.12g} outside {branch.name} = ({lo:.12g}, {hi:.12g})"
         )

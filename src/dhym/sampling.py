@@ -121,7 +121,7 @@ def _rejection_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray
     return out.T
 
 
-def sample_level_set_angles(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _level_set_angles(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Angle rows u (shape (m, 4), F-ordered) with sum(u_i) = theta_i, each
     |u_i| < pi/2 - eps."""
     thetas = np.asarray(thetas, dtype=float)
@@ -144,18 +144,18 @@ def sample_level_set_angles(thetas: np.ndarray, rng: np.random.Generator) -> np.
     return u.T
 
 
-def sample_level_set_batch(thetas, seed=None, rng=None) -> np.ndarray:
+def sample_level_set_batch(thetas, seed=None) -> np.ndarray:
     """Sorted eigenvalue rows (shape (m, 4), F-ordered) on the level sets theta_i.
 
-    Each row satisfies |sum(arctan(row)) - theta_i| < PHASE_TOL by
-    construction: the rows are the tangents of the angle rows, sorted.
+    `seed` is anything np.random.default_rng accepts; a Generator is drawn
+    from as it stands, so a caller can pass its own stream.  Each row
+    satisfies |sum(arctan(row)) - theta_i| < PHASE_TOL by construction:
+    the rows are the tangents of the angle rows, sorted.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if not np.all(np.abs(thetas) < 2.0 * math.pi):  # NaN fails it too
         raise DomainError("theta must lie in (-2*pi, 2*pi) for 4 eigenvalues")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    lam = sample_level_set_angles(thetas, rng)
+    lam = _level_set_angles(thetas, np.random.default_rng(seed))
     np.tan(lam, out=lam)
     return sort_rows(lam)
 

@@ -77,14 +77,19 @@ def _emit(obj, out: list, depth) -> None:
         raise DomainError(f"cannot serialise {type(obj).__name__}")
 
 
+def _not_a_number(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def load_json(path: str):
     """The JSON value in the file at `path`.  A file that is not UTF-8, not
-    JSON or nested too deeply to decode raises DomainError."""
-    # JSONDecodeError, UnicodeDecodeError and an integer literal beyond int's
-    # 4300-digit conversion limit are all ValueErrors
+    JSON (NaN and Infinity included) or nested too deeply to decode raises
+    DomainError."""
+    # JSONDecodeError, UnicodeDecodeError, a NaN or Infinity token and an
+    # integer literal beyond int's 4300-digit conversion limit are all ValueErrors
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_not_a_number)
     except (ValueError, RecursionError) as exc:
         raise DomainError(f"{path}: invalid JSON ({exc})") from exc
 

@@ -44,7 +44,7 @@ from .eigen import (
 from .errors import DomainError
 from .models import constant_model_rows
 from .reports import Tally, evaluate
-from .sampling import sample_level_set_batch
+from .sampling import PHASE_TOL, sample_level_set_batch
 
 #: pass thresholds, relative to max(1, |lhs|, |rhs|)
 PRODUCT_IDENTITY_TOL = 1e-12
@@ -210,7 +210,7 @@ def theorem_suite(
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(theta_lo, theta_hi, size=count)
-    lam = sample_level_set_batch(thetas, rng=rng)
+    lam = sample_level_set_batch(thetas, seed=rng)
 
     fold = Tally()
     max_phase_err, tstar_count, mismatches = 0.0, 0, 0
@@ -229,7 +229,7 @@ def theorem_suite(
         tstar_count, mismatches = tstar_count + len(rows), mismatches + len(mismatch)
         fold.add([*blocks, (samples, chern)], flags=[("tstar_sign", mismatch)])
 
-    passed = not fold.failures and mismatches == 0 and max_phase_err < 1e-12
+    passed = not fold.failures and mismatches == 0 and max_phase_err < PHASE_TOL
     return TheoremSuiteReport(
         count=count,
         theta_lo=theta_lo,

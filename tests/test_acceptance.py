@@ -121,7 +121,7 @@ def test_criterion_04_specific_values():
 def test_criterion_05_angle_agreement():
     rng = np.random.default_rng(SEED + 1)
     thetas = rng.uniform(math.pi + 1e-3, TWO_PI - 0.01, size=1000)
-    lam = sample_level_set_batch(thetas, rng=rng)
+    lam = sample_level_set_batch(thetas, seed=rng)
     worst = 0.0
     for row in lam:
         p = constant_model(tuple(row))

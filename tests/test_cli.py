@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from dhym import charge
 from dhym.cli import MAX_SAMPLES, main
 from dhym.serialize import dumps, format_float, load_json, parse_pair, parse_profile
 
@@ -121,6 +122,20 @@ def test_path_emits_csv_trace(capsys, tmp_path, profile_2345):
         z = z_of_t(profile, t)
         assert re == pytest.approx(z.real, abs=1e-12 * max(1, abs(z)))
         assert im == pytest.approx(z.imag, abs=1e-12 * max(1, abs(z)))
+
+
+def test_path_runs_one_winding_analysis(capsys, monkeypatch, tmp_path, profile_2345):
+    calls, origin = [], charge._origin
+
+    def spy(*args):
+        calls.append(args[0])
+        return origin(*args)
+
+    monkeypatch.setattr(charge, "_origin", spy)
+    for extra in ([], ["--samples", "7", "--out", str(tmp_path / "trace.csv")]):
+        calls.clear()
+        code, _ = run_cli(capsys, "path", "--profile", profile_2345, *extra)
+        assert code == 0 and len(calls) == 1
 
 
 def test_path_degenerate_exit_2(capsys, tmp_path):
@@ -445,7 +460,8 @@ def test_size_bounds_exit_2(capsys, profile_2345, argv):
 
 
 def _json_bytes(value) -> bytes:
-    # the standard encoder writes NaN and Infinity, which json.load reads back
+    # the standard encoder writes NaN and Infinity, which load_json rejects
+    # as invalid JSON
     return json.dumps(value).encode()
 
 
@@ -543,6 +559,32 @@ def test_outside_input_keeps_exit_code_contract(tmp_path, document, samples, eig
         report = json.loads(buf.getvalue())
         if code == 2:
             assert "error" in report, argv
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "argv, template",
+    [
+        (["check", "--profile"], '{"n": 4, "d": [1, %s, 2, 3, 4]}'),
+        (["model", "--spec"], '{"model": "constant", "lambda": [2, %s, 4, 5]}'),
+        (
+            ["consistency", "--pair"],
+            '{"G": {"dim": 1, "re": [[1]], "im": [[0]]},'
+            ' "A": {"dim": 1, "re": [[%s]], "im": [[0]]}}',
+        ),
+    ],
+    ids=["profile", "model-spec", "pair"],
+)
+def test_non_json_number_tokens_fail_at_the_reader(capsys, tmp_path, argv, template, token):
+    # NaN, Infinity and -Infinity are not JSON numbers (RFC 8259)
+    path = tmp_path / "input.json"
+    path.write_text(template % token, encoding="utf-8")
+    code, out = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "DomainError",
+        "message": f"{path}: invalid JSON ({token} is not a JSON number)",
+    }
 
 
 @pytest.mark.parametrize("document", UNREADABLE.values(), ids=UNREADABLE.keys())

@@ -233,10 +233,10 @@ def test_branch_for_phase_dispatch():
 
 
 def test_branch_endpoints_fixed_by_kind():
-    assert Branch.SUPERCRITICAL.endpoints == (1.5 * math.pi, 2 * math.pi)
-    assert Branch.MID.endpoints == (math.pi, 1.5 * math.pi)
-    assert Branch.FULL.endpoints == (math.pi, 2 * math.pi)
-    assert Branch.N3.endpoints == (0.5 * math.pi, 1.5 * math.pi)
+    assert Branch.SUPERCRITICAL.value == (1.5 * math.pi, 2 * math.pi)
+    assert Branch.MID.value == (math.pi, 1.5 * math.pi)
+    assert Branch.FULL.value == (math.pi, 2 * math.pi)
+    assert Branch.N3.value == (0.5 * math.pi, 1.5 * math.pi)
 
 
 # -- the compare-exchange row sort and the product recurrence -----------------

@@ -606,7 +606,7 @@ def test_branch_blocks_hand_evaluate_column_major_rows(monkeypatch, layout):
     monkeypatch.setattr(eigen, "_branch_margins", spy)
     thetas = np.random.default_rng(5).uniform(math.pi + 0.01, 2.0 * math.pi - 0.01, 500)
     thetas[:3] = 1.5 * math.pi  # the FULL branch
-    lam = sample_level_set_batch(thetas, rng=np.random.default_rng(6))
+    lam = sample_level_set_batch(thetas, seed=np.random.default_rng(6))
     lam = np.asfortranarray(lam) if layout == "F" else np.ascontiguousarray(lam)
     blocks = branch_blocks(lam, sigma_rows(lam), thetas, phase_rows(lam))
     assert [b for b, *_ in seen] == list(_FOUR_FOLD) and len(blocks) == 3

@@ -1,3 +1,4 @@
+import inspect
 import math
 import time
 
@@ -193,6 +194,28 @@ def test_blocked_sampler_matches_unblocked_reference(regime, size):
     # bit views: np.array_equal would take -0.0 for 0.0
     want = reference_sample_level_set_batch(thetas, seed)
     assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_generator_seed_draws_the_integer_seed_stream():
+    # a batch with rows in both corners and in the rejection middle
+    thetas = np.random.default_rng(8).uniform(*REGIMES["mixed"], size=3000)
+    a = _half_width()
+    assert (thetas >= 2.0 * a).any() and (thetas <= -2.0 * a).any()
+    assert (np.abs(thetas) < 2.0 * a).any()
+    want = sample_level_set_batch(thetas, seed=9)
+    got = sample_level_set_batch(thetas, seed=np.random.default_rng(9))
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_sampler_has_one_seed_argument():
+    with pytest.raises(TypeError):
+        sample_level_set_batch([1.0], rng=np.random.default_rng(0))
+    public = [
+        name
+        for name, obj in vars(sampling).items()
+        if inspect.isfunction(obj) and obj.__module__ == sampling.__name__ and name[0] != "_"
+    ]
+    assert public == ["sample_level_set_batch"]
 
 
 # -- the phase bound the sampler meets with no correction ---------------------

@@ -165,7 +165,7 @@ def reference_theorem_report(count, seed, theta_lo, theta_hi):
     """theorem_suite's wire form, every step over all rows at once."""
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(theta_lo, theta_hi, size=count)
-    lam = sample_level_set_batch(thetas, rng=rng)
+    lam = sample_level_set_batch(thetas, seed=rng)
     phase = phase_rows(lam)
     max_phase_err = max(0.0, float(np.max(np.abs(phase - thetas))))
     e = sigma_rows(lam)

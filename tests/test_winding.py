@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import os
+from dataclasses import astuple
 from itertools import product
 from re import findall
 
@@ -73,7 +74,7 @@ def test_lift_matches_reference_loop_on_blowup_grid():
             report = winding_report(p)
         except DegeneratePathError:
             continue
-        assert_lift_matches_reference(report, winding_trace(p))
+        assert_lift_matches_reference(report, winding_trace(p)[1])
         checked += 1
     assert checked > 1150
 
@@ -94,7 +95,7 @@ def test_lift_matches_reference_loop_on_random_profiles(n, d0, tail, samples):
         report = winding_report(p)
     except (DegeneratePathError, DomainError):  # origin hit, or overflow on a subnormal d_k
         assume(False)
-    assert_lift_matches_reference(report, winding_trace(p, samples))
+    assert_lift_matches_reference(report, winding_trace(p, samples)[1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -117,7 +118,7 @@ def test_angle_does_not_depend_on_samples(n, d0, tail, samples):
 
     def outcome(s):
         try:
-            trace = winding_trace(p, s)
+            trace = winding_trace(p, s)[1]
         except (DegeneratePathError, DomainError) as exc:
             return type(exc), str(exc)
         return (trace[0][3] - _lift_anchor(n)).hex()
@@ -286,6 +287,18 @@ def test_lift_at_axis_roots_matches_grid_reference_on_blowup_grid():
             assert outcome(new_winding, p) == outcome(ref_winding, p), (a, b, c, e)
 
 
+def test_trace_report_is_the_winding_report_on_blowup_grid():
+    # one analysis: the report beside the trace rows is winding_report's,
+    # bit for bit, and so is every raised error
+    for a, b, c, e in product(range(2, 6), range(1, 5), range(-5, 6), range(-5, 6)):
+        if b < a and (c, e) != (0, 0):
+            p = blowup_p3(a, b, c, e)
+            want = outcome(lambda q: astuple(winding_report(q)), p)
+            for s in (2, 129):
+                got = outcome(lambda q: astuple(winding_trace(q, s)[0]), p)
+                assert got == want, (a, b, c, e, s)
+
+
 def test_reference_origin_hits_raise():
     for h in REF_HITS:
         with pytest.raises(DegeneratePathError):
@@ -335,7 +348,7 @@ def test_winding_pure_volume_form():
     assert report.theta_alg == pytest.approx(0.0, abs=1e-12)
     assert report.t_star is None
     # the whole path sits on the negative real axis
-    for _, re, im, arg in winding_trace(p):
+    for _, re, im, arg in winding_trace(p)[1]:
         assert re < 0.0
         assert im == 0.0
         assert arg == pytest.approx(math.pi)
@@ -363,7 +376,7 @@ def test_degenerate_pass_along_real_axis():
 def test_lift_is_continuous_and_consistent():
     p = constant_model((0.5, 1, 2, 3))
     report = winding_report(p)
-    trace = winding_trace(p)
+    trace = winding_trace(p)[1]
     args = [row[3] for row in trace]
     # adjacent samples inside one quadrant piece: steps below pi/2
     for a, b in zip(args, args[1:]):
@@ -380,7 +393,7 @@ def test_lift_is_continuous_and_consistent():
 
 def test_lift_refinement_stability():
     p = constant_model((0.5, 1, 2, 3))
-    coarse, fine, finer = (winding_trace(p, s)[0][3] for s in (64, 128, 257))
+    coarse, fine, finer = (winding_trace(p, s)[1][0][3] for s in (64, 128, 257))
     assert abs(coarse - fine) < 1e-12
     assert abs(fine - finer) < 1e-12
 
@@ -478,7 +491,7 @@ def test_winding_report_dict():
     p = constant_model((2, 3, 4, 5))
     d = winding_report(p).to_dict()
     assert list(d) == ["n", "theta_alg", "t_star", "t_max", "anchor", "min_abs_z", "t_at_min"]
-    assert len(winding_trace(p)) >= 129
+    assert len(winding_trace(p)[1]) >= 129
 
 
 def test_analytic_angle_examples():
