@@ -13,9 +13,14 @@ listed first; those are the classes for which no lifted angle exists.
 import argparse
 import math
 import sys
+from pathlib import Path
 
 from dhym import blowup_p3, winding_report
 from dhym.errors import DegeneratePathError
+
+# the grid is the benchmark's origin_scan grid, walked in the same order
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from grid import blowup_grid  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -27,20 +32,15 @@ def main(argv=None) -> int:
 
     hits = []
     near = []
-    for a in range(2, args.amax + 1):
-        for b in range(1, a):
-            for c in range(-args.cmax, args.cmax + 1):
-                for e in range(-args.cmax, args.cmax + 1):
-                    if c == 0 and e == 0:
-                        continue
-                    profile = blowup_p3(a, b, c, e)
-                    scale = max(abs(x) for x in profile.d) / math.factorial(3)
-                    try:
-                        report = winding_report(profile)
-                    except DegeneratePathError as exc:
-                        hits.append(((a, b, c, e), exc.t_origin))
-                        continue
-                    near.append((report.min_abs_z / scale, (a, b, c, e), report.theta_alg))
+    for pair in blowup_grid(args.amax, args.cmax):
+        profile = blowup_p3(*pair)
+        scale = max(abs(x) for x in profile.d) / math.factorial(3)
+        try:
+            report = winding_report(profile)
+        except DegeneratePathError as exc:
+            hits.append((pair, exc.t_origin))
+            continue
+        near.append((report.min_abs_z / scale, pair, report.theta_alg))
 
     def cls(h, ex):
         sign = "-" if ex >= 0 else "+"

@@ -69,11 +69,6 @@ class IntersectionProfile:
             raise DomainError(f"volume d_0 must be positive, got {d[0]}")
         object.__setattr__(self, "d", d)
 
-    def scaled(self, c: float) -> "IntersectionProfile":
-        if c <= 0.0:
-            raise DomainError(f"scale must be positive, got {c}")
-        return IntersectionProfile(self.n, tuple(c * x for x in self.d), self.synthetic)
-
     def to_dict(self):
         out = {"n": self.n, "d": list(self.d)}
         if self.synthetic:
@@ -131,7 +126,8 @@ def _trim(c):
 
 def _roots(c) -> list:
     """Complex roots of the polynomial, as numpy.polynomial.polyroots finds
-    them: the sorted eigenvalues of its companion matrix."""
+    them: the sorted eigenvalues of its companion matrix (1x1 at degree 1,
+    where only a zero root's sign can differ from polyroots' -c_0/c_1)."""
     c = _trim(c)
     # a leading coefficient that underflows next to the others would put inf
     # or NaN in the companion matrix; its root lies beyond the double range,
@@ -141,8 +137,6 @@ def _roots(c) -> list:
             c = c[:-1]
     if len(c) < 2:
         return []
-    if len(c) == 2:
-        return [-c[0] / c[1]]
     n = len(c) - 1
     mat = np.zeros((n, n))
     mat.reshape(-1)[n :: n + 1] = 1.0

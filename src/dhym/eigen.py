@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, PhaseOutsideBranchError
-from .reports import InequalityReport, Margins, evaluate
+from .reports import InequalityReport, evaluate
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,11 +35,11 @@ def row_blocks(m: int) -> list[slice]:
 
 #: compare-exchange pairs of an optimal sorting network, by row width; the
 #: first layer of each touches every column
-SORT_NETWORKS = {2: ((0, 1),), 4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))}
+SORT_NETWORKS = {4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))}
 
 
 def sort_rows(lam: np.ndarray) -> np.ndarray:
-    """Sort each row of lam, shape (m, 2) or (m, 4), in place; returns lam.
+    """Sort each row of lam, shape (m, 4), in place; returns lam.
 
     Runs SORT_NETWORKS on ROW_BLOCK rows at a time, each compare-exchange
     an np.minimum and np.maximum of two columns, and writes each sorted
@@ -257,11 +257,7 @@ def branch_check(lam, branch: Branch) -> InequalityReport:
     if not branch.contains(theta):
         raise PhaseOutsideBranchError(theta, branch)
     rows = np.array([t.values])
-    return _branch_margins(rows, sigma_rows(rows), branch).report()
-
-
-def _branch_margins(lam: np.ndarray, e: np.ndarray, branch: Branch) -> Margins:
-    return evaluate(f"branch_{branch.name.lower()}", lam, e)
+    return evaluate(f"branch_{branch.name.lower()}", rows, sigma_rows(rows)).report()
 
 
 #: the 4-fold branches, indexed by _branch_index
@@ -294,7 +290,7 @@ def branch_blocks(lam: np.ndarray, e: np.ndarray, thetas: np.ndarray, phase: np.
     # take along the columns keeps each branch's rows F-ordered; lam[rows]
     # and lam.T[:, rows].T both return C-ordered copies
     return [
-        (rows, _branch_margins(lam.T.take(rows, axis=1).T, e.T.take(rows, axis=1).T, b))
+        (rows, evaluate(f"branch_{b.name.lower()}", *(a.T.take(rows, axis=1).T for a in (lam, e))))
         for b, rows in groups
         if rows.size
     ]

@@ -28,8 +28,8 @@ to a few ulp of 2*pi, and tan, arctan and the four-term sum each add about
 one ulp, so sum(arctan lambda_i) misses theta by about 1e-14 < PHASE_TOL.
 np.tan runs once over the whole buffer, and each row is then sorted in
 place by eigen.sort_rows, a compare-exchange network on contiguous
-columns; the corner draw sorts its pairs of simplex spacings with the same
-kernel.
+columns; the corner draw orders each pair of simplex spacings with one
+np.minimum and np.maximum.
 """
 
 from __future__ import annotations
@@ -75,9 +75,11 @@ def _corner_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         )
     m = thetas.shape[0]
     radius = r_free * rng.random(m) ** (1.0 / 3.0)
-    g = sort_rows(rng.random((m, 2)))
+    g = rng.random((m, 2)).T
+    lo, hi = np.minimum(*g), np.maximum(*g)
+    del g  # the loop below holds only lo and hi, as much memory as the draws
     u = np.empty((_N, m))
-    for i, v in enumerate((g[:, 0], g[:, 1] - g[:, 0], 1.0 - g[:, 1])):
+    for i, v in enumerate((lo, hi - lo, 1.0 - hi)):
         u[i] = a - v * radius
     np.subtract(thetas, u[0] + u[1] + u[2], out=u[3])
     # roundoff can put u4 on +/-a at the open simplex's boundary: redraw those

@@ -22,7 +22,6 @@ table (reports.MARGINS) behind branch_check, check_chern_n4 and kt_chain.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, fields
 
@@ -31,7 +30,7 @@ import numpy as np
 from .charge import _re_z_at_tstar_rows
 from .eigen import (
     ROW_BLOCK,
-    TWO_PI,
+    Branch,
     branch_blocks,
     factorization_rows,
     gamma_cone_rows,
@@ -188,8 +187,8 @@ class TheoremSuiteReport(_SuiteReport):
 def theorem_suite(
     count: int,
     seed: int,
-    theta_lo: float = math.pi + 0.01,
-    theta_hi: float = TWO_PI - 0.01,
+    theta_lo: float = Branch.FULL.value[0] + 0.01,
+    theta_hi: float = Branch.FULL.value[1] - 0.01,
 ) -> TheoremSuiteReport:
     """Level-set Monte Carlo over the lifted window (pi, 2*pi).
 
@@ -202,7 +201,8 @@ def theorem_suite(
     """
     if count < 1:
         raise DomainError(f"suite count must be >= 1, got {count}")
-    if not math.pi < theta_lo <= theta_hi < TWO_PI:
+    lo, hi = Branch.FULL.value
+    if not lo < theta_lo <= theta_hi < hi:
         raise DomainError(
             f"theorem suite needs pi < theta_lo <= theta_hi < 2*pi, got "
             f"[{theta_lo:.12g}, {theta_hi:.12g}]"

@@ -23,10 +23,13 @@ def test_profile_validation():
         IntersectionProfile(4, (1.0, 1, 1, 1))  # wrong length
     with pytest.raises(DomainError):
         IntersectionProfile(3, (1.0, math.inf, 0, 0))
-    p = IntersectionProfile(4, (2.0, 4.0, 6.0, 8.0, 10.0))
-    assert p.scaled(0.5).d == (1.0, 2.0, 3.0, 4.0, 5.0)
-    with pytest.raises(DomainError):
-        p.scaled(-1.0)
+
+
+def test_report_entry_of_unknown_name_raises_key_error():
+    report = check_chern_n4(constant_model((2, 3, 4, 5)))
+    for look_up in (report.entry, report.margin):
+        with pytest.raises(KeyError, match="chern3"):
+            look_up("chern3")
 
 
 def test_profile_round_trip_dict():
@@ -172,7 +175,7 @@ def test_integrated_chain_ones_and_2345():
 
 
 def test_integrated_chain_scaling_invariant():
-    p = constant_model((0.5, 1, 2, 3)).scaled(37.0)
+    p = IntersectionProfile(4, [37.0 * x for x in constant_model((0.5, 1, 2, 3)).d])
     report = integrated_sigma_chain(p)
     assert report.margin("final") == pytest.approx(787.5, abs=1e-9)
 
@@ -184,7 +187,7 @@ def test_verdicts_invariant_under_profile_scaling():
         base = [(e.name, e.passed) for e in check_chern_n4(p).entries]
         base += [(e.name, e.passed) for e in kt_chain(p).entries]
         for c in (1e-4, 3.0, 1e6):
-            ps = p.scaled(c)
+            ps = IntersectionProfile(4, [c * x for x in p.d])
             got = [(e.name, e.passed) for e in check_chern_n4(ps).entries]
             got += [(e.name, e.passed) for e in kt_chain(ps).entries]
             assert got == base

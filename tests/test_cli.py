@@ -147,6 +147,17 @@ def test_path_degenerate_exit_2(capsys, tmp_path):
     assert report["origin_hit"] == pytest.approx(2.0, abs=1e-9)
 
 
+def test_path_and_angle_refuse_a_profile_near_the_origin_at_1(capsys, tmp_path):
+    # the least-|Z| origin test of the winding, and the analytic angle's own
+    # |Z(1)| test, which `dhym angle` runs first
+    path = write(tmp_path / "near.json", {"n": 4, "d": [1, 1.000000000001, 1, 1, 4.999999999999]})
+    code, out = run_cli(capsys, "path", "--profile", path)
+    report = json.loads(out)
+    assert code == 2 and report["error"] == "degenerate-path" and report["origin_hit"] == 1
+    code, out = run_cli(capsys, "angle", "--profile", path)
+    assert code == 2 and json.loads(out)["error"] == "UndefinedAngleError"
+
+
 def test_angle_agreement(capsys, profile_2345):
     code, out = run_cli(capsys, "angle", "--profile", profile_2345)
     assert code == 0

@@ -232,6 +232,13 @@ def test_branch_for_phase_dispatch():
             branch_for_phase(5.0, n=n)
 
 
+def test_branch_for_phase_n3_outside_window():
+    # the 3-fold window (pi/2, 3*pi/2) is open
+    for theta in (0.5 * math.pi, 1.5 * math.pi, 0.1, 5.0, math.nan):
+        with pytest.raises(DomainError, match="outside the 3-fold window"):
+            branch_for_phase(theta, n=3)
+
+
 def test_branch_endpoints_fixed_by_kind():
     assert Branch.SUPERCRITICAL.value == (1.5 * math.pi, 2 * math.pi)
     assert Branch.MID.value == (math.pi, 1.5 * math.pi)

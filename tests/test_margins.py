@@ -597,13 +597,14 @@ def test_tally_matches_reference_fold(folds, qualified):
 
 @pytest.mark.parametrize("layout", ["C", "F"])
 def test_branch_blocks_hand_evaluate_column_major_rows(monkeypatch, layout):
-    seen, margins = [], eigen._branch_margins
+    seen, margins = [], eigen.evaluate
 
-    def spy(lam, e, branch):
+    def spy(label, lam, e):
+        branch = Branch[label.removeprefix("branch_").upper()]
         seen.append((branch, lam.flags.f_contiguous, e.flags.f_contiguous))
-        return margins(lam, e, branch)
+        return margins(label, lam, e)
 
-    monkeypatch.setattr(eigen, "_branch_margins", spy)
+    monkeypatch.setattr(eigen, "evaluate", spy)
     thetas = np.random.default_rng(5).uniform(math.pi + 0.01, 2.0 * math.pi - 0.01, 500)
     thetas[:3] = 1.5 * math.pi  # the FULL branch
     lam = sample_level_set_batch(thetas, seed=np.random.default_rng(6))

@@ -6,6 +6,7 @@ from dataclasses import astuple
 from itertools import product
 from re import findall
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -373,6 +374,27 @@ def test_degenerate_pass_along_real_axis():
         winding_report(IntersectionProfile(3, (1, 0, 1e7, 0)))
 
 
+#: Re Z and Im Z vanish just below t = 1 (at 0.999999999999875 and
+#: 0.9999999999995), outside [1, t_max], so the on-axis test never sees them
+#: and only the least-|Z| test catches |Z(1)| = 1.718e-13 < 1e-10 * 5 / 24
+NEAR_ORIGIN_AT_1 = (1.0, 1.000000000001, 1.0, 1.0, 4.999999999999)
+
+
+def test_degenerate_least_modulus_below_threshold():
+    p = IntersectionProfile(4, NEAR_ORIGIN_AT_1)
+    with pytest.raises(DegeneratePathError) as err:
+        winding_report(p)
+    threshold = DEGENERACY_REL * max(NEAR_ORIGIN_AT_1) / 24
+    assert err.value.t_origin == 1.0 and err.value.threshold == threshold
+    assert err.value.abs_z == pytest.approx(1.7181e-13, rel=1e-3)
+    # the profile is near the origin at t = 1, not an artefact of rounding
+    with mpmath.workdps(50):
+        d = [mpmath.mpf(x) for x in NEAR_ORIGIN_AT_1]
+        z = -mpmath.fsum(math.comb(4, k) * d[k] * (-1j) ** (4 - k) for k in range(5)) / 24
+        assert float(abs(z)) == pytest.approx(1.7181e-13, rel=1e-4)
+        assert abs(z) < threshold
+
+
 def test_lift_is_continuous_and_consistent():
     p = constant_model((0.5, 1, 2, 3))
     report = winding_report(p)
@@ -409,7 +431,7 @@ def test_winding_scaling_invariance():
     p = constant_model((2, 3, 4, 5))
     base = winding_report(p)
     for c in (1e-300, 1e-3, 7.0, 2e5, 1e290):
-        scaled = winding_report(p.scaled(c))
+        scaled = winding_report(IntersectionProfile(4, [c * x for x in p.d]))
         assert scaled.theta_alg == pytest.approx(base.theta_alg, abs=1e-12)
         assert scaled.t_star == pytest.approx(base.t_star, abs=1e-12)
 
