@@ -131,12 +131,11 @@ def _roots(c) -> list:
     c = _trim(c)
     # a leading coefficient that underflows next to the others would put inf
     # or NaN in the companion matrix; its root lies beyond the double range,
-    # so it is dropped
+    # so it is dropped.  The caller's d|Z|^2/dt has c_0 = +-0 and a nonzero
+    # entry, so the drop stops at degree 1 or more
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while len(c) > 1 and not np.isfinite(scaled := np.array(c[:-1]) / c[-1]).all():
             c = c[:-1]
-    if len(c) < 2:
-        return []
     n = len(c) - 1
     mat = np.zeros((n, n))
     mat.reshape(-1)[n :: n + 1] = 1.0
@@ -238,7 +237,7 @@ def _origin(p: IntersectionProfile, re_c, im_c, roots, t_hi: float) -> tuple[flo
     of least |Z| is tested against the threshold.
     """
     threshold = DEGENERACY_REL * max(abs(x) for x in p.d) / math.factorial(p.n)
-    axis = [r for r in roots if 1.0 <= r <= t_hi]
+    axis = [r for r in roots if r >= 1.0]
     # a power-of-two scale keeps |Z|^2 finite (d_k = 1e300) and its roots' bits
     e = -math.frexp(max(np.abs(re_c).max(), np.abs(im_c).max()))[1]
     # |Z|^2 = Re^2 + Im^2 on trimmed series, as numpy.polynomial's polymul
@@ -346,7 +345,7 @@ def _winding(p: IntersectionProfile, samples):
     if not math.isfinite(size):
         raise DomainError(f"Z(t) overflows a double on [1, t_max = {t_hi:.6g}]")
     closest = _origin(p, re_c, im_c, roots, t_hi)
-    breakpoints = [1.0] + [r for r in roots if 1.0 < r < t_hi] + [t_hi]
+    breakpoints = [1.0] + [r for r in roots if r > 1.0] + [t_hi]
     mids = [0.5 * (a + b) for a, b in zip(breakpoints, breakpoints[1:])]
     ts = np.array(sorted({*breakpoints, *mids}))
     if samples is not None:

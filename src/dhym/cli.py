@@ -3,15 +3,14 @@
 Every subcommand reads JSON, writes one JSON report to stdout and exits
 with 0 when all checks pass, 1 when an inequality is violated, and 2 on
 degenerate or invalid input (origin hits, bad JSON, precondition
-failures).  Output is deterministic: same argv + seed means byte-identical
-bytes on stdout.
+failures).  Output is deterministic: same argv means byte-identical
+stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import re
 import sys
 
@@ -42,16 +41,10 @@ MAX_COUNT = 1_000_000
 
 
 def _seed(args) -> int:
-    """--seed if given, else DHYM_SEED, else 0; a seed is a non-negative integer."""
-    name = "DHYM_SEED" if args.seed is None else "--seed"
-    seed = os.environ.get("DHYM_SEED", "0") if args.seed is None else args.seed
-    try:
-        seed = int(seed)
-    except ValueError:
-        raise DomainError(f"DHYM_SEED must be an integer, got {seed!r}") from None
-    if seed < 0:
-        raise DomainError(f"{name} must be non-negative, got {seed}")
-    return seed
+    """--seed, a non-negative integer (default 0)."""
+    if args.seed < 0:
+        raise DomainError(f"--seed must be non-negative, got {args.seed}")
+    return args.seed
 
 
 def _check_sizes(args) -> None:
@@ -189,18 +182,18 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="level-set Monte Carlo theorem suite")
     p.add_argument("--theta", type=float, required=True, help="target lifted angle")
     p.add_argument("--count", type=int, default=1000, help=f"1..{MAX_COUNT}")
-    p.add_argument("--seed", type=int, help="default: $DHYM_SEED, else 0")
+    p.add_argument("--seed", type=int, default=0, help="non-negative (default: 0)")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("identity", help="random-tuple identity suite")
     p.add_argument("--count", type=int, default=100000, help=f"1..{MAX_COUNT}")
-    p.add_argument("--seed", type=int, help="default: $DHYM_SEED, else 0")
+    p.add_argument("--seed", type=int, default=0, help="non-negative (default: 0)")
     p.set_defaults(func=_cmd_identity)
 
     p = sub.add_parser("kt", help="Khovanskii-Teissier chains")
     p.add_argument("--profile", help="profile JSON; omit to run the random suite")
     p.add_argument("--count", type=int, default=10000, help=f"1..{MAX_COUNT}")
-    p.add_argument("--seed", type=int, help="default: $DHYM_SEED, else 0")
+    p.add_argument("--seed", type=int, default=0, help="non-negative (default: 0)")
     p.set_defaults(func=_cmd_kt)
 
     p = sub.add_parser("model", help="materialise a profile from a model spec")

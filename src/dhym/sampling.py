@@ -126,7 +126,6 @@ def _rejection_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray
 def _level_set_angles(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Angle rows u (shape (m, 4), F-ordered) with sum(u_i) = theta_i, each
     |u_i| < pi/2 - eps."""
-    thetas = np.asarray(thetas, dtype=float)
     a = _half_width()
     hi = thetas >= 2.0 * a
     lo = thetas <= -2.0 * a

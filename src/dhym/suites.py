@@ -22,7 +22,6 @@ table (reports.MARGINS) behind branch_check, check_chern_n4 and kt_chain.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -57,10 +56,10 @@ SPAN = 10.0
 
 class _SuiteReport:
     """Wire form shared by the suite reports: every field but the trailing
-    (elapsed, passed), then "pass"; wall time never reaches stdout."""
+    passed, then "pass"."""
 
     def to_dict(self):
-        return {**{f.name: getattr(self, f.name) for f in fields(self)[:-2]}, "pass": self.passed}
+        return {**{f.name: getattr(self, f.name) for f in fields(self)[:-1]}, "pass": self.passed}
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,6 @@ class IdentitySuiteReport(_SuiteReport):
     max_rel_factorization: float
     max_rel_vieta: float
     min_newton_margin_rel: float
-    elapsed: float
     passed: bool
 
 
@@ -126,7 +124,6 @@ def identity_suite(count: int, seed: int) -> IdentitySuiteReport:
     """
     if count < 1:
         raise DomainError(f"suite count must be >= 1, got {count}")
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     product, fact, newton = [], [], []
     for blk in row_blocks(count):
@@ -165,7 +162,6 @@ def identity_suite(count: int, seed: int) -> IdentitySuiteReport:
         max_rel_factorization=rel_fact,
         max_rel_vieta=rel_vieta,
         min_newton_margin_rel=newton,
-        elapsed=time.perf_counter() - start,
         passed=passed,
     )
 
@@ -180,7 +176,6 @@ class TheoremSuiteReport(_SuiteReport):
     tstar_count: int
     sign_mismatches: int
     failures: tuple
-    elapsed: float
     passed: bool
 
 
@@ -207,7 +202,6 @@ def theorem_suite(
             f"theorem suite needs pi < theta_lo <= theta_hi < 2*pi, got "
             f"[{theta_lo:.12g}, {theta_hi:.12g}]"
         )
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(theta_lo, theta_hi, size=count)
     lam = sample_level_set_batch(thetas, seed=rng)
@@ -239,7 +233,6 @@ def theorem_suite(
         tstar_count=tstar_count,
         sign_mismatches=mismatches,
         failures=fold.failures,
-        elapsed=time.perf_counter() - start,
         passed=passed,
     )
 
@@ -250,7 +243,6 @@ class KtSuiteReport(_SuiteReport):
     attempts: int
     min_margins: dict
     failures: tuple
-    elapsed: float
     passed: bool
 
 
@@ -266,7 +258,6 @@ def kt_suite(count: int, seed: int) -> KtSuiteReport:
     """
     if count < 1:
         raise DomainError(f"suite count must be >= 1, got {count}")
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     block = max(4096, count)
     kept, n_kept, drawn = [], 0, 0
@@ -292,6 +283,5 @@ def kt_suite(count: int, seed: int) -> KtSuiteReport:
         attempts=block * -(-drawn // block),  # whole passes, as the report counts them
         min_margins=fold.mins,
         failures=fold.failures,
-        elapsed=time.perf_counter() - start,
         passed=not fold.failures,
     )

@@ -40,10 +40,11 @@ def test_identity_suite_small():
 
 
 def test_identity_suite_deterministic():
-    a = identity_suite(2000, seed=9)
-    b = identity_suite(2000, seed=9)
-    assert a.to_dict() == b.to_dict()  # elapsed stays off the wire
-    assert "elapsed" not in a.to_dict()
+    # every suite report is a plain value: identical calls compare equal
+    for fn in (identity_suite, theorem_suite, kt_suite):
+        a, b = fn(2000, seed=9), fn(2000, seed=9)
+        assert a == b
+        assert a.to_dict() == b.to_dict()
 
 
 def test_theorem_suite_small():

@@ -500,6 +500,14 @@ def test_winding_rejects_other_dimensions():
         winding_report(IntersectionProfile(2, (1.0, 0.0, 0.0)))
 
 
+def test_profile_and_angle_reject_other_dimensions():
+    # without these, only a randomly drawn fuzz document reaches either check
+    with pytest.raises(DomainError, match="dimension must be >= 1, got 0"):
+        IntersectionProfile(0, (1.0,))
+    with pytest.raises(DomainError, match=r"analytic angle supports n in \(3, 4\), got 2"):
+        analytic_angle_from_integrals(IntersectionProfile(2, (1.0, 0.0, 0.0)))
+
+
 def test_winding_rejects_overflowing_paths():
     # a subnormal d_1 puts the Im root, and so t_max, beyond 1e153, where
     # t^n overflows; d_1 = 1e200 overflows Z at t_max ~ 1e67
@@ -557,3 +565,29 @@ def test_analytic_angle_with_subnormal_volume():
     # dividing it by d_0 overflows
     p = IntersectionProfile(4, (5e-324, 1, 1, 1, 1))
     assert analytic_angle_from_integrals(p) == math.pi
+
+
+def test_integer_grid_window_hypothesis():
+    # the paper's hypothesis on the integer grid (1, d_1..d_4), d_k in -4..4:
+    # every profile whose lifted angle lies in (pi, 2*pi) passes `first` and
+    # `second`, but the window alone does not give `kahler2`
+    raised, window = 0, []
+    for d in product(range(-4, 5), repeat=4):
+        p = IntersectionProfile(4, (1, *d))
+        try:
+            theta = winding_report(p).theta_alg
+        except DegeneratePathError:
+            raised += 1
+            continue
+        if math.pi < theta < TWO_PI:
+            window.append(check_chern_n4(p))
+    assert raised == 52
+    assert len(window) == 221
+    assert all(r.entry("first").passed and r.entry("second").passed for r in window)
+    assert sum(not r.entry("kahler2").passed for r in window) == 39
+
+    # the simplest kahler2 failure: 2 d_1 d_2 d_3 = 4 < d_0 d_3^2 + d_1^2 d_4 = 5
+    p = IntersectionProfile(4, (1, 1, 1, 2, 1))
+    assert winding_report(p).theta_alg == pytest.approx(5 * math.pi / 4, abs=1e-12)
+    kahler2 = check_chern_n4(p).entry("kahler2")
+    assert (kahler2.lhs, kahler2.rhs, kahler2.passed) == (4.0, 5.0, False)
