@@ -6,10 +6,10 @@ scripts/ab_suites.py's load_tree) and runs each argv of a seeded corpus
 through both trees' cli.main in one process.  The corpus spans all eight
 subcommands: random profiles whose entries include +-0.0, +-1e300 and
 subnormals, model specs, `--lambda` tuples, matrix pairs (the committed
-tests/data/pair_2345.json among them), malformed and missing files, and
-argvs argparse rejects.  For each argv the exit code, stdout and any file
-written by `--out` must be the same bytes in both trees.  Prints each argv
-that differs and exits 1 if any does, else 0.
+tests/data/pair_2345.json among them), malformed and missing files,
+argvs argparse rejects, and the help screens.  For each argv the exit
+code, stdout and any file written by `--out` must be the same bytes in
+both trees.  Prints each argv that differs and exits 1 if any does, else 0.
 
     python scripts/byte_sweep.py PARENT_SRC CHANGE_SRC --argvs 2400 --seed 21
 """
@@ -193,9 +193,13 @@ REFUSED = (
 )
 
 
+#: the help screens, which argparse prints to stdout before exiting 0
+HELP = (["-h"], *([command, "-h"] for command in SUBCOMMANDS))
+
+
 def corpus(n_argvs, seed, files, out):
     rng = random.Random(seed)
-    argvs = [list(a) for a in REFUSED]
+    argvs = [list(a) for a in REFUSED + HELP]
     while len(argvs) < n_argvs:
         argvs.append(argv_for(rng, SUBCOMMANDS[len(argvs) % len(SUBCOMMANDS)], files, out))
     return argvs

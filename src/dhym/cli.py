@@ -62,6 +62,11 @@ def _print_json(obj) -> None:
     sys.stdout.write(dumps(obj) + "\n")
 
 
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def _print_report(report) -> int:
     _print_json(report.to_dict())
     return EXIT_OK if report.passed else EXIT_VIOLATION
@@ -85,8 +90,7 @@ def _cmd_path(args) -> int:
     profile = parse_profile(load_json(args.profile))
     report, trace = winding_trace(profile, args.samples)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(trace_csv(trace))
+        _write(args.out, trace_csv(trace))
     winding = {**report.to_dict(), "arg_lift": [[t, a] for t, _, _, a in trace]}
     out = {"profile": profile.to_dict(), "winding": winding}
     if args.out:
@@ -126,12 +130,10 @@ def _cmd_kt(args) -> int:
 
 
 def _cmd_model(args) -> int:
-    profile = parse_model_spec(load_json(args.spec))
-    text = dumps(profile.to_dict()) + "\n"
+    doc = parse_model_spec(load_json(args.spec)).to_dict()
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+        _write(args.out, dumps(doc) + "\n")
+    _print_json(doc)
     return EXIT_OK
 
 

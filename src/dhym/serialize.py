@@ -1,13 +1,13 @@
-"""Every file format: JSON readers, deterministic JSON and CSV emission.
+"""The JSON readers of dhym's input files and the JSON and CSV writers.
 
 The readers share one rule: a number is a JSON number (not a string or a
 boolean), an integer is integral, an array has the promised length, and
 any other fault raises DomainError.
 
-Floats are rendered with 17 significant digits (`%.17g`), which
-round-trips any IEEE double exactly; dictionaries keep insertion order
-and no timestamps or environment data are ever emitted, so identical
-inputs produce byte-identical output.
+The JSON writer is the standard library's indenting encoder.  Both writers
+render floats only through `format_float` (`%.17g`, which round-trips any
+IEEE double, and `-0.0`).  Each report's keys and their order come from its
+own `to_dict`, so identical inputs give identical bytes.
 """
 
 from __future__ import annotations
@@ -33,48 +33,26 @@ def format_float(x: float) -> str:
     return "%.17g" % x
 
 
+def _unserialisable(obj):
+    raise DomainError(f"cannot serialise {type(obj).__name__}")
+
+
 def dumps(obj) -> str:
-    """Serialise nested dict/list/scalar data with fixed float formatting,
-    indented by two spaces per level."""
-    pieces: list[str] = []
-    _emit(obj, pieces, 0)
-    return "".join(pieces)
-
-
-def _emit(obj, out: list, depth) -> None:
-    pad = "\n" + "  " * (depth + 1)
-    close = "\n" + "  " * depth
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[")
-        for i, item in enumerate(obj):
-            out.append("," + pad if i else pad)
-            _emit(item, out, depth + 1)
-        out.append(close + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append("," + pad if i else pad)
-            out.append(json.dumps(str(key)) + ": ")
-            _emit(value, out, depth + 1)
-        out.append(close + "}")
-    else:
-        raise DomainError(f"cannot serialise {type(obj).__name__}")
+    """Serialise nested dict/list/scalar data as `json.dumps(obj, indent=2)`
+    does, but with every float rendered by `format_float`."""
+    encode = json.encoder._make_iterencode(
+        markers=None,
+        _default=_unserialisable,
+        _encoder=json.encoder.encode_basestring_ascii,
+        _indent="  ",
+        _floatstr=format_float,
+        _key_separator=": ",
+        _item_separator=",",
+        _sort_keys=False,
+        _skipkeys=False,
+        _one_shot=True,
+    )
+    return "".join(encode(obj, 0))
 
 
 def _not_a_number(token: str):

@@ -15,7 +15,8 @@ from dhym import charge
 from dhym.cli import MAX_SAMPLES, main
 from dhym.serialize import dumps, format_float, load_json, parse_pair, parse_profile
 
-PAIR_2345 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "pair_2345.json")
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+PAIR_2345 = os.path.join(DATA, "pair_2345.json")
 
 
 def run_cli(capsys, *argv):
@@ -726,6 +727,9 @@ SUITE_PEAK_RSS_MIB = 250
 #: --count; it draws each row block as it folds it (about 2 MiB on x86-64
 #: Linux, against 32 MiB when it held all 1e6 x 4 draws)
 IDENTITY_RSS_GROWTH_MIB = 8
+#: peak RSS allowed for `dhym path` at the largest --samples; README.md
+#: states the figure measured on x86-64 Linux
+PATH_PEAK_RSS_MIB = 150
 
 
 def _peak_rss_mib(argv) -> float:
@@ -754,3 +758,10 @@ def test_suite_peak_rss_at_max_count(command):
         assert growth < IDENTITY_RSS_GROWTH_MIB, f"identity: peak RSS grew {growth:.0f} MiB"
     else:
         assert mib < SUITE_PEAK_RSS_MIB, f"{command[0]}: peak RSS {mib:.0f} MiB"
+
+
+def test_path_peak_rss_at_max_samples():
+    pytest.importorskip("resource")
+    profile = os.path.join(DATA, "profile_constant_2345.json")
+    mib = _peak_rss_mib(["path", "--profile", profile, "--samples", str(MAX_SAMPLES)])
+    assert mib < PATH_PEAK_RSS_MIB, f"path: peak RSS {mib:.0f} MiB"

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -47,16 +48,84 @@ def test_format_float_edge_values():
         format_float(math.nan)
 
 
-def test_dumps_structure_and_indentation():
-    obj = {"a": [1, 2.5, None, True], "b": {"c": "x", "d": []}, "e": {}}
-    text = dumps(obj)
-    assert json.loads(text) == obj
-    assert text == json.dumps(obj, indent=2)  # two spaces per level, the only form
+DBL_MAX = sys.float_info.max
+#: keys and strings: any text, with quotes, backslashes and non-ASCII text drawn often
+_text = st.text(st.characters() | st.sampled_from('"\\é∂\u2028😀'), max_size=6)
+_edge_floats = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, DBL_MAX, -DBL_MAX))
+
+
+def _documents(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: st.lists(kids, max_size=4)
+        | st.lists(kids, max_size=4).map(tuple)
+        | st.dictionaries(_text, kids, max_size=4),
+        max_leaves=12,
+    )
+
+
+_scalars = st.none() | st.booleans() | st.integers() | _text
+_float_documents = _documents(_scalars | any_float | _edge_floats)
+
+
+@given(_documents(_scalars))
+@example({"a": [1, None, True], "b": {"c": "x", "d": []}, "e": {}, "f": ()})
+@example({'"quoted" \\ key': "é", "∂": ["😀", "\u2028"]})
+def test_dumps_structure_and_indentation(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2)  # two spaces per level, the only form
+
+
+def _number_tokens(doc):
+    """`doc` as json.loads(..., parse_float=str, parse_int=str) should read
+    it back: every number as its token, every tuple as a list."""
+    if isinstance(doc, float):
+        return format_float(doc)
+    if isinstance(doc, int) and not isinstance(doc, bool):
+        return str(doc)
+    if isinstance(doc, dict):
+        return {key: _number_tokens(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_number_tokens(item) for item in doc]
+    return doc
+
+
+def _assert_same(back, doc):
+    """`back`, read by json.loads, holds `doc`'s values, floats with their sign."""
+    if isinstance(doc, float):
+        assert back == doc and math.copysign(1.0, back) == math.copysign(1.0, doc)
+    elif isinstance(doc, dict):
+        assert list(back) == list(doc)
+        for key, value in doc.items():
+            _assert_same(back[key], value)
+    elif isinstance(doc, (list, tuple)):
+        assert isinstance(back, list) and len(back) == len(doc)
+        for got, item in zip(back, doc):
+            _assert_same(got, item)
+    else:
+        assert type(back) is type(doc) and back == doc
+
+
+@given(_float_documents)
+@example([0.0, -0.0, 5e-324, -DBL_MAX, {"x": (1.5, -0.0)}])
+def test_dumps_renders_every_float_through_format_float(doc):
+    text = dumps(doc)
+    _assert_same(json.loads(text), doc)
+    assert json.loads(text, parse_float=str, parse_int=str) == _number_tokens(doc)
+
+
+@given(any_float | _edge_floats)
+def test_dumps_renders_numpy_float64_as_float(x):
+    y = np.float64(x)
+    assert dumps(y) == dumps(x)
+    assert dumps([y, {"x": y}]) == dumps([x, {"x": x}])
 
 
 def test_dumps_rejects_unknown_types():
-    with pytest.raises(DomainError):
-        dumps({"x": object()})
+    bad = (np.int64(1), np.bool_(True), np.float32(1.0), object(), math.inf, -math.inf, math.nan)
+    for value in bad:
+        for doc in (value, [1, value], {"x": value}, {"x": [{"y": value}]}):
+            with pytest.raises(DomainError, match="cannot serialise"):
+                dumps(doc)
 
 
 @given(
