@@ -2,16 +2,20 @@
 """Time two dhym source trees against each other in one process.
 
 Loads PARENT_SRC/dhym and CHANGE_SRC/dhym as two packages under different
-names, then runs a seeded mix of `dhym sample --theta T --count 1000` and
-`dhym kt --count 1000` through each tree's cli.main in turn.  The mix is
-built as perfbench's mc_window workload builds its operations for the
-same seed.  Each round runs every operation through both trees, and the
-rounds alternate which tree goes first.  Every operation must print the
-same bytes and exit code in both trees.  Prints, per operation kind, the
-median microseconds per operation of each tree (the median over rounds of
-each round's median), their ratio and the rounds the change was faster in.
+names, then runs a seeded mix of operations through each tree's cli.main
+in turn.  `--mix window` (the default) alternates
+`dhym sample --theta T --count 1000` and `dhym kt --count 1000`, built as
+perfbench's mc_window workload builds its operations for the same seed;
+`--mix identity` runs `dhym identity --count 100000`, the CLI half of
+perfbench's identity_bulk.  Each round runs every operation through both
+trees, and the rounds alternate which tree goes first.  Every operation
+must print the same bytes and exit code in both trees.  Prints, per
+operation kind, the median microseconds per operation of each tree (the
+median over rounds of each round's median), their ratio and the rounds
+the change was faster in.
 
     python scripts/ab_suites.py PARENT_SRC CHANGE_SRC --rounds 6 --ops 400
+    python scripts/ab_suites.py PARENT_SRC CHANGE_SRC --mix identity --ops 24
 
 In one process both trees run on the same CPU speed, which on a shared
 machine drifts between separate runs by more than a 10 % change.
@@ -46,7 +50,7 @@ def load_tree(src, name):
     return module
 
 
-def op_mix(n_ops, seed, count=1000):
+def window_mix(n_ops, seed, count=1000):
     """argv of n_ops operations: sample at even positions, kt at odd ones."""
     rng = np.random.default_rng([seed, 1])
     thetas = rng.uniform(math.pi + 0.01, 2.0 * math.pi - 0.01, size=(n_ops + 1) // 2)
@@ -56,6 +60,15 @@ def op_mix(n_ops, seed, count=1000):
         argv = ["sample", "--theta", repr(float(thetas[i // 2]))] if i % 2 == 0 else ["kt"]
         ops.append(argv + ["--count", str(count), "--seed", str(int(seeds[i]))])
     return ops
+
+
+def identity_mix(n_ops, seed, count=100_000):
+    """argv of n_ops `dhym identity` operations with seeded --seed values."""
+    seeds = np.random.default_rng([seed, 2]).integers(0, 2**31, size=n_ops)
+    return [["identity", "--count", str(count), "--seed", str(int(s))] for s in seeds]
+
+
+MIXES = {"window": window_mix, "identity": identity_mix}
 
 
 def run(cli, argv):
@@ -75,13 +88,19 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=6)
     ap.add_argument("--ops", type=int, default=400, help="operations per round")
     ap.add_argument("--seed", type=int, default=1831)
+    ap.add_argument(
+        "--mix",
+        choices=sorted(MIXES),
+        default="window",
+        help="window: sample and kt at --count 1000; identity: identity at --count 100000",
+    )
     args = ap.parse_args(argv)
 
     trees = {
         side: importlib.import_module(f"{load_tree(src, f'dhym_{side}').__name__}.cli")
         for side, src in (("parent", args.parent_src), ("change", args.change_src))
     }
-    ops = op_mix(args.ops, args.seed)
+    ops = MIXES[args.mix](args.ops, args.seed)
     for argv_ in ops[:2]:  # warm-up: the parser cache and first-call imports
         for cli in trees.values():
             run(cli, argv_)
@@ -102,13 +121,16 @@ def main(argv=None) -> int:
         for key, ts in times.items():
             medians[key].append(statistics.median(ts) * 1e6)
 
-    print(f"{len(ops)} ops x {args.rounds} rounds, seed {args.seed}; every output byte-equal")
-    print("kind    parent_us  change_us  change/parent  change_faster_rounds")
+    print(
+        f"{args.mix} mix, {len(ops)} ops x {args.rounds} rounds, seed {args.seed}; "
+        "every output byte-equal"
+    )
+    print("kind     parent_us  change_us  change/parent  change_faster_rounds")
     for kind in kinds:
         parent, change = medians["parent", kind], medians["change", kind]
         p, c = statistics.median(parent), statistics.median(change)
         faster = sum(b < a for a, b in zip(parent, change))
-        print(f"{kind:<7} {p:9.1f}  {c:9.1f}  {c / p:13.3f}  {faster} of {args.rounds}")
+        print(f"{kind:<8} {p:9.1f}  {c:9.1f}  {c / p:13.3f}  {faster} of {args.rounds}")
     return 0
 
 

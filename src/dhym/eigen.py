@@ -113,10 +113,11 @@ class Branch(Enum):
 def sigma_rows(lam) -> np.ndarray:
     """Elementary symmetric polynomials row-wise: shape (m, n) -> (m, n+1).
 
-    Uses the stable one-pass recurrence e_k += v * e_{k-1}; tests compare
-    it against direct subset enumeration.  e is column-major (F-ordered),
-    so each update runs on contiguous columns, and the rows derived from e
-    by broadcasting (constant_model_rows, the margin table) keep that layout.
+    Uses the stable one-pass recurrence e_k += v * e_{k-1} (at k = 1 it adds
+    v, which v * 1.0 equals bit for bit); tests compare it against direct
+    subset enumeration.  e is column-major (F-ordered), so each update runs
+    on contiguous columns, and the rows derived from e by broadcasting
+    (constant_model_rows, the margin table) keep that layout.
     """
     lam = np.asarray(lam, dtype=float)
     m, n = lam.shape
@@ -126,8 +127,9 @@ def sigma_rows(lam) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n):
             v = lam[:, j]
-            for k in range(min(j + 1, n), 0, -1):
+            for k in range(min(j + 1, n), 1, -1):
                 e[:, k] += v * e[:, k - 1]
+            e[:, 1] += v
     return e
 
 
@@ -187,12 +189,7 @@ def phase_components(lam) -> tuple[float, float]:
 
 def gamma_cone_rows(e: np.ndarray) -> np.ndarray:
     """gamma_cone of each row of sigma rows e, shape (m, n+1)."""
-    k = np.zeros(e.shape[0], dtype=int)
-    leading = np.ones(e.shape[0], dtype=bool)
-    for s in e[:, 1:].T:
-        leading &= s > 0.0
-        k += leading
-    return k
+    return np.logical_and.accumulate(e[:, 1:] > 0.0, axis=1).sum(axis=1)
 
 
 def gamma_cone(lam) -> int:
@@ -260,8 +257,9 @@ def branch_check(lam, branch: Branch) -> InequalityReport:
     return evaluate(f"branch_{branch.name.lower()}", rows, sigma_rows(rows)).report()
 
 
-#: the 4-fold branches, indexed by _branch_index
+#: the 4-fold branches, indexed by _branch_index, and their (lo, hi) rows
 _FOUR_FOLD = (Branch.SUPERCRITICAL, Branch.MID, Branch.FULL)
+_BOUNDS = np.array([b.value for b in _FOUR_FOLD])
 
 
 def _branch_index(theta):
@@ -278,22 +276,23 @@ def branch_blocks(lam: np.ndarray, e: np.ndarray, thetas: np.ndarray, phase: np.
     branch_for_phase(thetas[i]) against its actual phase ``phase[i]``; the
     PhaseOutsideBranchError names the first row outside its branch, as
     branch_check sample by sample would.  Returns (rows, margins) for each
-    branch that occurs.
+    branch that occurs; a branch that owns every row gets lam and e themselves.
     """
     which = _branch_index(thetas)
-    lo, hi = np.array([b.value for b in _FOUR_FOLD])[which].T
+    lo, hi = _BOUNDS[which].T
     outside = ~((lo < phase) & (phase < hi))
     if outside.any():
         i = outside.argmax()
         raise PhaseOutsideBranchError(float(phase[i]), _FOUR_FOLD[which[i]])
-    groups = [(b, np.flatnonzero(which == k)) for k, b in enumerate(_FOUR_FOLD)]
-    # take along the columns keeps each branch's rows F-ordered; lam[rows]
-    # and lam.T[:, rows].T both return C-ordered copies
-    return [
-        (rows, evaluate(f"branch_{b.name.lower()}", *(a.T.take(rows, axis=1).T for a in (lam, e))))
-        for b, rows in groups
-        if rows.size
-    ]
+    blocks = []
+    for k, b in enumerate(_FOUR_FOLD):
+        rows = np.flatnonzero(which == k)
+        if rows.size:
+            # take along the columns keeps each branch's rows F-ordered; lam[rows]
+            # and lam.T[:, rows].T both return C-ordered copies
+            cols = (lam, e) if rows.size == len(e) else [a.T.take(rows, axis=1).T for a in (lam, e)]
+            blocks.append((rows, evaluate(f"branch_{b.name.lower()}", *cols)))
+    return blocks
 
 
 def branch_for_phase(theta: float, n: int = 4) -> Branch:

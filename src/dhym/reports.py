@@ -16,11 +16,14 @@ row block at a time and fold the columns into a ``Tally``.  The table is
 column-major: ``compare_rows`` allocates every (m, K) array F-ordered, so
 each entry is one contiguous column write and each per-entry reduction of
 the fold reads contiguous columns, like the F-ordered row blocks that feed it.
+It runs the pass tests of only the relations a check uses, and the fold
+copies no margins of a block whose entries are all present.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from typing import NamedTuple
 
@@ -137,9 +140,12 @@ def compare_rows(label: str, entries) -> Margins:
     tol = BOUNDARY_REL * np.maximum(np.abs(lhs), np.abs(rhs))
     boundary = np.abs(margin) <= tol
     names, relations = (tuple(x) for x in zip(*((e.name, e.relation) for e in entries)))
-    # relations are validated above, so the three masks partition the columns
-    strict, loose, equal = (np.array([r == rel for r in relations]) for rel in (">", ">=", "=="))
-    passed = (strict & (margin > 0.0)) | (loose & (margin >= -tol)) | (equal & boundary)
+    # relations are validated above, so the masks of those that occur
+    # partition the columns; only their pass tests run
+    tests = {">": lambda: margin > 0.0, ">=": lambda: margin >= -tol, "==": lambda: boundary}
+    occur = [rel for rel in tests if rel in relations]
+    masks = (np.array([r == rel for r in relations]) & tests[rel]() for rel in occur)
+    passed = tests[occur[0]]() if len(occur) == 1 else reduce(np.logical_or, masks)
     return Margins(label, names, relations, lhs, rhs, margin, passed, boundary, present)
 
 
@@ -264,7 +270,7 @@ class Tally:
         for b, (rows, mg) in enumerate(blocks):
             keys = [f"{mg.label}.{name}" if self.qualified else name for name in mg.names]
             # argmin takes the first of equal minima, as the loop's `<` kept it
-            masked = np.where(mg.present, mg.margin, np.inf)
+            masked = mg.margin if mg.present.all() else np.where(mg.present, mg.margin, np.inf)
             low = masked[masked.argmin(axis=0), np.arange(len(keys))].tolist()
             first = rows[mg.present.argmax(axis=0)].tolist()
             for k, exists in enumerate(mg.present.any(axis=0).tolist()):

@@ -9,10 +9,11 @@ identity and KT suites and by the sampler in the theorem suite.  Every row
 block is column-major (F-ordered) from the draw to the fold: the identity
 and KT suites turn each drawn block into F-order once before sorting it,
 the sampler returns F-ordered rows, sigma_rows builds F-ordered sigma rows,
-the branch rows and the KT suite's kept rows are gathered column by
-column, and the margin table is F-ordered, so the sort, the sigma
-recurrence and the checks read and write contiguous columns.  The KT suite
-stops drawing at its count-th kept row.
+the rows of a branch that shares its block and the KT suite's kept rows
+are gathered column by column, and the margin table is F-ordered, so the
+sort, the sigma recurrence and the checks read and write contiguous
+columns.  The KT suite keeps a row by one mask over its sigma_1..sigma_3
+columns and stops drawing at its count-th kept row.
 The checks are the row forms that the scalar API evaluates on a single
 row, so the code paths a user calls are the ones being certified:
 phase_component_rows, factorization_rows and constant_model_rows behind
@@ -32,7 +33,6 @@ from .eigen import (
     Branch,
     branch_blocks,
     factorization_rows,
-    gamma_cone_rows,
     phase_component_rows,
     phase_rows,
     row_blocks,
@@ -246,6 +246,10 @@ class KtSuiteReport(_SuiteReport):
     passed: bool
 
 
+def _gamma3(e) -> np.ndarray:  # gamma_cone_rows(e) >= 3, without its counts
+    return np.logical_and.reduce(e[:, 1:4] > 0.0, axis=1)
+
+
 def kt_suite(count: int, seed: int) -> KtSuiteReport:
     """KT chain on random constant models with Gamma-cone order >= 3.
 
@@ -270,7 +274,7 @@ def kt_suite(count: int, seed: int) -> KtSuiteReport:
         lam = np.asfortranarray(rng.uniform(-SPAN, SPAN, size=(size, 4)))
         e = sigma_rows(sort_rows(lam))
         # kept as columns: e.T[:, mask] and e[mask] would copy row-major
-        kept.append(e.T.compress(gamma_cone_rows(e) >= 3, axis=1))
+        kept.append(e.T.compress(_gamma3(e), axis=1))
         n_kept += kept[-1].shape[1]
         drawn += size
     e = np.concatenate(kept, axis=1)[:, :count].T

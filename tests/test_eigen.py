@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -302,6 +303,44 @@ def test_sigma_rows_are_column_major():
     assert e.flags.f_contiguous and e.shape == (ROW_BLOCK + 3, 5)
     assert constant_model_rows(e).flags.f_contiguous  # inherited by broadcasting
     assert np.array_equal(_bits(sigma_rows(np.asfortranarray(lam))), _bits(e))
+
+
+def reference_sigma_rows(lam):
+    """sigma_rows with every step e_k += v * e_{k-1}, k = 1 included."""
+    lam = np.asarray(lam, dtype=float)
+    m, n = lam.shape
+    e = np.zeros((m, n + 1), order="F")
+    e[:, 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            v = lam[:, j]
+            for k in range(min(j + 1, n), 0, -1):
+                e[:, k] += v * e[:, k - 1]
+    return e
+
+
+#: entries whose products and sums reach every special double
+SIGMA_EDGES = (
+    0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -5e-324, 3.0,
+)
+
+
+def test_sigma_rows_bit_equal_to_reference_recurrence():
+    # every 4-row of the edge values (12**4 rows), then random blocks held
+    # row-major and column-major: NaN in the same places, every other bit
+    # equal, signed zeros included
+    grid = np.array(list(itertools.product(SIGMA_EDGES, repeat=4)))
+    rng = np.random.default_rng(12)
+    blocks = [grid]
+    for width in (3, 4):
+        lam = rng.standard_normal((ROW_BLOCK + 5, width)) * 10.0 ** rng.integers(-3, 5, width)
+        blocks += [np.ascontiguousarray(lam), np.asfortranarray(lam)]
+    for lam in blocks:
+        got, want = sigma_rows(lam), reference_sigma_rows(lam)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(_bits(got)[~nan], _bits(want)[~nan])
+    assert grid.shape == (20736, 4) and np.isnan(sigma_rows(grid)).any()
 
 
 def test_phase_rows_bit_equal_on_either_layout():

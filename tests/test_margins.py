@@ -548,8 +548,21 @@ def assert_same_margins(got, want):
         assert a.tobytes() == b.tobytes()  # every bit, NaN payloads and -0.0 included
 
 
+def _one_relation(relation, present=None):
+    """Three entries of one relation over rows of signed zeros, near-ties
+    and non-finite values: each relation's pass test alone."""
+    col = np.array([0.0, -0.0, 1.0, 1.0 + 1e-12, math.inf, -math.inf, math.nan, 1e308, -5e-324])
+    return [
+        Margin(f"e{k}", np.roll(col, k), np.roll(col, -k) if k else 1.0, relation, present)
+        for k in range(3)
+    ]
+
+
 @settings(max_examples=200, deadline=None)
 @given(margin_entries())
+@example(_one_relation(">"))
+@example(_one_relation(">="))
+@example(_one_relation("=="))
 def test_compare_rows_bits_match_row_major_reference(entries):
     with np.errstate(all="ignore"):
         got, want = compare_rows("x", entries), reference_compare_rows("x", entries)
@@ -583,6 +596,8 @@ def _all_failing(m):
 @settings(max_examples=100, deadline=None)
 @given(tally_folds(), st.booleans())
 @example([([(np.arange(40), _all_failing(40))], np.arange(0))], True)  # 120 > FAILURE_CAP
+@example([([(np.arange(9), _one_relation(">="))], np.arange(0))], False)  # every entry present
+@example([([(np.arange(9), _one_relation(">", np.arange(9) % 3 > 0))], np.arange(2))], True)
 def test_tally_matches_reference_fold(folds, qualified):
     fold, ref = Tally(qualified), ReferenceTally(qualified)
     for blocks, flag in folds:
@@ -600,15 +615,28 @@ def test_branch_blocks_hand_evaluate_column_major_rows(monkeypatch, layout):
     seen, margins = [], eigen.evaluate
 
     def spy(label, lam, e):
-        branch = Branch[label.removeprefix("branch_").upper()]
-        seen.append((branch, lam.flags.f_contiguous, e.flags.f_contiguous))
+        seen.append((Branch[label.removeprefix("branch_").upper()], lam, e))
         return margins(label, lam, e)
+
+    def rows_of(thetas):
+        lam = sample_level_set_batch(thetas, seed=np.random.default_rng(6))
+        return np.asfortranarray(lam) if layout == "F" else np.ascontiguousarray(lam)
 
     monkeypatch.setattr(eigen, "evaluate", spy)
     thetas = np.random.default_rng(5).uniform(math.pi + 0.01, 2.0 * math.pi - 0.01, 500)
     thetas[:3] = 1.5 * math.pi  # the FULL branch
-    lam = sample_level_set_batch(thetas, seed=np.random.default_rng(6))
-    lam = np.asfortranarray(lam) if layout == "F" else np.ascontiguousarray(lam)
+    lam = rows_of(thetas)
     blocks = branch_blocks(lam, sigma_rows(lam), thetas, phase_rows(lam))
     assert [b for b, *_ in seen] == list(_FOUR_FOLD) and len(blocks) == 3
-    assert all(lam_f and e_f for _, lam_f, e_f in seen)
+    assert all(lam.flags.f_contiguous and e.flags.f_contiguous for _, lam, e in seen)
+
+    # every row above 3*pi/2: the one branch gets lam and e themselves, no copy
+    seen.clear()
+    thetas = np.random.default_rng(7).uniform(1.5 * math.pi + 0.01, 2.0 * math.pi - 0.01, 500)
+    lam = rows_of(thetas)
+    e = sigma_rows(lam)
+    [(rows, _)] = branch_blocks(lam, e, thetas, phase_rows(lam))
+    assert np.array_equal(rows, np.arange(500))
+    assert len(seen) == 1 and seen[0][0] is Branch.SUPERCRITICAL
+    assert seen[0][1] is lam and seen[0][2] is e and e.flags.f_contiguous
+    assert lam.flags.f_contiguous == (layout == "F")

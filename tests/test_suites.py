@@ -254,6 +254,22 @@ def test_blocked_kt_suite_matches_whole_array_reference(count):
     assert repr(kt_suite(count, 108).to_dict()) == repr(reference_kt_report(count, 108))
 
 
+def test_kt_gamma3_mask_keeps_the_gamma_cone_rows():
+    # the KT draw's mask against gamma_cone_rows(e) >= 3: on sigma rows of
+    # uniform draws, and on rows of NaN, +-0.0 and values either side of 0
+    rng = np.random.default_rng(9)
+    drawn = sigma_rows(np.sort(rng.uniform(-SPAN, SPAN, size=(ROW_BLOCK, 4)), axis=1))
+    pool = np.array([math.nan, 0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, math.inf, -math.inf])
+    edges = np.asfortranarray(rng.choice(pool, size=(4096, 5)))
+    for e in (drawn, edges, np.ascontiguousarray(edges)):
+        mask = suites._gamma3(e)
+        assert mask.dtype == bool and np.array_equal(mask, gamma_cone_rows(e) >= 3)
+    # gamma_cone_rows itself: the length of each row's leading run of s > 0
+    leading = [next((k for k, s in enumerate(row[1:]) if not s > 0.0), 4) for row in edges.tolist()]
+    assert gamma_cone_rows(edges).tolist() == leading
+    assert 0 < suites._gamma3(edges).sum() < len(edges)
+
+
 #: counts around one pass (4096 draws), and above ROW_BLOCK, where a pass
 #: spans several chunks
 KT_COUNTS = [1, 2, 999, 1000, 1001, 4096, 5000, 9000, 20000]

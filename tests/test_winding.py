@@ -22,6 +22,7 @@ from dhym import (
     lagrangian_phase,
     path_polynomials,
     sample_level_set_batch,
+    weighted_model,
     winding_report,
     winding_trace,
     z_of_t,
@@ -591,3 +592,26 @@ def test_integer_grid_window_hypothesis():
     assert winding_report(p).theta_alg == pytest.approx(5 * math.pi / 4, abs=1e-12)
     kahler2 = check_chern_n4(p).entry("kahler2")
     assert (kahler2.lhs, kahler2.rhs, kahler2.passed) == (4.0, 5.0, False)
+
+
+def test_one_level_set_mixture_lifts_below_the_window():
+    # two tuples on the level set theta = 4.5 (each fourth entry solved for
+    # it) mix into a profile whose analytic angle is 4.5 but whose path
+    # winds to 4.5 - 2*pi: a pointwise phase does not fix the lifted angle,
+    # and this mixture fails `second` though both tuples sit in the window
+    theta = 4.5
+
+    def on_level_set(first3):
+        return (*first3, math.tan(theta - sum(math.atan(v) for v in first3)))
+
+    lam_a = on_level_set((-0.171, 54.451, 60.394))
+    lam_b = on_level_set((0.567, 3.759, 4.013))
+    assert lagrangian_phase(lam_a) == lagrangian_phase(lam_b) == theta
+    p = weighted_model([(0.012, lam_a), (0.988, lam_b)])
+    assert analytic_angle_from_integrals(p) == theta
+    assert winding_report(p).theta_alg == theta - TWO_PI == -1.7831853071795862
+    report = check_chern_n4(p)
+    assert report.entry("first").passed
+    second = report.entry("second")
+    assert not second.passed and second.margin == pytest.approx(-2.480e5, rel=1e-3)
+    assert not report.entry("kahler2").passed
