@@ -113,11 +113,10 @@ class Branch(Enum):
 def sigma_rows(lam) -> np.ndarray:
     """Elementary symmetric polynomials row-wise: shape (m, n) -> (m, n+1).
 
-    Uses the stable one-pass recurrence e_k += v * e_{k-1} (at k = 1 it adds
-    v, which v * 1.0 equals bit for bit); tests compare it against direct
-    subset enumeration.  e is column-major (F-ordered), so each update runs
-    on contiguous columns, and the rows derived from e by broadcasting
-    (constant_model_rows, the margin table) keep that layout.
+    Uses the stable one-pass recurrence e_k += v * e_{k-1}; tests compare
+    it against direct subset enumeration.  e is column-major (F-ordered),
+    so each update runs on contiguous columns, and the rows derived from e
+    by broadcasting (constant_model_rows, the margin table) keep that layout.
     """
     lam = np.asarray(lam, dtype=float)
     m, n = lam.shape
@@ -129,7 +128,7 @@ def sigma_rows(lam) -> np.ndarray:
             v = lam[:, j]
             for k in range(min(j + 1, n), 1, -1):
                 e[:, k] += v * e[:, k - 1]
-            e[:, 1] += v
+            e[:, 1] += v  # v * e[:, 0] is v * 1.0, which is v bit for bit
     return e
 
 
@@ -189,7 +188,12 @@ def phase_components(lam) -> tuple[float, float]:
 
 def gamma_cone_rows(e: np.ndarray) -> np.ndarray:
     """gamma_cone of each row of sigma rows e, shape (m, n+1)."""
-    return np.logical_and.accumulate(e[:, 1:] > 0.0, axis=1).sum(axis=1)
+    k = np.zeros(e.shape[0], dtype=int)
+    leading = np.ones(e.shape[0], dtype=bool)
+    for s in e[:, 1:].T:
+        leading &= s > 0.0
+        k += leading
+    return k
 
 
 def gamma_cone(lam) -> int:

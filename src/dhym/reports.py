@@ -14,16 +14,13 @@ with their sigma rows for the branch checks, profile rows ``d`` for the
 rest.  A scalar check is the table on one row; the suites evaluate it one
 row block at a time and fold the columns into a ``Tally``.  The table is
 column-major: ``compare_rows`` allocates every (m, K) array F-ordered, so
-each entry is one contiguous column write and each per-entry reduction of
-the fold reads contiguous columns, like the F-ordered row blocks that feed it.
-It runs the pass tests of only the relations a check uses, and the fold
-copies no margins of a block whose entries are all present.
+an entry's write and the fold's reads of it are contiguous columns, like
+the row blocks that feed it; it runs only the pass tests of relations in use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
 from typing import NamedTuple
 
@@ -140,12 +137,12 @@ def compare_rows(label: str, entries) -> Margins:
     tol = BOUNDARY_REL * np.maximum(np.abs(lhs), np.abs(rhs))
     boundary = np.abs(margin) <= tol
     names, relations = (tuple(x) for x in zip(*((e.name, e.relation) for e in entries)))
-    # relations are validated above, so the masks of those that occur
-    # partition the columns; only their pass tests run
-    tests = {">": lambda: margin > 0.0, ">=": lambda: margin >= -tol, "==": lambda: boundary}
-    occur = [rel for rel in tests if rel in relations]
-    masks = (np.array([r == rel for r in relations]) & tests[rel]() for rel in occur)
-    passed = tests[occur[0]]() if len(occur) == 1 else reduce(np.logical_or, masks)
+    # relations are validated above, so the masks partition the columns; > and >= run if used
+    passed = np.array([r == "==" for r in relations]) & boundary
+    if ">" in relations:
+        passed |= np.array([r == ">" for r in relations]) & (margin > 0.0)
+    if ">=" in relations:
+        passed |= np.array([r == ">=" for r in relations]) & (margin >= -tol)
     return Margins(label, names, relations, lhs, rhs, margin, passed, boundary, present)
 
 

@@ -11,9 +11,8 @@ and KT suites turn each drawn block into F-order once before sorting it,
 the sampler returns F-ordered rows, sigma_rows builds F-ordered sigma rows,
 the rows of a branch that shares its block and the KT suite's kept rows
 are gathered column by column, and the margin table is F-ordered, so the
-sort, the sigma recurrence and the checks read and write contiguous
-columns.  The KT suite keeps a row by one mask over its sigma_1..sigma_3
-columns and stops drawing at its count-th kept row.
+sort, the sigma recurrence and the checks run on contiguous columns.  The
+KT suite masks sigma_1..sigma_3 > 0 at once and stops at its count-th row.
 The checks are the row forms that the scalar API evaluates on a single
 row, so the code paths a user calls are the ones being certified:
 phase_component_rows, factorization_rows and constant_model_rows behind
