@@ -37,10 +37,14 @@ import numpy as np
 
 def load_tree(src, name):
     """Import SRC/dhym as the package `name`; its relative imports stay
-    inside that tree.  Returns the package."""
+    inside that tree.  Any earlier package of that name is dropped with its
+    submodules, so a second load in one process reads SRC.  Returns the
+    package."""
     pkg = Path(src) / "dhym"
     if not (pkg / "__init__.py").is_file():
         raise SystemExit(f"no dhym package under {src}")
+    for stale in [m for m in sys.modules if m.split(".")[0] == name]:
+        del sys.modules[stale]
     spec = importlib.util.spec_from_file_location(
         name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
     )

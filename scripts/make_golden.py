@@ -89,7 +89,7 @@ def render(case: str):
     """(exit code, {file name: text}) of one case, exactly as the CLI writes it."""
     if case in SUITE_CASES:
         count, seed = SUITE_CASES[case]
-        return 0, {f"{case}.json": dumps(theorem_suite(count, seed=seed).to_dict()) + "\n"}
+        return 0, {f"{case}.json": dumps(theorem_suite(count, seed=seed)) + "\n"}
     buf = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         with contextlib.redirect_stdout(buf):

@@ -31,13 +31,13 @@ def main(argv=None) -> int:
     all_ok = True
     for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
         report = theorem_suite(args.count, seed=args.seed + i, theta_lo=lo, theta_hi=hi)
-        all_ok &= report.passed
-        worst = sorted(report.min_margins.items(), key=lambda kv: kv[1])[:3]
-        status = "ok " if report.passed else "FAIL"
+        all_ok &= report["pass"]
+        worst = sorted(report["min_margins"].items(), key=lambda kv: kv[1])[:3]
+        status = "ok " if report["pass"] else "FAIL"
         cells = ", ".join(f"{k.split('.')[-1]}={v:.3e}" for k, v in worst)
         print(
             f"theta in [{lo:6.4f}, {hi:6.4f}]  {status}  "
-            f"{report.count} samples  tightest: {cells}"
+            f"{report['count']} samples  tightest: {cells}"
         )
     print("sweep:", "all bins pass" if all_ok else "violations found")
     return 0 if all_ok else 1

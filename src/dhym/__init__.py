@@ -47,7 +47,6 @@ from .errors import (
 )
 from .hermitian import HermitianPair, phase_of_pair, relative_spectrum
 from .models import (
-    ConsistencyReport,
     blowup_p3,
     constant_model,
     consistency_suite,

@@ -12,7 +12,6 @@ intersection ring for the same checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .charge import (
     winding_report,
     z_of_t,
 )
-from .eigen import TWO_PI, Branch, EigenTuple, as_eigen, lagrangian_phase, sigma_rows
+from .eigen import TWO_PI, Branch, as_eigen, lagrangian_phase, sigma_rows
 from .errors import DomainError
 
 #: tolerance on the weight sum of a weighted model
@@ -98,38 +97,21 @@ def blowup_p3(a: float, b: float, c: float, e: float) -> IntersectionProfile:
     return IntersectionProfile(3, d)
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Pointwise-versus-integrated agreement for one constant model."""
-
-    lam: EigenTuple
-    phase: float
-    analytic_angle: float
-    angle_delta: float
-    r_expected: float
-    r_actual: float
-    r_delta_rel: float
-    theta_alg: float | None
-    winding_delta: float | None
-    passed: bool
-
-    def to_dict(self):
-        out = {f.name: getattr(self, f.name) for f in fields(self)[1:-1]}
-        return {"lambda": list(self.lam.values), **out, "pass": self.passed}
-
-
 ANGLE_TOL = 1e-9
 R_TOL = 1e-10
 
 
-def consistency_suite(lam) -> ConsistencyReport:
+def consistency_suite(lam) -> dict:
     """Cross-check one constant model along three independent routes.
 
     Asserts (i) the integrated angle equals the pointwise phase mod 2*pi,
     (ii) |Z(1)| equals prod sqrt(1 + lambda_j^2) / n!, and (iii) the
     winding lift reproduces the phase whenever it lies in the lifted
-    window ((pi, 2*pi) on 4-folds, (pi/2, 3*pi/2) on 3-folds).  Returns a
-    structured report instead of raising on mismatch.
+    window ((pi, 2*pi) on 4-folds, (pi/2, 3*pi/2) on 3-folds).  Returns,
+    instead of raising on mismatch, the dict that `dhym consistency
+    --lambda` prints: lambda, phase, analytic_angle, angle_delta,
+    r_expected, r_actual, r_delta_rel, theta_alg, winding_delta, pass
+    (theta_alg and winding_delta are None outside the window).
     """
     t = as_eigen(lam)
     p = constant_model(t)
@@ -149,20 +131,19 @@ def consistency_suite(lam) -> ConsistencyReport:
         theta_alg = winding_report(p).theta_alg
         winding_delta = abs(theta_alg - phase)
 
-    passed = (
-        angle_delta <= ANGLE_TOL
-        and r_delta_rel <= R_TOL
-        and (winding_delta is None or winding_delta <= ANGLE_TOL)
-    )
-    return ConsistencyReport(
-        lam=t,
-        phase=phase,
-        analytic_angle=analytic,
-        angle_delta=angle_delta,
-        r_expected=r_expected,
-        r_actual=r_actual,
-        r_delta_rel=r_delta_rel,
-        theta_alg=theta_alg,
-        winding_delta=winding_delta,
-        passed=passed,
-    )
+    return {
+        "lambda": list(t.values),
+        "phase": phase,
+        "analytic_angle": analytic,
+        "angle_delta": angle_delta,
+        "r_expected": r_expected,
+        "r_actual": r_actual,
+        "r_delta_rel": r_delta_rel,
+        "theta_alg": theta_alg,
+        "winding_delta": winding_delta,
+        "pass": (
+            angle_delta <= ANGLE_TOL
+            and r_delta_rel <= R_TOL
+            and (winding_delta is None or winding_delta <= ANGLE_TOL)
+        ),
+    }

@@ -6,8 +6,8 @@ any other fault raises DomainError.
 
 The JSON writer is the standard library's indenting encoder.  Both writers
 render floats only through `format_float` (`%.17g`, which round-trips any
-IEEE double, and `-0.0`).  Each report's keys and their order come from its
-own `to_dict`, so identical inputs give identical bytes.
+IEEE double, and `-0.0`).  Keys keep the order of a suite's dict or of a
+report's `to_dict`, so identical inputs give identical bytes.
 """
 
 from __future__ import annotations

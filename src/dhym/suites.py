@@ -22,8 +22,6 @@ table (reports.MARGINS) behind branch_check, check_chern_n4 and kt_chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 import numpy as np
 
 from .charge import _re_z_at_tstar_rows
@@ -51,24 +49,6 @@ NEWTON_TOL = 1e-12
 
 #: the identity and KT suites draw their tuples uniformly from [-SPAN, SPAN]^4
 SPAN = 10.0
-
-
-class _SuiteReport:
-    """Wire form shared by the suite reports: every field but the trailing
-    passed, then "pass"."""
-
-    def to_dict(self):
-        return {**{f.name: getattr(self, f.name) for f in fields(self)[:-1]}, "pass": self.passed}
-
-
-@dataclass(frozen=True)
-class IdentitySuiteReport(_SuiteReport):
-    count: int
-    max_rel_product: float
-    max_rel_factorization: float
-    max_rel_vieta: float
-    min_newton_margin_rel: float
-    passed: bool
 
 
 #: Vieta's expansion is checked on the first VIETA_ROWS rows
@@ -111,8 +91,10 @@ def _complex(re, im) -> np.ndarray:
     return z
 
 
-def identity_suite(count: int, seed: int) -> IdentitySuiteReport:
-    """Random-tuple identity checks on [-SPAN, SPAN]^4.
+def identity_suite(count: int, seed: int) -> dict:
+    """Random-tuple identity checks on [-SPAN, SPAN]^4, as the dict that
+    `dhym identity` prints: count, max_rel_product, max_rel_factorization,
+    max_rel_vieta, min_newton_margin_rel, pass.
 
     Verifies (i) the alternating-sigma components against the complex
     product prod(1 + i*lambda_j), multiplied out factor by factor
@@ -149,33 +131,19 @@ def identity_suite(count: int, seed: int) -> IdentitySuiteReport:
     vieta = sum(e[:, k] * powers[k] for k in range(5))
     rel_vieta = _max_rel(np.prod(x[:, None] + lam, axis=1), vieta)
 
-    passed = (
-        rel_product <= PRODUCT_IDENTITY_TOL
-        and rel_fact <= FACTORIZATION_TOL
-        and rel_vieta <= VIETA_TOL
-        and newton >= -NEWTON_TOL
-    )
-    return IdentitySuiteReport(
-        count=count,
-        max_rel_product=rel_product,
-        max_rel_factorization=rel_fact,
-        max_rel_vieta=rel_vieta,
-        min_newton_margin_rel=newton,
-        passed=passed,
-    )
-
-
-@dataclass(frozen=True)
-class TheoremSuiteReport(_SuiteReport):
-    count: int
-    theta_lo: float
-    theta_hi: float
-    max_phase_error: float
-    min_margins: dict
-    tstar_count: int
-    sign_mismatches: int
-    failures: tuple
-    passed: bool
+    return {
+        "count": count,
+        "max_rel_product": rel_product,
+        "max_rel_factorization": rel_fact,
+        "max_rel_vieta": rel_vieta,
+        "min_newton_margin_rel": newton,
+        "pass": (
+            rel_product <= PRODUCT_IDENTITY_TOL
+            and rel_fact <= FACTORIZATION_TOL
+            and rel_vieta <= VIETA_TOL
+            and newton >= -NEWTON_TOL
+        ),
+    }
 
 
 def theorem_suite(
@@ -183,8 +151,10 @@ def theorem_suite(
     seed: int,
     theta_lo: float = Branch.FULL.value[0] + 0.01,
     theta_hi: float = Branch.FULL.value[1] - 0.01,
-) -> TheoremSuiteReport:
-    """Level-set Monte Carlo over the lifted window (pi, 2*pi).
+) -> dict:
+    """Level-set Monte Carlo over the lifted window (pi, 2*pi), as the dict
+    that `dhym sample` prints: count, theta_lo, theta_hi, max_phase_error,
+    min_margins, tstar_count, sign_mismatches, failures, pass.
 
     Draws `count` tuples with phases uniform in [theta_lo, theta_hi],
     then evaluates the branch_check facts of the half of the window each
@@ -222,35 +192,27 @@ def theorem_suite(
         tstar_count, mismatches = tstar_count + len(rows), mismatches + len(mismatch)
         fold.add([*blocks, (samples, chern)], flags=[("tstar_sign", mismatch)])
 
-    passed = not fold.failures and mismatches == 0 and max_phase_err < PHASE_TOL
-    return TheoremSuiteReport(
-        count=count,
-        theta_lo=theta_lo,
-        theta_hi=theta_hi,
-        max_phase_error=max_phase_err,
-        min_margins=fold.mins,
-        tstar_count=tstar_count,
-        sign_mismatches=mismatches,
-        failures=fold.failures,
-        passed=passed,
-    )
-
-
-@dataclass(frozen=True)
-class KtSuiteReport(_SuiteReport):
-    count: int
-    attempts: int
-    min_margins: dict
-    failures: tuple
-    passed: bool
+    return {
+        "count": count,
+        "theta_lo": theta_lo,
+        "theta_hi": theta_hi,
+        "max_phase_error": max_phase_err,
+        "min_margins": fold.mins,
+        "tstar_count": tstar_count,
+        "sign_mismatches": mismatches,
+        "failures": fold.failures,
+        "pass": not fold.failures and mismatches == 0 and max_phase_err < PHASE_TOL,
+    }
 
 
 def _gamma3(e) -> np.ndarray:  # gamma_cone_rows(e) >= 3, without its counts
     return np.logical_and.reduce(e[:, 1:4] > 0.0, axis=1)
 
 
-def kt_suite(count: int, seed: int) -> KtSuiteReport:
-    """KT chain on random constant models with Gamma-cone order >= 3.
+def kt_suite(count: int, seed: int) -> dict:
+    """KT chain on random constant models with Gamma-cone order >= 3, as
+    the dict that `dhym kt` prints: count, attempts, min_margins, failures,
+    pass.
 
     Tuples are drawn uniformly from [-SPAN, SPAN]^4 and kept when
     sigma_1, sigma_2, sigma_3 > 0; every kt_chain entry must pass on the
@@ -281,10 +243,10 @@ def kt_suite(count: int, seed: int) -> KtSuiteReport:
     for blk in row_blocks(count):
         d = constant_model_rows(e[blk])
         fold.add([(np.arange(blk.start, blk.stop), evaluate("kt_chain", d))])
-    return KtSuiteReport(
-        count=count,
-        attempts=block * -(-drawn // block),  # whole passes, as the report counts them
-        min_margins=fold.mins,
-        failures=fold.failures,
-        passed=not fold.failures,
-    )
+    return {
+        "count": count,
+        "attempts": block * -(-drawn // block),  # whole passes, as the report counts them
+        "min_margins": fold.mins,
+        "failures": fold.failures,
+        "pass": not fold.failures,
+    }

@@ -55,10 +55,10 @@ def monte_carlo():
 
 def test_criterion_01_theorem_monte_carlo(monte_carlo):
     r, seconds = monte_carlo
-    chern_margins = {k: v for k, v in r.min_margins.items() if k.startswith("chern_n4.")}
+    chern_margins = {k: v for k, v in r["min_margins"].items() if k.startswith("chern_n4.")}
     ok = (
-        r.count == 10000
-        and not r.failures
+        r["count"] == 10000
+        and not r["failures"]
         and chern_margins["chern_n4.first"] > 0.0
         and chern_margins["chern_n4.second"] > 0.0
         and seconds < 10.0
@@ -74,7 +74,7 @@ def test_criterion_01_theorem_monte_carlo(monte_carlo):
 
 def test_criterion_02_pointwise_branch_suite(monte_carlo):
     r, _ = monte_carlo
-    branch_margins = {k: v for k, v in r.min_margins.items() if k.startswith("branch_")}
+    branch_margins = {k: v for k, v in r["min_margins"].items() if k.startswith("branch_")}
     needed = [
         "branch_mid.sigma3_minus_sigma1",
         "branch_mid.sigma2_minus_sigma4_minus_1",
@@ -92,15 +92,15 @@ def test_criterion_02_pointwise_branch_suite(monte_carlo):
 def test_criterion_03_identity_suite():
     r, seconds = _timed(identity_suite, 100000, seed=SEED)
     ok = (
-        r.max_rel_product <= 1e-10
-        and r.max_rel_factorization <= 1e-10
+        r["max_rel_product"] <= 1e-10
+        and r["max_rel_factorization"] <= 1e-10
         and seconds < 5.0
     )
     _report(
         3,
         ok,
-        f"1e5 tuples: product {r.max_rel_product:.2e}, "
-        f"factorization {r.max_rel_factorization:.2e} (tol 1e-10), {seconds:.2f}s < 5s",
+        f"1e5 tuples: product {r['max_rel_product']:.2e}, "
+        f"factorization {r['max_rel_factorization']:.2e} (tol 1e-10), {seconds:.2f}s < 5s",
     )
 
 
@@ -140,12 +140,12 @@ def test_criterion_05_angle_agreement():
 
 def test_criterion_06_tstar_sign_equivalence(monte_carlo):
     r, _ = monte_carlo
-    ok = r.tstar_count == r.count and r.sign_mismatches == 0
+    ok = r["tstar_count"] == r["count"] and r["sign_mismatches"] == 0
     _report(
         6,
         ok,
-        f"T* exists on {r.tstar_count}/{r.count} samples, "
-        f"{r.sign_mismatches} sign mismatches",
+        f"T* exists on {r['tstar_count']}/{r['count']} samples, "
+        f"{r['sign_mismatches']} sign mismatches",
     )
 
 
@@ -169,7 +169,7 @@ def test_criterion_08_kt_newton_suite():
             scale = max(1.0, abs(entry.lhs), abs(entry.rhs))
             if not (entry.boundary and abs(entry.margin) <= 1e-12 * scale):
                 equality_ok = False
-    ok = r.passed and equality_ok
+    ok = r["pass"] and equality_ok
     _report(
         8,
         ok,

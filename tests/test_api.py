@@ -14,7 +14,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: sorted(dhym.__all__); adding or removing a public name edits this list
 PUBLIC_API = [
     "Branch",
-    "ConsistencyReport",
     "ConvergenceError",
     "DegeneratePathError",
     "DhymError",

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dhym import charge
+from dhym import charge, consistency_suite, identity_suite, kt_suite, theorem_suite
 from dhym.cli import MAX_SAMPLES, main
 from dhym.serialize import dumps, format_float, load_json, parse_pair, parse_profile
 
@@ -191,6 +191,26 @@ def test_kt_profile_and_random(capsys, tmp_path):
     code, out = run_cli(capsys, "kt", "--count", "500", "--seed", "2")
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, suite",
+    [
+        (["sample", "--theta", "5.0", "--count", "300", "--seed", "4"],
+         lambda: theorem_suite(300, 4, 5.0, 5.0)),
+        (["kt", "--count", "300", "--seed", "4"], lambda: kt_suite(300, 4)),
+        (["identity", "--count", "300", "--seed", "4"], lambda: identity_suite(300, 4)),
+        (["consistency", "--lambda", "2,3,4,5"], lambda: consistency_suite((2, 3, 4, 5))),
+        (["consistency", "--lambda=-0.5,1,2,3"], lambda: consistency_suite((-0.5, 1, 2, 3))),
+    ],
+    ids=["sample", "kt", "identity", "consistency", "consistency-outside-window"],
+)
+def test_suite_returns_the_dict_the_cli_prints(capsys, argv, suite):
+    code, out = run_cli(capsys, *argv)
+    report = suite()
+    assert type(report) is dict and list(report)[-1] == "pass"
+    assert out == dumps(report) + "\n"
+    assert code == (0 if report["pass"] else 1)
 
 
 def test_consistency_cli(capsys):

@@ -125,28 +125,28 @@ def test_blowup_chern3_on_small_grid():
 
 def test_consistency_examples():
     r = consistency_suite((1, 1, 1, 1))
-    assert r.passed
-    assert r.r_expected == pytest.approx(1 / 6, abs=1e-15)
-    assert r.r_actual == pytest.approx(1 / 6, abs=1e-12)
+    assert r["pass"]
+    assert r["r_expected"] == pytest.approx(1 / 6, abs=1e-15)
+    assert r["r_actual"] == pytest.approx(1 / 6, abs=1e-12)
 
     r = consistency_suite((0, 0, 0, 0))
-    assert r.passed
-    assert r.r_actual == pytest.approx(1 / 24, abs=1e-15)
-    assert r.angle_delta == pytest.approx(0.0, abs=1e-12)
+    assert r["pass"]
+    assert r["r_actual"] == pytest.approx(1 / 24, abs=1e-15)
+    assert r["angle_delta"] == pytest.approx(0.0, abs=1e-12)
 
     r = consistency_suite((2, 3, 4, 5))
-    assert r.passed
-    assert r.winding_delta is not None and r.winding_delta < 1e-9
-    assert r.theta_alg == pytest.approx(5.05541292, abs=1e-8)
+    assert r["pass"]
+    assert r["winding_delta"] is not None and r["winding_delta"] < 1e-9
+    assert r["theta_alg"] == pytest.approx(5.05541292, abs=1e-8)
 
 
 def test_consistency_n3():
     r = consistency_suite((1, 2, 3))
-    assert r.passed
-    assert r.theta_alg == pytest.approx(math.pi, abs=1e-9)
+    assert r["pass"]
+    assert r["theta_alg"] == pytest.approx(math.pi, abs=1e-9)
 
 
 def test_consistency_report_dict():
-    d = consistency_suite((2, 3, 4, 5)).to_dict()
+    d = consistency_suite((2, 3, 4, 5))
     assert d["pass"] is True
     assert d["lambda"] == [2.0, 3.0, 4.0, 5.0]

@@ -1,0 +1,52 @@
+"""Smoke runs of the scripts that read suite reports or gate refactors:
+theorem_sweep.py, and the two-tree checks byte_sweep.py and ab_suites.py,
+run on one tree against itself and against a copy whose help screen differs
+by one character."""
+
+import os
+import shutil
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+sys.path.insert(0, os.path.join(ROOT, "scripts"))
+
+import ab_suites  # noqa: E402
+import byte_sweep  # noqa: E402
+import theorem_sweep  # noqa: E402
+
+
+def test_theorem_sweep_passes_every_bin(capsys):
+    assert theorem_sweep.main(["--count", "200", "--bins", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert all(line.startswith("theta in [") and "  ok   200 samples" in line for line in lines[:2])
+    assert lines[2] == "sweep: all bins pass"
+
+
+def test_byte_sweep_reads_no_difference_on_one_tree(capsys):
+    assert byte_sweep.main([SRC, SRC, "--argvs", "40"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["40 argvs over 8 subcommands, seed 21: 0 differ"]
+
+
+def test_byte_sweep_finds_a_changed_help_screen(capsys, tmp_path):
+    change = tmp_path / "src"
+    shutil.copytree(
+        os.path.join(SRC, "dhym"), change / "dhym", ignore=shutil.ignore_patterns("__pycache__")
+    )
+    cli = change / "dhym" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    description = 'description="Verification toolkit for dHYM Chern-number inequalities.",'
+    assert text.count(description) == 1
+    cli.write_text(text.replace(description, description.replace('.",', '.!",')), encoding="utf-8")
+    assert byte_sweep.main([SRC, str(change), "--argvs", "40"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["differs: -h", "40 argvs over 8 subcommands, seed 21: 1 differ"]
+
+
+def test_ab_suites_reads_every_output_byte_equal(capsys):
+    assert ab_suites.main([SRC, SRC, "--rounds", "2", "--ops", "4"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "window mix, 4 ops x 2 rounds, seed 1831; every output byte-equal"
+    assert [line.split()[0] for line in out.splitlines()[2:]] == ["kt", "sample"]

@@ -31,12 +31,12 @@ def test_suites_require_positive_count():
 
 def test_identity_suite_small():
     report = identity_suite(5000, seed=1)
-    assert report.passed
-    assert report.count == 5000
-    assert report.max_rel_product <= 1e-12
-    assert report.max_rel_factorization <= 1e-10
-    assert report.max_rel_vieta <= 1e-10
-    assert report.min_newton_margin_rel >= -1e-12
+    assert report["pass"]
+    assert report["count"] == 5000
+    assert report["max_rel_product"] <= 1e-12
+    assert report["max_rel_factorization"] <= 1e-10
+    assert report["max_rel_vieta"] <= 1e-10
+    assert report["min_newton_margin_rel"] >= -1e-12
 
 
 def test_identity_suite_deterministic():
@@ -44,37 +44,37 @@ def test_identity_suite_deterministic():
     for fn in (identity_suite, theorem_suite, kt_suite):
         a, b = fn(2000, seed=9), fn(2000, seed=9)
         assert a == b
-        assert a.to_dict() == b.to_dict()
+        assert repr(a) == repr(b)
 
 
 def test_theorem_suite_small():
     report = theorem_suite(500, seed=2)
-    assert report.passed
-    assert report.sign_mismatches == 0
-    assert report.tstar_count == 500
-    assert report.max_phase_error < 1e-12
-    assert min(report.min_margins.values()) > 0.0
+    assert report["pass"]
+    assert report["sign_mismatches"] == 0
+    assert report["tstar_count"] == 500
+    assert report["max_phase_error"] < 1e-12
+    assert min(report["min_margins"].values()) > 0.0
 
 
 def test_theorem_suite_fixed_theta():
     report = theorem_suite(100, seed=3, theta_lo=5.0, theta_hi=5.0)
-    assert report.passed
-    assert report.theta_lo == report.theta_hi == 5.0
-    assert any(key.startswith("branch_supercritical") for key in report.min_margins)
+    assert report["pass"]
+    assert report["theta_lo"] == report["theta_hi"] == 5.0
+    assert any(key.startswith("branch_supercritical") for key in report["min_margins"])
 
 
 def test_theorem_suite_mid_only():
     report = theorem_suite(100, seed=4, theta_lo=3.2, theta_hi=4.6)
-    assert report.passed
-    assert all(not k.startswith("branch_supercritical") for k in report.min_margins)
-    assert "branch_mid.sigma2_minus_sigma4_minus_1" in report.min_margins
+    assert report["pass"]
+    assert all(not k.startswith("branch_supercritical") for k in report["min_margins"])
+    assert "branch_mid.sigma2_minus_sigma4_minus_1" in report["min_margins"]
 
 
 def test_theorem_suite_exact_branch_boundary():
     # exactly 3*pi/2 dispatches to the FULL fact set, never a precondition error
     report = theorem_suite(20, seed=6, theta_lo=1.5 * math.pi, theta_hi=1.5 * math.pi)
-    assert report.passed
-    assert any(k.startswith("branch_full.") for k in report.min_margins)
+    assert report["pass"]
+    assert any(k.startswith("branch_full.") for k in report["min_margins"])
 
 
 def test_theorem_suite_window_guard():
@@ -86,10 +86,10 @@ def test_theorem_suite_window_guard():
 
 def test_kt_suite_small():
     report = kt_suite(1000, seed=5)
-    assert report.passed
-    assert report.count == 1000
-    assert report.attempts >= 1000
-    assert set(report.min_margins) == {"k1", "k2", "k3", "eqn12", "eqn23", "combined"}
+    assert report["pass"]
+    assert report["count"] == 1000
+    assert report["attempts"] >= 1000
+    assert set(report["min_margins"]) == {"k1", "k2", "k3", "eqn12", "eqn23", "combined"}
 
 
 # -- the blocked identity suite against a plain, unblocked copy of it ---------
@@ -135,7 +135,7 @@ def reference_identity_report(count, seed):
     "count", [1, 999, 1000, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 7]
 )
 def test_blocked_identity_suite_matches_unblocked_reference(count, seed):
-    assert identity_suite(count, seed).to_dict() == reference_identity_report(count, seed)
+    assert identity_suite(count, seed) == reference_identity_report(count, seed)
 
 
 # -- the blocked theorem and KT suites against whole-array copies of them -----
@@ -224,7 +224,7 @@ BLOCK_COUNTS = [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 7]
 @pytest.mark.parametrize("count", BLOCK_COUNTS)
 def test_blocked_theorem_suite_matches_whole_array_reference(count, window):
     # repr compares key order and every float bit, -0.0 included
-    got = theorem_suite(count, 107, *window).to_dict()
+    got = theorem_suite(count, 107, *window)
     assert repr(got) == repr(reference_theorem_report(count, 107, *window))
 
 
@@ -239,7 +239,7 @@ def test_blocked_theorem_suite_names_failures_by_sample(monkeypatch):
 
         monkeypatch.setitem(reports.MARGINS, label, rare)
     count, window = 3 * ROW_BLOCK + 7, (math.pi + 0.01, TWO_PI - 0.01)
-    got = theorem_suite(count, 107, *window).to_dict()
+    got = theorem_suite(count, 107, *window)
     assert repr(got) == repr(reference_theorem_report(count, 107, *window))
     assert {key for _, key, _ in got["failures"]} == {
         "branch_supercritical.rare",
@@ -251,7 +251,7 @@ def test_blocked_theorem_suite_names_failures_by_sample(monkeypatch):
 
 @pytest.mark.parametrize("count", BLOCK_COUNTS)
 def test_blocked_kt_suite_matches_whole_array_reference(count):
-    assert repr(kt_suite(count, 108).to_dict()) == repr(reference_kt_report(count, 108))
+    assert repr(kt_suite(count, 108)) == repr(reference_kt_report(count, 108))
 
 
 def test_kt_gamma3_mask_keeps_the_gamma_cone_rows():
@@ -282,7 +282,7 @@ def test_kt_draw_stops_at_the_count_th_kept_row(count, seed, monkeypatch):
     report, attempts included, and its last chunk holds the count-th kept row."""
     sizes, sort = [], suites.sort_rows
     monkeypatch.setattr(suites, "sort_rows", lambda lam: sizes.append(len(lam)) or sort(lam))
-    got = kt_suite(count, seed).to_dict()
+    got = kt_suite(count, seed)
     assert repr(got) == repr(reference_kt_report(count, seed))
     rng = np.random.default_rng(seed)
     e = sigma_rows(np.sort(rng.uniform(-SPAN, SPAN, size=(got["attempts"], 4)), axis=1))
