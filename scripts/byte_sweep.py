@@ -7,9 +7,10 @@ through both trees' cli.main in one process.  The corpus spans all eight
 subcommands: random profiles whose entries include +-0.0, +-1e300 and
 subnormals, model specs, `--lambda` tuples, matrix pairs (the committed
 tests/data/pair_2345.json among them), malformed and missing files,
-argvs argparse rejects, and the help screens.  For each argv the exit
-code, stdout and any file written by `--out` must be the same bytes in
-both trees.  Prints each argv that differs and exits 1 if any does, else 0.
+argvs argparse rejects, the help screens, and three suite runs at counts
+the random argvs never reach (LARGE).  For each argv the exit code, stdout
+and any file written by `--out` must be the same bytes in both trees.
+Prints each argv that differs and exits 1 if any does, else 0.
 
     python scripts/byte_sweep.py PARENT_SRC CHANGE_SRC --argvs 2400 --seed 21
 """
@@ -197,12 +198,21 @@ REFUSED = (
 HELP = (["-h"], *([command, "-h"] for command in SUBCOMMANDS))
 
 
+#: suite runs far above the random argvs' counts of at most 400, where a
+#: suite's minimum can land on a row whose margin a last-bit change moves
+LARGE = (
+    ["kt", "--count", "20000", "--seed", "2"],
+    ["sample", "--theta", "5.0", "--count", "20000", "--seed", "3"],
+    ["identity", "--count", "100000", "--seed", "5"],
+)
+
+
 def corpus(n_argvs, seed, files, out):
     rng = random.Random(seed)
     argvs = [list(a) for a in REFUSED + HELP]
-    while len(argvs) < n_argvs:
+    while len(argvs) < n_argvs - len(LARGE):
         argvs.append(argv_for(rng, SUBCOMMANDS[len(argvs) % len(SUBCOMMANDS)], files, out))
-    return argvs
+    return argvs + [list(a) for a in LARGE]
 
 
 def run(cli, argv, out):

@@ -177,14 +177,13 @@ def _im_root(n: int, d) -> np.ndarray:
 
 def _re_z_at_tstar_rows(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of 4-fold profiles d (m, 5) whose T* = `_im_root` exceeds 1,
-    and 24 Re Z(T*) = -(d_0 T*^4 - 6 d_2 T*^2 + d_4) at each, summed in
-    z_of_t's order.  Its sign is the sign of Re Z(T*)."""
+    and 24 Re Z(T*) = -(d_0 T*^4 - 6 d_2 T*^2 + d_4) at each.  Its sign is
+    the sign of Re Z(T*)."""
     t = _im_root(4, d)
     rows = np.flatnonzero(t > 1.0)
     t, d = t[rows], d[rows]
-    # np.float_power is libm pow on every CPU, where numpy's SIMD pow is not
-    quartic = d[:, 0] * np.float_power(t, 4.0) - 6.0 * d[:, 2] * np.float_power(t, 2.0)
-    return rows, -(quartic + d[:, 4])
+    t2 = t * t
+    return rows, -(d[:, 0] * (t2 * t2) - 6 * d[:, 2] * t2 + d[:, 4])
 
 
 def _positive_axis_roots(p: IntersectionProfile, t_im: float, re_c, im_c) -> list:

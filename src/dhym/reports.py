@@ -151,71 +151,66 @@ def compare(name: str, lhs: float, rhs: float, relation: str = ">") -> Inequalit
     return compare_rows("", [Margin(name, [lhs], rhs, relation)]).report().entries[0]
 
 
-def _sq(x):
-    # rounds like Python's x ** 2 (both call pow); x * x differs in the last
-    # bit on about 0.1 % of doubles, which moves cancelling margins
-    return np.float_power(x, 2.0)
-
-
 def _mid(lam, e):
     return (
-        Margin("sigma1", e[:, 1], 0.0),
-        Margin("sigma2", e[:, 2], 0.0),
-        Margin("sigma3", e[:, 3], 0.0),
+        Margin("sigma1", e[:, 1], 0),
+        Margin("sigma2", e[:, 2], 0),
+        Margin("sigma3", e[:, 3], 0),
         Margin("sigma3_minus_sigma1", e[:, 3], e[:, 1]),
-        Margin("sigma2_minus_sigma4_minus_1", e[:, 2], e[:, 4] + 1.0),
-        Margin("sigma2_minus_2", e[:, 2], 2.0),
-        Margin("lambda2_lambda4", lam[:, 1] * lam[:, 3], 1.0),
-        Margin("lambda3_lambda4", lam[:, 2] * lam[:, 3], 1.0),
+        Margin("sigma2_minus_sigma4_minus_1", e[:, 2], e[:, 4] + 1),
+        Margin("sigma2_minus_2", e[:, 2], 2),
+        Margin("lambda2_lambda4", lam[:, 1] * lam[:, 3], 1),
+        Margin("lambda3_lambda4", lam[:, 2] * lam[:, 3], 1),
     )
 
 
 def _chern_n4(d):
-    sym = d[:, 0] * _sq(d[:, 3]) + _sq(d[:, 1]) * d[:, 4]
+    sym = d[:, 0] * (d[:, 3] * d[:, 3]) + d[:, 1] * d[:, 1] * d[:, 4]
     return (
         Margin("first", d[:, 3], d[:, 1]),
-        Margin("second", 6.0 * d[:, 1] * d[:, 2] * d[:, 3], sym),
-        Margin("kahler2", 2.0 * d[:, 1] * d[:, 2] * d[:, 3], sym, ">="),
+        Margin("second", 6 * d[:, 1] * d[:, 2] * d[:, 3], sym),
+        Margin("kahler2", 2 * d[:, 1] * d[:, 2] * d[:, 3], sym, ">="),
     )
 
 
 def _kt_chain(d):
     return (
-        *(Margin(f"k{k}", _sq(d[:, k]), d[:, k - 1] * d[:, k + 1], ">=") for k in (1, 2, 3)),
+        *(Margin(f"k{k}", d[:, k] * d[:, k], d[:, k - 1] * d[:, k + 1], ">=") for k in (1, 2, 3)),
         Margin("eqn12", d[:, 1] * d[:, 2], d[:, 0] * d[:, 3], ">="),
         Margin("eqn23", d[:, 2] * d[:, 3], d[:, 1] * d[:, 4], ">="),
         Margin(
             "combined",
-            2.0 * d[:, 2],
+            2 * d[:, 2],
             d[:, 0] * d[:, 3] / d[:, 1] + d[:, 1] * d[:, 4] / d[:, 3],
             ">=",
-            (d[:, 1] != 0.0) & (d[:, 3] != 0.0),
+            (d[:, 1] != 0) & (d[:, 3] != 0),
         ),
     )
 
 
 def _integrated_sigma_chain(d):
     dn = d / d[:, :1]  # volume-normalised, dn_0 = 1
-    s1, s2, s3, s4 = (np.array([4.0, 6.0, 4.0, 1.0]) * dn[:, 1:]).T  # C(4, k) d_k
-    quad = _sq(dn[:, 3]) + _sq(dn[:, 1]) * dn[:, 4] - 6.0 * dn[:, 1] * dn[:, 2] * dn[:, 3]
+    s1, s2, s3, s4 = (np.array([4, 6, 4, 1]) * dn[:, 1:]).T  # C(4, k) d_k
+    quad = dn[:, 3] * dn[:, 3] + dn[:, 1] * dn[:, 1] * dn[:, 4] - 6 * dn[:, 1] * dn[:, 2] * dn[:, 3]
     return (
-        Margin("chainA", s1 * s2 / 6.0, s3, ">="),
+        Margin("chainA", s1 * s2 / 6, s3, ">="),
         Margin("chainB", s1 * s2, s1 + s3),
-        Margin("final", s1 * s2 * s3, _sq(s3) + _sq(s1) * s4),
-        Margin("final_scaling", _sq(s3) - s1 * s2 * s3 + _sq(s1) * s4, 16.0 * quad, "=="),
+        Margin("final", s1 * s2 * s3, s3 * s3 + s1 * s1 * s4),
+        Margin("final_scaling", s3 * s3 - s1 * s2 * s3 + s1 * s1 * s4, 16 * quad, "=="),
     )
 
 
 #: check label -> function of its input columns giving its entries in
 #: report order.  Branch checks take (lam, e), sorted eigenvalue rows and
-#: their sigma rows; the others take profile rows d, shape (m, n+1).
+#: their sigma rows; the others take profile rows d, shape (m, n+1).  Squares
+#: are products and constants ints, so d may hold fractions.Fraction too.
 MARGINS = {
     "branch_supercritical": lambda lam, e: (
-        Margin("min_eigenvalue", lam[:, 0], 0.0),
+        Margin("min_eigenvalue", lam[:, 0], 0),
         Margin(
             "min_pair_product",
             np.minimum.reduce([lam[:, i] * lam[:, j] for i, j in combinations(range(4), 2)]),
-            1.0,
+            1,
         ),
         Margin("sigma3_minus_sigma1", e[:, 3], e[:, 1]),
     ),
@@ -226,12 +221,12 @@ MARGINS = {
         x for x in _mid(lam, e) if x.name != "sigma2_minus_sigma4_minus_1"
     ),
     "branch_n3": lambda lam, e: (
-        Margin("sigma1", e[:, 1], 0.0),
-        Margin("sigma2", e[:, 2], 0.0),
-        Margin("sigma2_minus_1", e[:, 2], 1.0),
+        Margin("sigma1", e[:, 1], 0),
+        Margin("sigma2", e[:, 2], 0),
+        Margin("sigma2_minus_1", e[:, 2], 1),
     ),
     "chern_n4": _chern_n4,
-    "chern_n3": lambda d: (Margin("chern3", 9.0 * d[:, 1] * d[:, 2], d[:, 0] * d[:, 3]),),
+    "chern_n3": lambda d: (Margin("chern3", 9 * d[:, 1] * d[:, 2], d[:, 0] * d[:, 3]),),
     "kt_chain": _kt_chain,
     "integrated_sigma_chain": _integrated_sigma_chain,
 }

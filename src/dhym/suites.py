@@ -156,9 +156,10 @@ def theorem_suite(
     that `dhym sample` prints: count, theta_lo, theta_hi, max_phase_error,
     min_margins, tstar_count, sign_mismatches, failures, pass.
 
-    Draws `count` tuples with phases uniform in [theta_lo, theta_hi],
-    then evaluates the branch_check facts of the half of the window each
-    phase falls in and the check_chern_n4 inequalities of the matching
+    Draws `count` tuples with phases uniform in [theta_lo, theta_hi], then
+    evaluates the branch_check facts of the half of the window each target
+    falls in (FULL where a phase lands across 3*pi/2 from a target within
+    PHASE_TOL of it) and the check_chern_n4 inequalities of the matching
     constant models.  Also certifies the real-axis crossing: sign(Re Z(T*))
     must reproduce the sign of the second inequality margin whenever
     T* = sqrt(d_3/d_1) > 1 exists.
@@ -174,6 +175,7 @@ def theorem_suite(
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(theta_lo, theta_hi, size=count)
     lam = sample_level_set_batch(thetas, seed=rng)
+    half = Branch.MID.value[1]
 
     fold = Tally()
     max_phase_err, tstar_count, mismatches = 0.0, 0, 0
@@ -182,7 +184,11 @@ def theorem_suite(
         max_phase_err = max(max_phase_err, float(np.max(np.abs(phase - thetas[blk]))))
         samples = np.arange(blk.start, blk.stop)
         e = sigma_rows(lam[blk])
-        blocks = [(samples[r], mg) for r, mg in branch_blocks(lam[blk], e, thetas[blk], phase)]
+        target = thetas[blk]
+        near = np.abs(target - half) < PHASE_TOL
+        if near.any():
+            target = np.where(near & ((phase - half) * (target - half) <= 0.0), half, target)
+        blocks = [(samples[r], mg) for r, mg in branch_blocks(lam[blk], e, target, phase)]
         d = constant_model_rows(e)
         chern = evaluate("chern_n4", d)
         # T*: sign(Re Z(T*)) must match the sign of the second Chern margin

@@ -359,6 +359,19 @@ def test_sample_outside_window_exit_2(capsys):
     assert json.loads(out)["error"] == "DomainError"
 
 
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("toward", [-math.inf, math.inf], ids=["below", "above"])
+def test_sample_one_ulp_from_three_halves_pi_passes(capsys, toward, seed):
+    # rows miss theta by ~1e-14, so some phases land across 3*pi/2 from it;
+    # those rows are checked on FULL, the facts both halves share
+    theta = math.nextafter(1.5 * math.pi, toward)
+    code, out = run_cli(capsys, "sample", "--theta", repr(theta), "--seed", str(seed))
+    assert code == 0
+    report = json.loads(out)
+    assert report["pass"] is True
+    assert any(key.startswith("branch_full.") for key in report["min_margins"])
+
+
 @pytest.mark.parametrize(
     "argv",
     [["sample", "--theta", "abc"], ["bogus"], []],

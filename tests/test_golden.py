@@ -20,8 +20,9 @@ from make_golden import DATA, cases, exit_code, render  # noqa: E402
 NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 
 #: the cases whose bytes must not depend on numpy's SIMD dispatch; the
-#: sampler behind `sample` and the theorem suite still takes np.tan, and a
-#: matrix pair's spectrum comes from LAPACK, whose kernels may depend on the CPU
+#: sampler behind `sample` and the theorem suite still takes np.tan and, in
+#: its corner draw, numpy's SIMD pow for a cube root, and a matrix pair's
+#: spectrum comes from LAPACK, whose kernels may depend on the CPU
 PORTABLE = [
     c
     for c in cases()

@@ -10,6 +10,7 @@ every float of an identity or a profile.
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -45,7 +46,7 @@ from dhym.eigen import (
 )
 from dhym.errors import PhaseOutsideBranchError, UndefinedAngleError
 from dhym.models import constant_model_rows
-from dhym.reports import FAILURE_CAP, Margin, Margins, Tally, compare_rows, evaluate
+from dhym.reports import FAILURE_CAP, MARGINS, Margin, Margins, Tally, compare_rows, evaluate
 from dhym.sampling import sample_level_set_batch
 
 REL = 1e-12
@@ -99,7 +100,7 @@ def ref_branch(vals, branch):
 
 
 def ref_chern_n4(d):
-    sym = d[0] * d[3] ** 2 + d[1] ** 2 * d[4]
+    sym = d[0] * (d[3] * d[3]) + d[1] * d[1] * d[4]
     return [
         ref_compare("first", d[3], d[1]),
         ref_compare("second", 6.0 * d[1] * d[2] * d[3], sym),
@@ -112,7 +113,7 @@ def ref_chern_n3(d):
 
 
 def ref_kt(d):
-    out = [ref_compare(f"k{k}", d[k] ** 2, d[k - 1] * d[k + 1], ">=") for k in (1, 2, 3)]
+    out = [ref_compare(f"k{k}", d[k] * d[k], d[k - 1] * d[k + 1], ">=") for k in (1, 2, 3)]
     out.append(ref_compare("eqn12", d[1] * d[2], d[0] * d[3], ">="))
     out.append(ref_compare("eqn23", d[2] * d[3], d[1] * d[4], ">="))
     if d[1] != 0.0 and d[3] != 0.0:
@@ -125,12 +126,12 @@ def ref_kt(d):
 def ref_integrated_sigma_chain(d):
     dn = d if d[0] == 1.0 else [x / d[0] for x in d]
     s1, s2, s3, s4 = (math.comb(4, k) * dn[k] for k in (1, 2, 3, 4))
-    quad = dn[3] ** 2 + dn[1] ** 2 * dn[4] - 6.0 * dn[1] * dn[2] * dn[3]
+    quad = dn[3] * dn[3] + dn[1] * dn[1] * dn[4] - 6.0 * dn[1] * dn[2] * dn[3]
     return [
         ref_compare("chainA", s1 * s2 / 6.0, s3, ">="),
         ref_compare("chainB", s1 * s2, s1 + s3),
-        ref_compare("final", s1 * s2 * s3, s3**2 + s1**2 * s4),
-        ref_compare("final_scaling", s3**2 - s1 * s2 * s3 + s1**2 * s4, 16.0 * quad, "=="),
+        ref_compare("final", s1 * s2 * s3, s3 * s3 + s1 * s1 * s4),
+        ref_compare("final_scaling", s3 * s3 - s1 * s2 * s3 + s1 * s1 * s4, 16.0 * quad, "=="),
     ]
 
 
@@ -448,7 +449,7 @@ def test_constant_and_weighted_models_match_scalar_reference(raw):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(volume, *[signed] * 4), min_size=1, max_size=10))
-@example([(1.0, 0.0, 0.0, 4.75993287319387, 0.0)])  # x * x != x ** 2 there
+@example([(1.0, 0.0, 0.0, 4.75993287319387, 0.0)])  # s3 * s3 != s3 ** 2 (libm pow) there
 def test_integrated_sigma_chain_rows_match_scalar_reference(rows):
     kernel = evaluate("integrated_sigma_chain", np.array(rows))
     for i, row in enumerate(rows):
@@ -640,3 +641,62 @@ def test_branch_blocks_hand_evaluate_column_major_rows(monkeypatch, layout):
     assert len(seen) == 1 and seen[0][0] is Branch.SUPERCRITICAL
     assert seen[0][1] is lam and seen[0][2] is e and e.flags.f_contiguous
     assert lam.flags.f_contiguous == (layout == "F")
+
+
+# -- the profile tables on exact rows -------------------------------------------
+
+
+def exact_rows(d):
+    """The float rows d as an object array of the Fractions they equal."""
+    return np.array([[Fraction(x) for x in row] for row in d.tolist()], dtype=object)
+
+
+def profile_rows(n):
+    """Constant models of 2000 uniform tuples on [-10, 10]^4 and of 2000
+    level-set tuples in (pi, 2*pi); an n = 3 row takes a tuple's first three."""
+    rng = np.random.default_rng(26)
+    uniform = np.sort(rng.uniform(-10.0, 10.0, (2000, 4)), axis=1)
+    level = sample_level_set_batch(rng.uniform(math.pi + 0.01, 2 * math.pi - 0.01, 2000), rng)
+    return constant_model_rows(sigma_rows(np.concatenate([uniform, level])[:, :n]))
+
+
+@pytest.mark.parametrize(
+    "label, n", [("chern_n4", 4), ("chern_n3", 3), ("kt_chain", 4), ("integrated_sigma_chain", 4)]
+)
+def test_profile_tables_run_unchanged_on_exact_rows(label, n):
+    d = profile_rows(n)
+    floats, exact = evaluate(label, d), MARGINS[label](exact_rows(d))
+    assert tuple(e.name for e in exact) == floats.names
+    for k, entry in enumerate(exact):
+        assert all(type(x) is Fraction for x in (*entry.lhs, *entry.rhs))
+        margin = entry.lhs - entry.rhs
+        if entry.relation == "==":  # final_scaling, an identity of polynomials
+            assert not margin.any()
+            continue
+        holds = (margin > 0) if entry.relation == ">" else (margin >= 0)
+        outside = ~floats.boundary[:, k]
+        assert np.array_equal(floats.passed[outside, k], holds[outside]), entry.name
+        print(f"{label}.{entry.name}: {len(d) - outside.sum()} of {len(d)} rows in the band")
+
+
+def test_kt_squares_are_correctly_rounded():
+    # libm pow misrounds about 0.1 % of squares; a product never does
+    rng = np.random.default_rng(26)
+    x = rng.choice([-1.0, 1.0], (20000, 3)) * 10.0 ** rng.uniform(-150.0, 150.0, (20000, 3))
+    d = np.ones((20000, 5))
+    d[:, 1:4] = x
+    lhs = evaluate("kt_chain", d).lhs[:, :3]
+    want = [[float(Fraction(v) ** 2) for v in row] for row in x.tolist()]
+    assert lhs.tolist() == want
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="final_scaling's tolerance scales with |lhs|, not with the terms of "
+    "s3^2 - s1*s2*s3 + s1^2*s4 that cancel",
+)
+def test_final_scaling_holds_on_a_cancelling_constant_model():
+    # the float margin is -2.9e-11, against a tolerance of 1e-12 * 3.8; the
+    # exact margin is 0, as on every row of the exact-row test above
+    lam = (-9.456175223503127, -9.407542989583437, 3.7536952670421044, 9.421163638995523)
+    assert integrated_sigma_chain(constant_model(lam)).entry("final_scaling").passed

@@ -177,7 +177,7 @@ def reference_theorem_report(count, seed, theta_lo, theta_hi):
     t = _im_root(4, d)
     rows = np.flatnonzero(t > 1.0)
     t, dr = t[rows], d[rows]
-    quartic = dr[:, 0] * np.float_power(t, 4.0) - 6.0 * dr[:, 2] * np.float_power(t, 2.0)
+    quartic = dr[:, 0] * ((t * t) * (t * t)) - 6.0 * dr[:, 2] * (t * t)
     re = -(quartic + dr[:, 4])
     second = chern.margin[rows, chern.names.index("second")]
     mismatch = rows[np.copysign(1.0, re) != np.copysign(1.0, second)]
