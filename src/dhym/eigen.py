@@ -140,27 +140,105 @@ def sigma(lam, k: int) -> float:
     return float(sigma_rows([t.values])[0, k])
 
 
+#: tan(3*pi/8) and 0.66, the bounds of _atan's three argument reductions
+_T3P8 = 2.41421356237309504880
+_ATAN_MID = 0.66
+#: float(pi/4) and pi/4 - float(pi/4); reduction k adds k times each
+_PIO4 = 0.25 * math.pi
+_PIO4_LO = 3.061616997868382943065e-17
+
+
+def _atan_core(r, y0, c):
+    """y0 + atan(r) + c for |r| <= 0.66 by Cephes' rational
+    atan(r) = r + r*z*P(z)/Q(z), z = r*r (Moshier 1989), rounded as
+    y0 + ((r*(z*P/Q) + r) + c).
+
+    r, y0 and c are floats or ndarrays of one shape.  Only +, -, * and /,
+    each rounded once on every CPU; the augmented assignments work in place
+    on an ndarray and rebind a float, with the same roundings, so _atan and
+    _atan_rows agree bit for bit.
+    """
+    z = r * r
+    p = z * -8.750608600031904122785e-1  # P(z), degree 4, by Horner
+    p -= 1.615753718733365076637e1
+    p *= z
+    p -= 7.500855792314704667340e1
+    p *= z
+    p -= 1.228866684490136173410e2
+    p *= z
+    p -= 6.485021904942025371773e1
+    q = z + 2.485846490142306297962e1  # Q(z), monic of degree 5, by Horner
+    q *= z
+    q += 1.650270098316988542046e2
+    q *= z
+    q += 4.328810604912902668951e2
+    q *= z
+    q += 4.853903996359136964868e2
+    q *= z
+    q += 1.945506571482613964425e2
+    p *= z
+    p /= q
+    p *= r
+    p += r
+    p += c
+    p += y0
+    return p
+
+
+def _atan(x: float) -> float:
+    """arctan of one float, within 1 ulp, with the same bits on every CPU.
+
+    Cephes' three reductions: |x| > tan(3*pi/8) takes r = -1/|x| (k = 2),
+    0.66 < |x| takes r = (|x| - 1)/(|x| + 1) (k = 1), and any other |x|
+    takes r = |x| (k = 0); reduction k adds y0 = k*_PIO4 and c = k*_PIO4_LO.
+    -0.0 keeps its sign, +-inf gives +-pi/2 and NaN stays NaN, as with
+    math.atan.
+    """
+    a = abs(x)
+    if a > _T3P8:
+        r, k = -1.0 / a, 2.0
+    elif a > _ATAN_MID:
+        r, k = (a - 1.0) / (a + 1.0), 1.0
+    else:
+        r, k = a, 0.0
+    return math.copysign(_atan_core(r, k * _PIO4, k * _PIO4_LO), x)
+
+
+def _atan_rows(x: np.ndarray) -> np.ndarray:
+    """_atan of every element of x, bit for bit: masks pick each element's
+    reduction, and _atan_core runs once over the whole array."""
+    with np.errstate(all="ignore"):
+        a = np.abs(x)
+        big = a > _T3P8
+        mid = a > _ATAN_MID
+        r = np.where(mid, (a - 1.0) / (a + 1.0), a)
+        np.divide(-1.0, a, out=r, where=big)
+        k = np.add(mid, big, dtype=float)
+        y = _atan_core(r, k * _PIO4, k * _PIO4_LO)
+        return np.copysign(y, x, out=y)
+
+
 def lagrangian_phase(lam) -> float:
     """Lagrangian phase theta = sum(arctan lambda_j), in (-n*pi/2, n*pi/2).
 
-    Summed left to right, which phase_rows reproduces bit for bit.
+    Summed left to right over _atan, which phase_rows reproduces bit for bit.
     """
     theta = 0.0
     for v in as_eigen(lam).values:
-        theta += math.atan(v)
+        theta += _atan(v)
     return theta
 
 
 def phase_rows(lam: np.ndarray) -> np.ndarray:
     """lagrangian_phase of each row of a (m, n) array, bit for bit.
 
-    The arctangents come from math.atan: np.arctan differs from it in the
-    last bit on about 0.1 % of doubles.
+    The arctangents come from _atan_rows, run once over the whole array:
+    built from +, -, *, / and copysign, it gives the same bits on every
+    CPU, where np.arctan's SIMD kernels and libm may differ in the last bit.
     """
-    m = lam.shape[0]
-    theta = np.zeros(m)
-    for col in lam.T:
-        theta += np.fromiter(map(math.atan, col.tolist()), float, m)
+    theta = np.zeros(lam.shape[0])
+    for col in _atan_rows(lam).T:
+        theta += col
     return theta
 
 

@@ -156,7 +156,8 @@ def theorem_suite(
     that `dhym sample` prints: count, theta_lo, theta_hi, max_phase_error,
     min_margins, tstar_count, sign_mismatches, failures, pass.
 
-    Draws `count` tuples with phases uniform in [theta_lo, theta_hi], then
+    Draws `count` tuples with phases uniform in [theta_lo, theta_hi]
+    (theta_lo >= pi + PHASE_TOL, so that no row's phase reaches pi), then
     evaluates the branch_check facts of the half of the window each target
     falls in (FULL where a phase lands across 3*pi/2 from a target within
     PHASE_TOL of it) and the check_chern_n4 inequalities of the matching
@@ -171,6 +172,13 @@ def theorem_suite(
         raise DomainError(
             f"theorem suite needs pi < theta_lo <= theta_hi < 2*pi, got "
             f"[{theta_lo:.12g}, {theta_hi:.12g}]"
+        )
+    if theta_lo < lo + PHASE_TOL:
+        # a row's phase misses its target by up to PHASE_TOL, so a target
+        # nearer pi could put a phase on pi or below, outside every branch
+        raise DomainError(
+            f"theorem suite needs theta_lo >= pi + PHASE_TOL = {lo + PHASE_TOL!r}, "
+            f"got {theta_lo!r}"
         )
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(theta_lo, theta_hi, size=count)

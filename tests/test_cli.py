@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from dhym import charge, consistency_suite, identity_suite, kt_suite, theorem_suite
 from dhym.cli import MAX_SAMPLES, main
+from dhym.sampling import PHASE_TOL
 from dhym.serialize import dumps, format_float, load_json, parse_pair, parse_profile
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -370,6 +371,22 @@ def test_sample_one_ulp_from_three_halves_pi_passes(capsys, toward, seed):
     report = json.loads(out)
     assert report["pass"] is True
     assert any(key.startswith("branch_full.") for key in report["min_margins"])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sample_next_to_pi_is_refused_with_its_limit(capsys, seed):
+    # a row's phase misses theta by up to PHASE_TOL, so a target within
+    # PHASE_TOL of pi could land a phase on pi, outside every branch
+    theta = math.nextafter(math.pi, 4.0)
+    code, out = run_cli(capsys, "sample", "--theta", repr(theta), "--seed", str(seed))
+    assert code == 2
+    limit = repr(math.pi + PHASE_TOL)
+    assert json.loads(out) == {
+        "error": "DomainError",
+        "message": f"theorem suite needs theta_lo >= pi + PHASE_TOL = {limit}, got {theta!r}",
+    }
+    code, out = run_cli(capsys, "sample", "--theta", limit, "--seed", str(seed))
+    assert code == 0 and json.loads(out)["pass"] is True
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import itertools
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,6 +22,8 @@ from dhym import (
 from dhym.eigen import (
     ROW_BLOCK,
     SORT_NETWORKS,
+    _atan,
+    _atan_rows,
     branch_blocks,
     phase_rows,
     sigma_rows,
@@ -27,6 +31,7 @@ from dhym.eigen import (
 )
 from dhym.errors import DomainError, PhaseOutsideBranchError
 from dhym.models import constant_model_rows
+from dhym.sampling import ANGLE_EPS, sample_level_set_batch
 from dhym.suites import _product_rows
 
 from conftest import sigma_enumeration
@@ -381,3 +386,78 @@ def test_product_recurrence_bit_equal_to_complex_prod(rows):
     re, im = _product_rows(lam)
     assert np.array_equal(_bits(re), _bits(want.real))
     assert np.array_equal(_bits(im), _bits(want.imag))
+
+
+def _ulps_around(x, n):
+    """The 2n+1 doubles from n ulp below x to n ulp above it."""
+    below, above, v, w = [], [], x, x
+    for _ in range(n):
+        v, w = math.nextafter(v, -math.inf), math.nextafter(w, math.inf)
+        below.append(v)
+        above.append(w)
+    return below[::-1] + [x] + above
+
+
+def _atan_points():
+    """Arguments for the arctan kernel: log-uniform magnitudes in 1e-8..1e8
+    of both signs, level-set eigenvalues across the window, the tangents of
+    the sampler's extreme angles, 64 ulp either side of both reduction
+    bounds, subnormals and both zeros."""
+    rng = np.random.default_rng(28)
+    wide = rng.choice([-1.0, 1.0], 14000) * 10.0 ** rng.uniform(-8.0, 8.0, 14000)
+    thetas = rng.uniform(math.pi + 0.01, 2.0 * math.pi - 0.01, 1500)
+    level = sample_level_set_batch(thetas, seed=rng).ravel()
+    edge = math.tan(0.5 * math.pi - ANGLE_EPS)
+    bounds = [v for x in (0.66, math.tan(3.0 * math.pi / 8.0)) for v in _ulps_around(x, 64)]
+    tiny = [5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308, 0.0]
+    special = [*_ulps_around(edge, 8), *bounds, *tiny]
+    special += [-v for v in special]
+    return np.concatenate([wide, level, special])
+
+
+def test_atan_within_one_ulp_of_mpmath():
+    ctx = mpmath.MPContext()
+    ctx.dps = 50
+    x = _atan_points()
+    assert x.size >= 20000
+    got = _atan_rows(x)
+    worst = 0.0
+    for xi, yi in zip(x.tolist(), got.tolist()):
+        exact = ctx.atan(ctx.mpf(xi))
+        if exact == 0:
+            assert yi == 0.0 and math.copysign(1.0, yi) == math.copysign(1.0, xi)
+            continue
+        worst = max(worst, float(abs(ctx.mpf(yi) - exact) / math.ulp(float(exact))))
+    assert worst <= 1.0
+
+
+def test_atan_scalar_and_row_forms_bit_equal():
+    x = _atan_points()
+    want = np.array([_atan(v) for v in x.tolist()])
+    assert np.array_equal(_bits(_atan_rows(x)), _bits(want))
+    # the row form runs on any layout and keeps the shape
+    block = np.asfortranarray(x[:20000].reshape(5000, 4))
+    assert np.array_equal(_bits(_atan_rows(block)), _bits(want[:20000].reshape(5000, 4)))
+
+
+def test_atan_special_values():
+    x = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    for got in ([_atan(v) for v in x], _atan_rows(np.array(x)).tolist()):
+        zero, negative_zero, up, down, nan = got
+        assert (zero, math.copysign(1.0, zero)) == (0.0, 1.0)
+        assert (negative_zero, math.copysign(1.0, negative_zero)) == (0.0, -1.0)
+        assert (up, down) == (math.atan(math.inf), math.atan(-math.inf)) == (
+            0.5 * math.pi,
+            -0.5 * math.pi,
+        )
+        assert math.isnan(nan)
+
+
+def test_atan_raises_no_warning():
+    x = np.concatenate([_atan_points(), [math.inf, -math.inf, math.nan, 1e308, -1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _atan_rows(x)
+        _atan_rows(x.reshape(-1, 1))
+        for v in x[-5:].tolist():
+            _atan(v)

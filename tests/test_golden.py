@@ -3,6 +3,8 @@ path with its CSV trace, angle, consistency of eigenvalues and of a matrix
 pair, a degenerate path) and a mixed-branch theorem suite, compared byte
 for byte with files written by scripts/make_golden.py."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -73,3 +75,33 @@ def test_winding_golden_bytes_without_avx512():
         code, files = got[case]
         assert code == exit_code(case), case
         assert files == stored(case), case
+
+
+#: seeded rows of every magnitude, built by division only so that they
+#: have the same bits with or without AVX-512, and the digest of their phases
+PHASE_DIGEST = (
+    "import hashlib, numpy as np\n"
+    "from dhym.eigen import phase_rows\n"
+    "rng = np.random.default_rng(28)\n"
+    "lam = rng.uniform(-1.0, 1.0, (100000, 4)) / rng.uniform(0.0, 1.0, (100000, 4))\n"
+    "print(hashlib.sha256(lam.tobytes()).hexdigest())\n"
+    "print(hashlib.sha256(phase_rows(lam).tobytes()).hexdigest())\n"
+)
+
+
+def test_phase_rows_bytes_without_avx512():
+    # the arctangents of phase_rows are +, -, *, / and copysign, which every
+    # SIMD level rounds alike; a transcendental ufunc would show here
+    env = {**os.environ, **NO_AVX512}
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(ROOT, "src"), env.get("PYTHONPATH", "")])
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env, capture_output=True)
+    if probe.returncode != 0:
+        pytest.skip(f"numpy does not start with {NO_AVX512}: {probe.stderr[-200:]!r}")
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(PHASE_DIGEST, {})
+    proc = subprocess.run(
+        [sys.executable, "-c", PHASE_DIGEST], env=env, capture_output=True, text=True, check=True
+    )
+    rows, phases = proc.stdout.split()
+    assert [rows, phases] == here.getvalue().split()
