@@ -7,15 +7,19 @@ in turn.  `--mix window` (the default) alternates
 `dhym sample --theta T --count 1000` and `dhym kt --count 1000`, built as
 perfbench's mc_window workload builds its operations for the same seed;
 `--mix identity` runs `dhym identity --count 100000`, the CLI half of
-perfbench's identity_bulk.  Each round runs every operation through both
-trees, and the rounds alternate which tree goes first.  Every operation
-must print the same bytes and exit code in both trees.  Prints, per
+perfbench's identity_bulk; `--mix sampler` runs its sampler half,
+sample_level_set_batch on 1e5 thetas uniform in (-pi + 0.01, pi - 0.01),
+which takes the rejection branch.  Each round runs every operation through
+both trees, and the rounds alternate which tree goes first.  Every CLI
+operation must print the same bytes and exit code in both trees, and every
+sampler draw must return the same bytes and F-contiguity.  Prints, per
 operation kind, the median microseconds per operation of each tree (the
 median over rounds of each round's median), their ratio and the rounds
 the change was faster in.
 
     python scripts/ab_suites.py PARENT_SRC CHANGE_SRC --rounds 6 --ops 400
     python scripts/ab_suites.py PARENT_SRC CHANGE_SRC --mix identity --ops 24
+    python scripts/ab_suites.py PARENT_SRC CHANGE_SRC --mix sampler --ops 40
 
 In one process both trees run on the same CPU speed, which on a shared
 machine drifts between separate runs by more than a 10 % change.
@@ -31,6 +35,7 @@ import statistics
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,17 +77,49 @@ def identity_mix(n_ops, seed, count=100_000):
     return [["identity", "--count", str(count), "--seed", str(int(s))] for s in seeds]
 
 
-MIXES = {"window": window_mix, "identity": identity_mix}
+class SamplerDraw(NamedTuple):
+    """One sample_level_set_batch call; op[0] is its kind, as an argv's is."""
+
+    kind: str
+    label: str
+    thetas: np.ndarray
+    seed: int
 
 
-def run(cli, argv):
-    """(exit code, stdout, seconds) of one in-process CLI call."""
+def sampler_mix(n_ops, seed, count=100_000, n_theta_sets=4):
+    """n_ops sampler draws over n_theta_sets sets of `count` thetas in
+    (-pi + 0.01, pi - 0.01), with seeded seeds."""
+    rng = np.random.default_rng([seed, 2])
+    thetas = [
+        rng.uniform(-math.pi + 0.01, math.pi - 0.01, size=count) for _ in range(n_theta_sets)
+    ]
+    seeds = rng.integers(0, 2**31, size=n_ops)
+    ops = []
+    for i, s in enumerate(seeds):
+        k = i % n_theta_sets
+        ops.append(SamplerDraw("sampler", f"sampler theta set {k}, seed {s}", thetas[k], int(s)))
+    return ops
+
+
+MIXES = {"window": window_mix, "identity": identity_mix, "sampler": sampler_mix}
+
+
+def run(pkg, op):
+    """(output, seconds) of one in-process operation on the tree `pkg`: a
+    CLI argv's exit code and stdout, or a sampler draw's bytes and
+    F-contiguity."""
+    if isinstance(op, SamplerDraw):
+        start = time.perf_counter()
+        rows = pkg.sample_level_set_batch(op.thetas, seed=op.seed)
+        elapsed = time.perf_counter() - start
+        return (rows.tobytes(), rows.flags.f_contiguous), elapsed
+    cli = sys.modules[f"{pkg.__name__}.cli"]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         start = time.perf_counter()
-        code = cli.main(list(argv))
+        code = cli.main(list(op))
         elapsed = time.perf_counter() - start
-    return code, buf.getvalue(), elapsed
+    return (code, buf.getvalue()), elapsed
 
 
 def main(argv=None) -> int:
@@ -96,32 +133,35 @@ def main(argv=None) -> int:
         "--mix",
         choices=sorted(MIXES),
         default="window",
-        help="window: sample and kt at --count 1000; identity: identity at --count 100000",
+        help="window: sample and kt at --count 1000; identity: identity at --count 100000; "
+        "sampler: 1e5-row level-set draws at |theta| < pi",
     )
     args = ap.parse_args(argv)
 
     trees = {
-        side: importlib.import_module(f"{load_tree(src, f'dhym_{side}').__name__}.cli")
+        side: load_tree(src, f"dhym_{side}")
         for side, src in (("parent", args.parent_src), ("change", args.change_src))
     }
+    for pkg in trees.values():
+        importlib.import_module(f"{pkg.__name__}.cli")
     ops = MIXES[args.mix](args.ops, args.seed)
-    for argv_ in ops[:2]:  # warm-up: the parser cache and first-call imports
-        for cli in trees.values():
-            run(cli, argv_)
+    for op in ops[:2]:  # warm-up: the parser cache and first-call imports
+        for pkg in trees.values():
+            run(pkg, op)
 
-    kinds = sorted({argv_[0] for argv_ in ops})
+    kinds = sorted({op[0] for op in ops})
     medians = {(side, kind): [] for side in trees for kind in kinds}
     for r in range(args.rounds):
         order = list(trees) if r % 2 == 0 else list(trees)[::-1]
         times = {key: [] for key in medians}
-        for argv_ in ops:
+        for op in ops:
             out = {}
             for side in order:
-                code, text, elapsed = run(trees[side], argv_)
-                out[side] = (code, text)
-                times[side, argv_[0]].append(elapsed)
+                out[side], elapsed = run(trees[side], op)
+                times[side, op[0]].append(elapsed)
             if out["parent"] != out["change"]:
-                raise SystemExit(f"outputs differ for {' '.join(argv_)}")
+                label = op.label if isinstance(op, SamplerDraw) else " ".join(op)
+                raise SystemExit(f"outputs differ for {label}")
         for key, ts in times.items():
             medians[key].append(statistics.median(ts) * 1e6)
 

@@ -7,9 +7,11 @@ through both trees' cli.main in one process.  The corpus spans all eight
 subcommands: random profiles whose entries include +-0.0, +-1e300 and
 subnormals, model specs, `--lambda` tuples, matrix pairs (the committed
 tests/data/pair_2345.json among them), malformed and missing files,
-argvs argparse rejects, the help screens, and three suite runs at counts
-the random argvs never reach (LARGE).  For each argv the exit code, stdout
-and any file written by `--out` must be the same bytes in both trees.
+argvs argparse rejects, the help screens, `kt` runs whose count-th kept
+row is the last draw of the first 4096-draw pass or falls just after it
+(PASS_EDGE), and three suite runs at counts the random argvs never reach
+(LARGE).  For each argv the exit code, stdout and any file written by
+`--out` must be the same bytes in both trees.
 Prints each argv that differs and exits 1 if any does, else 0.
 
     python scripts/byte_sweep.py PARENT_SRC CHANGE_SRC --argvs 2400 --seed 21
@@ -207,12 +209,25 @@ LARGE = (
 )
 
 
+#: `kt` runs whose count-th kept row is the last draw of the first
+#: 4096-draw pass (attempts 4096) or one of the first two draws of the next
+#: (attempts 8192); the random argvs' counts of at most 300 end well inside
+#: the first pass, which keeps about 377 rows
+PASS_EDGE = (
+    ["kt", "--count", "374", "--seed", "2"],
+    ["kt", "--count", "375", "--seed", "2"],
+    ["kt", "--count", "372", "--seed", "29"],
+    ["kt", "--count", "373", "--seed", "29"],
+)
+
+
 def corpus(n_argvs, seed, files, out):
     rng = random.Random(seed)
     argvs = [list(a) for a in REFUSED + HELP]
-    while len(argvs) < n_argvs - len(LARGE):
+    fixed = PASS_EDGE + LARGE
+    while len(argvs) < n_argvs - len(fixed):
         argvs.append(argv_for(rng, SUBCOMMANDS[len(argvs) % len(SUBCOMMANDS)], files, out))
-    return argvs + [list(a) for a in LARGE]
+    return argvs + [list(a) for a in fixed]
 
 
 def run(cli, argv, out):

@@ -6,13 +6,16 @@ both exact, so a report equals one pass over all rows.  The identity suite
 draws each block as it folds it; the theorem and KT suites draw first.
 Rows are sorted in place by eigen.sort_rows, a block at a time in the
 identity and KT suites and by the sampler in the theorem suite.  Every row
-block is column-major (F-ordered) from the draw to the fold: the identity
-and KT suites turn each drawn block into F-order once before sorting it,
-the sampler returns F-ordered rows, sigma_rows builds F-ordered sigma rows,
-the rows of a branch that shares its block and the KT suite's kept rows
-are gathered column by column, and the margin table is F-ordered, so the
-sort, the sigma recurrence and the checks run on contiguous columns.  The
-KT suite masks sigma_1..sigma_3 > 0 at once and stops at its count-th row.
+block is column-major (F-ordered) from the sort to the fold: the identity
+suite turns each drawn block into F-order once before sorting it, the KT
+suite only the rows its prefilter keeps, the sampler returns F-ordered
+rows, sigma_rows builds F-ordered sigma rows, the rows of a branch that
+shares its block and the KT suite's kept rows are gathered column by
+column, and the margin table is F-ordered, so the sort, the sigma
+recurrence and the checks run on contiguous columns.  The KT suite drops
+the drawn rows with fewer than three entries > 0, which no Gamma_3 row
+has, masks sigma_1..sigma_3 > 0 at once on the rest, and stops at its
+count-th row.
 The checks are the row forms that the scalar API evaluates on a single
 row, so the code paths a user calls are the ones being certified:
 phase_component_rows, factorization_rows and constant_model_rows behind
@@ -223,6 +226,25 @@ def _gamma3(e) -> np.ndarray:  # gamma_cone_rows(e) >= 3, without its counts
     return np.logical_and.reduce(e[:, 1:4] > 0.0, axis=1)
 
 
+def _three_positive(lam) -> np.ndarray:
+    """Mask of the rows of lam, shape (m, 4) and C-ordered, with at least
+    three entries > 0: each row's four bool bytes of lam > 0 read as one
+    uint32, whose set bits are counted.
+
+    Every Gamma_3 row is one of them, since in Gamma_k every n - k + 1
+    entries have a positive sum (Caffarelli-Nirenberg-Spruck 1985): here
+    any two, so at most one entry is <= 0.  The sign test is exact, and
+    it stays sound for the rounded sigma rows: take entries a, b, -c, -d
+    with c, d >= 0 (b may be <= 0 too) and s = a + b.  Then sigma_1 >= 0
+    gives s >= c + d, and sigma_3 = cd*s - ab(c + d) >= 0 gives
+    ab <= cd*s/(c + d) <= s(c + d)/4 (c = d = 0 makes sigma_3 = 0), so
+    with cd <= s(c + d)/4, sigma_2 = ab - s(c + d) + cd <= -s(c + d)/2:
+    a margin as large as the terms of sigma_2, far above their rounding.
+    A row the mask drops therefore never meets _gamma3 in floats either.
+    """
+    return np.bitwise_count((lam > 0.0).view(np.uint32)).ravel() >= 3
+
+
 def kt_suite(count: int, seed: int) -> dict:
     """KT chain on random constant models with Gamma-cone order >= 3, as
     the dict that `dhym kt` prints: count, attempts, min_margins, failures,
@@ -230,36 +252,46 @@ def kt_suite(count: int, seed: int) -> dict:
 
     Tuples are drawn uniformly from [-SPAN, SPAN]^4 and kept when
     sigma_1, sigma_2, sigma_3 > 0; every kt_chain entry must pass on the
-    first `count` kept constant models.  The draw stops at the count-th
-    kept row, in chunks sized from the acceptance so far; `attempts`
-    counts whole passes of max(4096, count) draws, which is what drawing
-    whole passes until `count` rows were kept reported.
+    first `count` kept constant models.  The draw stops at the chunk that
+    holds the count-th kept row, in chunks sized from the acceptance so
+    far (the first from the cube's Gamma_3 share).  Each chunk drops its
+    rows with fewer than three entries > 0 (_three_positive) before the
+    sort and the sigma rows, which only the rest get.  `attempts` counts
+    whole passes of max(4096, count) draws up to the count-th kept row,
+    which is what drawing whole passes until `count` rows were kept
+    reported.
     """
     if count < 1:
         raise DomainError(f"suite count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    block = max(4096, count)
     kept, n_kept, drawn = [], 0, 0
     while n_kept < count:
         # the rows still needed at the acceptance so far, plus 1/8 and 64,
-        # within ROW_BLOCK and the pass; uniform fills sequentially, so the
-        # chunks are the rows of the pass draws
-        want = (count - n_kept) * drawn // n_kept * 9 // 8 + 64 if n_kept else ROW_BLOCK
-        size = min(want, ROW_BLOCK, block - drawn % block)
-        lam = np.asfortranarray(rng.uniform(-SPAN, SPAN, size=(size, 4)))
-        e = sigma_rows(sort_rows(lam))
-        # kept as columns: e.T[:, mask] and e[mask] would copy row-major
-        kept.append(e.T.compress(_gamma3(e), axis=1))
-        n_kept += kept[-1].shape[1]
-        drawn += size
+        # within ROW_BLOCK; uniform fills sequentially, so the chunks are
+        # the rows of one draw
+        if n_kept:
+            want = (count - n_kept) * drawn // n_kept * 9 // 8 + 64
+        else:  # at the Gamma_3 share of the cube, about 1 in 11
+            want = count * 11 * 9 // 8 + 64
+        lam = rng.uniform(-SPAN, SPAN, size=(min(want, ROW_BLOCK), 4))
+        rows = np.flatnonzero(_three_positive(lam))
+        e = sigma_rows(sort_rows(np.asfortranarray(lam.take(rows, axis=0))))
+        hit = np.flatnonzero(_gamma3(e))
+        # kept as columns: e.T[:, hit] and e[hit] would copy row-major
+        kept.append(e.T.take(hit, axis=1))
+        if n_kept + hit.size >= count:  # the draw index of the count-th kept row, plus 1
+            used = drawn + int(rows[hit[count - n_kept - 1]]) + 1
+        n_kept += hit.size
+        drawn += lam.shape[0]
     e = np.concatenate(kept, axis=1)[:, :count].T
     fold = Tally(qualified=False)
     for blk in row_blocks(count):
         d = constant_model_rows(e[blk])
         fold.add([(np.arange(blk.start, blk.stop), evaluate("kt_chain", d))])
+    block = max(4096, count)  # the rows of one pass
     return {
         "count": count,
-        "attempts": block * -(-drawn // block),  # whole passes, as the report counts them
+        "attempts": block * -(-used // block),  # whole passes, as the report counts them
         "min_margins": fold.mins,
         "failures": fold.failures,
         "pass": not fold.failures,

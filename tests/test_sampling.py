@@ -171,7 +171,7 @@ def reference_sample_level_set_batch(thetas, seed):
     return np.sort(lam, axis=1)
 
 
-BLOCK_SIZES = [1, 999, 1000, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 7]
+BLOCK_SIZES = [0, 1, 999, 1000, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 7]
 
 #: theta draws for the corner (hi), mirrored corner (lo), rejection (mid)
 #: and mixed regimes of the sampler

@@ -1,11 +1,13 @@
 """Smoke runs of the scripts that read suite reports or gate refactors:
 theorem_sweep.py, and the two-tree checks byte_sweep.py and ab_suites.py,
 run on one tree against itself and against a copy whose help screen differs
-by one character."""
+by one character or whose sampler returns its rows in C order."""
 
 import os
 import shutil
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -50,3 +52,26 @@ def test_ab_suites_reads_every_output_byte_equal(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "window mix, 4 ops x 2 rounds, seed 1831; every output byte-equal"
     assert [line.split()[0] for line in out.splitlines()[2:]] == ["kt", "sample"]
+
+
+def test_ab_suites_sampler_mix_reads_every_draw_byte_equal(capsys):
+    assert ab_suites.main([SRC, SRC, "--mix", "sampler", "--rounds", "2", "--ops", "2"]) == 0
+    out = capsys.readouterr().out
+    head = "sampler mix, 2 ops x 2 rounds, seed 1831; every output byte-equal"
+    assert out.splitlines()[0] == head
+    assert [line.split()[0] for line in out.splitlines()[2:]] == ["sampler"]
+
+
+def test_ab_suites_sampler_mix_finds_a_changed_layout(tmp_path):
+    # the same row bytes in C order: only the F-contiguity tells them apart
+    change = tmp_path / "src"
+    shutil.copytree(
+        os.path.join(SRC, "dhym"), change / "dhym", ignore=shutil.ignore_patterns("__pycache__")
+    )
+    sampling = change / "dhym" / "sampling.py"
+    text = sampling.read_text(encoding="utf-8")
+    rows, c_rows = "return sort_rows(lam)\n", "return np.ascontiguousarray(sort_rows(lam))\n"
+    assert text.count(rows) == 1
+    sampling.write_text(text.replace(rows, c_rows), encoding="utf-8")
+    with pytest.raises(SystemExit, match="outputs differ for sampler theta set 0"):
+        ab_suites.main([SRC, str(change), "--mix", "sampler", "--rounds", "1", "--ops", "1"])

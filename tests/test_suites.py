@@ -256,7 +256,8 @@ def test_blocked_kt_suite_matches_whole_array_reference(count):
 
 def test_kt_gamma3_mask_keeps_the_gamma_cone_rows():
     # the KT draw's mask against gamma_cone_rows(e) >= 3: on sigma rows of
-    # uniform draws, and on rows of NaN, +-0.0 and values either side of 0
+    # uniform draws, and on rows of NaN, +-0.0 and values either side of 0;
+    # its prefilter against a count of the entries > 0 on such rows
     rng = np.random.default_rng(9)
     drawn = sigma_rows(np.sort(rng.uniform(-SPAN, SPAN, size=(ROW_BLOCK, 4)), axis=1))
     pool = np.array([math.nan, 0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, math.inf, -math.inf])
@@ -268,21 +269,72 @@ def test_kt_gamma3_mask_keeps_the_gamma_cone_rows():
     leading = [next((k for k, s in enumerate(row[1:]) if not s > 0.0), 4) for row in edges.tolist()]
     assert gamma_cone_rows(edges).tolist() == leading
     assert 0 < suites._gamma3(edges).sum() < len(edges)
+    rows = np.ascontiguousarray(edges[:, 1:])
+    assert np.array_equal(suites._three_positive(rows), np.count_nonzero(rows > 0.0, axis=1) >= 3)
+
+
+def test_kt_prefilter_drops_no_gamma3_row_in_floats():
+    """Rows with at least two entries <= 0 (+-0.0 among them), magnitudes
+    1e-15..10, whose remaining entry is set a few ulp either side of
+    sigma_1 = 0 or sigma_3 = 0: the KT prefilter drops every one, and
+    none meets _gamma3 after the sort and the sigma rows, so the drop
+    changes no kept row.  On about a fifth of them sigma_1 and sigma_3
+    are both > 0, so only sigma_2 keeps them out of Gamma_3: with sigma_1,
+    sigma_3 >= 0, the entries a, b, -c, -d (c, d >= 0) and s = a + b give
+    ab <= s(c + d)/4 and cd <= s(c + d)/4, hence sigma_2 <= -s(c + d)/2,
+    a margin the size of sigma_2's terms, far above their rounding."""
+    rng = np.random.default_rng(29)
+    m = 10**6
+
+    def magnitudes(size):
+        return 10.0 ** rng.uniform(-15.0, 1.0, size)
+
+    c, d, f = -magnitudes((3, m))
+    for x in (c, d, f):  # about one entry in eight an exact zero, of either sign
+        zero = rng.random(m) < 0.125
+        x[zero] = rng.choice([0.0, -0.0], zero.sum())
+    b = np.where(rng.random(m) < 0.5, f, magnitudes(m))  # three entries <= 0, or two
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a on sigma_1 = 0, or on sigma_3 = a(bc + bd + cd) + bcd = 0
+        a = np.where(rng.random(m) < 0.5, -(b + c + d), -b * c * d / (b * c + b * d + c * d))
+    a = np.where(np.isfinite(a), a, magnitudes(m))
+    a += np.abs(a) * rng.integers(-4, 5, m) * 2.0**-52
+    rows = rng.permuted(np.stack([a, b, c, d], axis=1), axis=1)
+    assert np.all(np.count_nonzero(rows > 0.0, axis=1) <= 2)
+    assert not suites._three_positive(rows).any()
+    e = sigma_rows(suites.sort_rows(np.asfortranarray(rows)))
+    assert np.count_nonzero((e[:, 1] > 0.0) & (e[:, 3] > 0.0)) > m // 10
+    assert not suites._gamma3(e).any()
 
 
 #: counts around one pass (4096 draws), and above ROW_BLOCK, where a pass
-#: spans several chunks
-KT_COUNTS = [1, 2, 999, 1000, 1001, 4096, 5000, 9000, 20000]
+#: spans several chunks; 4095, 4097 and 8193 put a pass boundary a row
+#: either side of the count
+KT_COUNTS = [1, 2, 999, 1000, 1001, 4095, 4096, 4097, 5000, 8193, 9000, 20000]
+
+
+class DrawLog:
+    """A Generator stand-in that logs the rows of each uniform draw."""
+
+    def __init__(self, rng, sizes):
+        self.rng, self.sizes = rng, sizes
+
+    def uniform(self, low, high, size):
+        self.sizes.append(size[0])
+        return self.rng.uniform(low, high, size)
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2024])
 @pytest.mark.parametrize("count", KT_COUNTS)
 def test_kt_draw_stops_at_the_count_th_kept_row(count, seed, monkeypatch):
     """The chunked draw reports what whole passes of max(4096, count) draws
-    report, attempts included, and its last chunk holds the count-th kept row."""
-    sizes, sort = [], suites.sort_rows
-    monkeypatch.setattr(suites, "sort_rows", lambda lam: sizes.append(len(lam)) or sort(lam))
-    got = kt_suite(count, seed)
+    report, attempts included, and its last chunk holds the count-th kept
+    row.  The sizes are those of the draws, not of the rows sorted, which
+    the prefilter shrinks."""
+    sizes, default_rng = [], np.random.default_rng
+    with monkeypatch.context() as m:
+        m.setattr(suites.np.random, "default_rng", lambda seed: DrawLog(default_rng(seed), sizes))
+        got = kt_suite(count, seed)
     assert repr(got) == repr(reference_kt_report(count, seed))
     rng = np.random.default_rng(seed)
     e = sigma_rows(np.sort(rng.uniform(-SPAN, SPAN, size=(got["attempts"], 4)), axis=1))
