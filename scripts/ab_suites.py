@@ -35,7 +35,6 @@ import statistics
 import sys
 import time
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -59,35 +58,57 @@ def load_tree(src, name):
     return module
 
 
+def cli_op(argv):
+    """The op (kind, label, call) of one in-process CLI call: call(pkg)
+    returns the exit code and stdout of argv on the tree `pkg`, and the
+    seconds it took."""
+
+    def call(pkg):
+        cli = sys.modules[f"{pkg.__name__}.cli"]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            start = time.perf_counter()
+            code = cli.main(list(argv))
+            elapsed = time.perf_counter() - start
+        return (code, buf.getvalue()), elapsed
+
+    return argv[0], " ".join(argv), call
+
+
 def window_mix(n_ops, seed, count=1000):
-    """argv of n_ops operations: sample at even positions, kt at odd ones."""
+    """n_ops CLI ops: sample at even positions, kt at odd ones."""
     rng = np.random.default_rng([seed, 1])
     thetas = rng.uniform(math.pi + 0.01, 2.0 * math.pi - 0.01, size=(n_ops + 1) // 2)
     seeds = rng.integers(0, 2**31, size=n_ops)
     ops = []
     for i in range(n_ops):
         argv = ["sample", "--theta", repr(float(thetas[i // 2]))] if i % 2 == 0 else ["kt"]
-        ops.append(argv + ["--count", str(count), "--seed", str(int(seeds[i]))])
+        ops.append(cli_op(argv + ["--count", str(count), "--seed", str(int(seeds[i]))]))
     return ops
 
 
 def identity_mix(n_ops, seed, count=100_000):
-    """argv of n_ops `dhym identity` operations with seeded --seed values."""
+    """n_ops `dhym identity` CLI ops with seeded --seed values."""
     seeds = np.random.default_rng([seed, 2]).integers(0, 2**31, size=n_ops)
-    return [["identity", "--count", str(count), "--seed", str(int(s))] for s in seeds]
+    return [cli_op(["identity", "--count", str(count), "--seed", str(int(s))]) for s in seeds]
 
 
-class SamplerDraw(NamedTuple):
-    """One sample_level_set_batch call; op[0] is its kind, as an argv's is."""
+def sampler_op(label, thetas, seed):
+    """The op (kind, label, call) of one sample_level_set_batch call:
+    call(pkg) returns the rows' bytes and F-contiguity on the tree `pkg`,
+    and the seconds it took."""
 
-    kind: str
-    label: str
-    thetas: np.ndarray
-    seed: int
+    def call(pkg):
+        start = time.perf_counter()
+        rows = pkg.sample_level_set_batch(thetas, seed=seed)
+        elapsed = time.perf_counter() - start
+        return (rows.tobytes(), rows.flags.f_contiguous), elapsed
+
+    return "sampler", label, call
 
 
 def sampler_mix(n_ops, seed, count=100_000, n_theta_sets=4):
-    """n_ops sampler draws over n_theta_sets sets of `count` thetas in
+    """n_ops sampler ops over n_theta_sets sets of `count` thetas in
     (-pi + 0.01, pi - 0.01), with seeded seeds."""
     rng = np.random.default_rng([seed, 2])
     thetas = [
@@ -97,29 +118,11 @@ def sampler_mix(n_ops, seed, count=100_000, n_theta_sets=4):
     ops = []
     for i, s in enumerate(seeds):
         k = i % n_theta_sets
-        ops.append(SamplerDraw("sampler", f"sampler theta set {k}, seed {s}", thetas[k], int(s)))
+        ops.append(sampler_op(f"sampler theta set {k}, seed {s}", thetas[k], int(s)))
     return ops
 
 
 MIXES = {"window": window_mix, "identity": identity_mix, "sampler": sampler_mix}
-
-
-def run(pkg, op):
-    """(output, seconds) of one in-process operation on the tree `pkg`: a
-    CLI argv's exit code and stdout, or a sampler draw's bytes and
-    F-contiguity."""
-    if isinstance(op, SamplerDraw):
-        start = time.perf_counter()
-        rows = pkg.sample_level_set_batch(op.thetas, seed=op.seed)
-        elapsed = time.perf_counter() - start
-        return (rows.tobytes(), rows.flags.f_contiguous), elapsed
-    cli = sys.modules[f"{pkg.__name__}.cli"]
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        start = time.perf_counter()
-        code = cli.main(list(op))
-        elapsed = time.perf_counter() - start
-    return (code, buf.getvalue()), elapsed
 
 
 def main(argv=None) -> int:
@@ -145,22 +148,21 @@ def main(argv=None) -> int:
     for pkg in trees.values():
         importlib.import_module(f"{pkg.__name__}.cli")
     ops = MIXES[args.mix](args.ops, args.seed)
-    for op in ops[:2]:  # warm-up: the parser cache and first-call imports
+    for _, _, call in ops[:2]:  # warm-up: the parser cache and first-call imports
         for pkg in trees.values():
-            run(pkg, op)
+            call(pkg)
 
-    kinds = sorted({op[0] for op in ops})
+    kinds = sorted({kind for kind, _, _ in ops})
     medians = {(side, kind): [] for side in trees for kind in kinds}
     for r in range(args.rounds):
         order = list(trees) if r % 2 == 0 else list(trees)[::-1]
         times = {key: [] for key in medians}
-        for op in ops:
+        for kind, label, call in ops:
             out = {}
             for side in order:
-                out[side], elapsed = run(trees[side], op)
-                times[side, op[0]].append(elapsed)
+                out[side], elapsed = call(trees[side])
+                times[side, kind].append(elapsed)
             if out["parent"] != out["change"]:
-                label = op.label if isinstance(op, SamplerDraw) else " ".join(op)
                 raise SystemExit(f"outputs differ for {label}")
         for key, ts in times.items():
             medians[key].append(statistics.median(ts) * 1e6)

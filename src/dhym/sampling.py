@@ -17,14 +17,9 @@ reproducible.
 The angle rows are built column by column in one (4, m) buffer, and the
 sampler returns its transpose: an F-ordered (m, 4) array whose columns are
 contiguous.  The rejection loop writes its first pass, which covers every
-row, into the buffer in place; only the rows that pass rejects are kept,
-as compact index and theta arrays, and scattered after that.  Every pass
-runs ROW_BLOCK rows at a time, so its temporaries stay cache-sized
-instead of megabytes of fresh pages; uniform fills sequentially, so the
-blocks draw the stream that one draw per pass would.  The corner draw
-writes its columns straight into the buffer, unblocked: its two draws
-are separate segments of the stream, the radii of all rows and then
-their spacings.  A batch that is all in one regime (all rejection, or all
+row, into the buffer in place; only the rows that pass rejects are gathered
+and scattered after that.  The corner draw writes its columns straight into
+the buffer.  A batch that is all in one regime (all rejection, or all
 corner, as every theta in (pi, 2*pi) is) fills the buffer with no index
 scatter.
 
@@ -43,7 +38,7 @@ import math
 
 import numpy as np
 
-from .eigen import row_blocks, sort_rows
+from .eigen import sort_rows
 from .errors import DomainError, SamplingExhaustedError
 
 #: half-width clip on each angle: u_i in (-pi/2 + ANGLE_EPS, pi/2 - ANGLE_EPS)
@@ -96,24 +91,16 @@ def _corner_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def _rejection_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Vectorised rejection for the easy range |theta| < pi - 2*eps; each
-    pass draws one triple for every row still pending, ROW_BLOCK rows at a
-    time.  The first pass covers every row and writes its draws into the
-    (4, m) buffer in place; later passes keep the pending rows' indices and
-    thetas compact and scatter only their accepted draws.  Returns the
-    buffer's transpose, an F-ordered (m, 4) array."""
+    pass draws one triple for every row still pending.  The first pass
+    covers every row and writes its draws into the (4, m) buffer in place;
+    later passes gather and scatter only the rows still pending.  Returns
+    the buffer's transpose, an F-ordered (m, 4) array."""
     a = _half_width()
     m = thetas.shape[0]
     out = np.empty((_N, m))
-    # 1-D column views: a scatter into each is cheaper than into out[i, rows]
-    cols = tuple(out)
-    pending = [np.empty(0, np.intp)]  # an empty batch has no block
-    for blk in row_blocks(m):
-        u = out[:, blk]
-        u[:3] = rng.uniform(-a, a, size=(blk.stop - blk.start, 3)).T
-        np.subtract(thetas[blk], u[0] + u[1] + u[2], out=u[3])
-        pending.append(np.flatnonzero(np.abs(u[3]) >= a) + blk.start)
-    pending = np.concatenate(pending)
-    targets = thetas.take(pending)
+    out[:3] = rng.uniform(-a, a, size=(m, 3)).T
+    np.subtract(thetas, out[0] + out[1] + out[2], out=out[3])
+    pending = np.flatnonzero(np.abs(out[3]) >= a)
     attempts = m
     budget = MAX_ATTEMPTS_PER_SAMPLE * m
     while pending.size:
@@ -122,20 +109,17 @@ def _rejection_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray
                 f"rejection sampling exhausted {attempts} attempts for "
                 f"{m} samples at theta = {float(thetas[0]):.12g}"
             )
+        u = rng.uniform(-a, a, size=(pending.size, 3))
+        u1, u2, u3 = u.T
+        u4 = thetas[pending] - (u1 + u2 + u3)
+        ok = np.abs(u4) < a
+        hit = np.flatnonzero(ok)
+        rows = pending[hit]
+        # one integer gather and scatter per column: cheaper than a (3, k) block
+        for i, col in enumerate((u1, u2, u3, u4)):
+            out[i, rows] = col[hit]
         attempts += pending.size
-        missed = []
-        for blk in row_blocks(pending.size):
-            u = rng.uniform(-a, a, size=(blk.stop - blk.start, 3))
-            u1, u2, u3 = u.T
-            u4 = targets[blk] - (u1 + u2 + u3)
-            ok = np.abs(u4) < a
-            hit = np.flatnonzero(ok)
-            rows = pending[blk].take(hit)
-            for col, draw in zip(cols, (u1, u2, u3, u4)):
-                col[rows] = draw.take(hit)
-            missed.append(np.flatnonzero(~ok) + blk.start)
-        missed = np.concatenate(missed)
-        pending, targets = pending.take(missed), targets.take(missed)
+        pending = pending[~ok]
     return out.T
 
 

@@ -228,8 +228,9 @@ def _gamma3(e) -> np.ndarray:  # gamma_cone_rows(e) >= 3, without its counts
 
 def _three_positive(lam) -> np.ndarray:
     """Mask of the rows of lam, shape (m, 4) and C-ordered, with at least
-    three entries > 0: each row's four bool bytes of lam > 0 read as one
-    uint32, whose set bits are counted.
+    three entries > 0.  Each row's four bool bytes of lam > 0 are read as
+    one uint32; times 0x01010101, its top byte is their sum (no lower byte
+    exceeds 3, so none carries), in either byte order.
 
     Every Gamma_3 row is one of them, since in Gamma_k every n - k + 1
     entries have a positive sum (Caffarelli-Nirenberg-Spruck 1985): here
@@ -242,7 +243,7 @@ def _three_positive(lam) -> np.ndarray:
     a margin as large as the terms of sigma_2, far above their rounding.
     A row the mask drops therefore never meets _gamma3 in floats either.
     """
-    return np.bitwise_count((lam > 0.0).view(np.uint32)).ravel() >= 3
+    return (lam > 0.0).view(np.uint32).ravel() * np.uint32(0x01010101) >= np.uint32(3 << 24)
 
 
 def kt_suite(count: int, seed: int) -> dict:
