@@ -9,9 +9,10 @@ subnormals, model specs, `--lambda` tuples, matrix pairs (the committed
 tests/data/pair_2345.json among them), malformed and missing files,
 argvs argparse rejects, the help screens, `kt` runs whose count-th kept
 row is the last draw of the first 4096-draw pass or falls just after it
-(PASS_EDGE), and three suite runs at counts the random argvs never reach
-(LARGE).  For each argv the exit code, stdout and any file written by
-`--out` must be the same bytes in both trees.
+(PASS_EDGE), three suite runs at counts the random argvs never reach
+(LARGE), and `check` and `kt --profile` runs through every branch of a
+check's report (REPORT_BRANCHES).  For each argv the exit code, stdout
+and any file written by `--out` must be the same bytes in both trees.
 Prints each argv that differs and exits 1 if any does, else 0.
 
     python scripts/byte_sweep.py PARENT_SRC CHANGE_SRC --argvs 2400 --seed 21
@@ -221,13 +222,32 @@ PASS_EDGE = (
 )
 
 
+#: profiles whose reports take every branch of Margins.report, which random
+#: profiles reach only by chance: `kt` with d_1 = 0 and with d_3 = 0 (no
+#: `combined` entry), `kt` on a proportional profile (every kt_chain entry on
+#: the boundary) and on a cancelling constant model whose `final_scaling`
+#: fails by a float margin of -2.9e-11, and `check` on boundary profiles
+#: with n = 3 and n = 4
+REPORT_BRANCHES = (
+    ("kt", {"n": 4, "d": [1, 0, 2, 3, 4]}),
+    ("kt", {"n": 4, "d": [1, 2, 3, 0, 4]}),
+    ("kt", {"n": 4, "d": [1, 2, 4, 8, 16]}),
+    ("kt", {"n": 4, "d": [
+        1.0, -1.422214826762234, -20.700545601133605, 126.23183412775268, 3145.9751130885193,
+    ]}),
+    ("check", {"n": 3, "d": [1, 1, 1, 9]}),
+    ("check", {"n": 4, "d": [1, 1, 1, 1, 1]}),
+)
+
+
 def corpus(n_argvs, seed, files, out):
     rng = random.Random(seed)
     argvs = [list(a) for a in REFUSED + HELP]
     fixed = PASS_EDGE + LARGE
-    while len(argvs) < n_argvs - len(fixed):
+    while len(argvs) < n_argvs - len(fixed) - len(REPORT_BRANCHES):
         argvs.append(argv_for(rng, SUBCOMMANDS[len(argvs) % len(SUBCOMMANDS)], files, out))
-    return argvs + [list(a) for a in fixed]
+    profiles = [[cmd, "--profile", files.write(json.dumps(doc))] for cmd, doc in REPORT_BRANCHES]
+    return argvs + [list(a) for a in fixed] + profiles
 
 
 def run(cli, argv, out):

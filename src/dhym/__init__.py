@@ -52,7 +52,7 @@ from .models import (
     consistency_suite,
     weighted_model,
 )
-from .reports import InequalityEntry, InequalityReport, compare
+from .reports import InequalityReport, compare
 from .sampling import sample_level_set_batch
 from .suites import identity_suite, kt_suite, theorem_suite
 

@@ -24,7 +24,9 @@ class PhaseOutsideBranchError(DomainError):
 
 
 class SamplingExhaustedError(DhymError, RuntimeError):
-    """Rejection sampling gave up before producing the requested samples."""
+    """The level-set sampler cannot reach theta: the corner draw refuses
+    |theta| >= 4 * (pi/2 - sampling.ANGLE_EPS), the largest sum of four
+    clipped angles."""
 
 
 class DegeneratePathError(DhymError, RuntimeError):

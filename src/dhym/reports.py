@@ -34,57 +34,25 @@ FAILURE_CAP = 32
 
 
 @dataclass(frozen=True)
-class InequalityEntry:
-    """One checked inequality ``lhs <relation> rhs``."""
-
-    name: str
-    lhs: float
-    rhs: float
-    margin: float
-    passed: bool
-    relation: str = ">"
-    boundary: bool = False
-
-    def to_dict(self):
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "pass": self.passed,
-            "relation": self.relation,
-            "boundary": self.boundary,
-        }
-
-
-@dataclass(frozen=True)
 class InequalityReport:
-    """A labelled, ordered collection of inequality entries."""
+    """A labelled check: ``entries`` maps each entry's name, in check order,
+    to the dict it prints (lhs, rhs, margin, pass, relation, boundary)."""
 
     label: str
-    entries: tuple[InequalityEntry, ...]
+    entries: dict[str, dict]
 
     @property
     def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
+        return all(e["pass"] for e in self.entries.values())
 
-    def entry(self, name: str) -> InequalityEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
+    def entry(self, name: str) -> dict:
+        return self.entries[name]
 
     def margin(self, name: str) -> float:
-        return self.entry(name).margin
-
-    def names(self):
-        return [e.name for e in self.entries]
+        return self.entries[name]["margin"]
 
     def to_dict(self):
-        return {
-            "label": self.label,
-            "pass": self.passed,
-            "entries": {e.name: e.to_dict() for e in self.entries},
-        }
+        return {"label": self.label, "pass": self.passed, "entries": self.entries}
 
 
 class Margin(NamedTuple):
@@ -114,8 +82,10 @@ class Margins(NamedTuple):
     def report(self, i: int = 0) -> InequalityReport:
         """Row i as a report, its absent entries left out."""
         lhs, rhs, margin, passed, boundary, present = (a[i].tolist() for a in self[3:])
-        cols = zip(self.names, lhs, rhs, margin, passed, self.relations, boundary, present)
-        return InequalityReport(self.label, tuple(InequalityEntry(*c[:7]) for c in cols if c[7]))
+        keys = ("lhs", "rhs", "margin", "pass", "relation", "boundary")
+        cols = zip(lhs, rhs, margin, passed, self.relations, boundary)
+        entries = {n: dict(zip(keys, c)) for n, c, kept in zip(self.names, cols, present) if kept}
+        return InequalityReport(self.label, entries)
 
 
 def compare_rows(label: str, entries) -> Margins:
@@ -146,9 +116,9 @@ def compare_rows(label: str, entries) -> Margins:
     return Margins(label, names, relations, lhs, rhs, margin, passed, boundary, present)
 
 
-def compare(name: str, lhs: float, rhs: float, relation: str = ">") -> InequalityEntry:
-    """Build an entry for ``lhs relation rhs``: compare_rows on one row."""
-    return compare_rows("", [Margin(name, [lhs], rhs, relation)]).report().entries[0]
+def compare(name: str, lhs: float, rhs: float, relation: str = ">") -> dict:
+    """The entry dict of ``lhs relation rhs``: compare_rows on one row."""
+    return compare_rows("", [Margin(name, [lhs], rhs, relation)]).report().entries[name]
 
 
 def _mid(lam, e):

@@ -44,9 +44,6 @@ from .errors import DomainError, SamplingExhaustedError
 #: half-width clip on each angle: u_i in (-pi/2 + ANGLE_EPS, pi/2 - ANGLE_EPS)
 ANGLE_EPS = 1e-3
 
-#: rejection attempts allowed per requested sample before giving up
-MAX_ATTEMPTS_PER_SAMPLE = 10**6
-
 #: |recomputed phase - theta| bound that sampled rows meet by construction
 PHASE_TOL = 1e-12
 
@@ -94,21 +91,19 @@ def _rejection_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray
     pass draws one triple for every row still pending.  The first pass
     covers every row and writes its draws into the (4, m) buffer in place;
     later passes gather and scatter only the rows still pending.  Returns
-    the buffer's transpose, an F-ordered (m, 4) array."""
+    the buffer's transpose, an F-ordered (m, 4) array.
+
+    A pass keeps each pending row with probability at least 1/6, so the
+    loop ends: u_1 + u_2 + u_3 must land in (theta - a, theta + a), and
+    as its density is symmetric and unimodal, that window holds the least
+    mass at |theta| = 2a, where it is (a, 3a) or (-3a, -a), of mass 1/6."""
     a = _half_width()
     m = thetas.shape[0]
     out = np.empty((_N, m))
     out[:3] = rng.uniform(-a, a, size=(m, 3)).T
     np.subtract(thetas, out[0] + out[1] + out[2], out=out[3])
     pending = np.flatnonzero(np.abs(out[3]) >= a)
-    attempts = m
-    budget = MAX_ATTEMPTS_PER_SAMPLE * m
     while pending.size:
-        if attempts > budget:
-            raise SamplingExhaustedError(
-                f"rejection sampling exhausted {attempts} attempts for "
-                f"{m} samples at theta = {float(thetas[0]):.12g}"
-            )
         u = rng.uniform(-a, a, size=(pending.size, 3))
         u1, u2, u3 = u.T
         u4 = thetas[pending] - (u1 + u2 + u3)
@@ -118,7 +113,6 @@ def _rejection_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray
         # one integer gather and scatter per column: cheaper than a (3, k) block
         for i, col in enumerate((u1, u2, u3, u4)):
             out[i, rows] = col[hit]
-        attempts += pending.size
         pending = pending[~ok]
     return out.T
 

@@ -108,7 +108,7 @@ def test_criterion_04_specific_values():
     p = constant_model((2, 3, 4, 5))
     w = winding_report(p)
     second = check_chern_n4(p).entry("second")
-    quad = second.rhs - second.lhs
+    quad = second["rhs"] - second["lhs"]
     z_star = z_of_t(p, math.sqrt(11.0))
     z_one = z_of_t(constant_model((1, 1, 1, 1)), 1.0)
     checks = [
@@ -165,9 +165,9 @@ def test_criterion_08_kt_newton_suite():
     equality_ok = True
     for c in (0.5, 1.0, 2.0):
         report = kt_chain(constant_model((c, c, c, c)))
-        for entry in report.entries:
-            scale = max(1.0, abs(entry.lhs), abs(entry.rhs))
-            if not (entry.boundary and abs(entry.margin) <= 1e-12 * scale):
+        for entry in report.entries.values():
+            scale = max(1.0, abs(entry["lhs"]), abs(entry["rhs"]))
+            if not (entry["boundary"] and abs(entry["margin"]) <= 1e-12 * scale):
                 equality_ok = False
     ok = r["pass"] and equality_ok
     _report(
@@ -194,8 +194,8 @@ def test_criterion_09_chern_n3_grid():
     ok = (
         count == 2475
         and worst > 0.0
-        and (r123.rhs, r123.lhs) == (6.0, 66.0)
-        and (r111.rhs, r111.lhs) == (1.0, 9.0)
+        and (r123["rhs"], r123["lhs"]) == (6.0, 66.0)
+        and (r111["rhs"], r111["lhs"]) == (1.0, 9.0)
     )
     _report(
         9,

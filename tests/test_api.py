@@ -20,7 +20,6 @@ PUBLIC_API = [
     "DomainError",
     "EigenTuple",
     "HermitianPair",
-    "InequalityEntry",
     "InequalityReport",
     "IntersectionProfile",
     "InvalidPairError",

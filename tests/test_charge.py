@@ -77,8 +77,8 @@ def test_chern_n4_strict_example():
     assert report.passed
     assert report.margin("first") == pytest.approx(35.0, abs=1e-9)
     second = report.entry("second")
-    assert second.rhs - second.lhs == pytest.approx(-6615.0, abs=1e-6)
-    assert second.margin == pytest.approx(6615.0, abs=1e-6)
+    assert second["rhs"] - second["lhs"] == pytest.approx(-6615.0, abs=1e-6)
+    assert second["margin"] == pytest.approx(6615.0, abs=1e-6)
 
 
 def test_chern_n4_ratio_example():
@@ -87,16 +87,16 @@ def test_chern_n4_ratio_example():
     assert report.passed
     assert p.d[3] / p.d[1] == pytest.approx(1.7692307692307692, abs=1e-12)
     second = report.entry("second")
-    assert second.rhs - second.lhs == pytest.approx(-49.21875, abs=1e-10)
-    assert 16.0 * (second.rhs - second.lhs) == pytest.approx(-787.5, abs=1e-8)
+    assert second["rhs"] - second["lhs"] == pytest.approx(-49.21875, abs=1e-10)
+    assert 16.0 * (second["rhs"] - second["lhs"]) == pytest.approx(-787.5, abs=1e-8)
 
 
 def test_chern_n4_boundary_example():
     report = check_chern_n4(constant_model((1, 1, 1, 1)))
     first = report.entry("first")
-    assert not first.passed
-    assert first.margin == 0.0
-    assert first.boundary
+    assert not first["pass"]
+    assert first["margin"] == 0.0
+    assert first["boundary"]
     assert not report.passed
 
 
@@ -114,29 +114,29 @@ def test_dimension_guards():
 def test_chern_n3_examples():
     report = check_chern_n3(constant_model((1, 2, 3)))
     entry = report.entry("chern3")
-    assert (entry.rhs, entry.lhs) == (6.0, 66.0)
+    assert (entry["rhs"], entry["lhs"]) == (6.0, 66.0)
     assert report.passed
 
     report = check_chern_n3(constant_model((1, 1, 1)))
-    assert report.entry("chern3").lhs == 9.0
-    assert report.entry("chern3").rhs == 1.0
+    assert report.entry("chern3")["lhs"] == 9.0
+    assert report.entry("chern3")["rhs"] == 1.0
 
     report = check_chern_n3(IntersectionProfile(3, (1, 0, 0, 0)))
     assert not report.passed  # 0 < 0 fails the strict form
-    assert report.entry("chern3").boundary
+    assert report.entry("chern3")["boundary"]
 
 
 def test_kt_chain_values():
     report = kt_chain(constant_model((1, 2, 3, 4)))
     assert report.passed
     k1 = report.entry("k1")
-    assert (k1.rhs, k1.lhs) == (pytest.approx(35 / 6), 6.25)
+    assert (k1["rhs"], k1["lhs"]) == (pytest.approx(35 / 6), 6.25)
     k2 = report.entry("k2")
-    assert (k2.rhs, k2.lhs) == (31.25, pytest.approx((35 / 6) ** 2))
+    assert (k2["rhs"], k2["lhs"]) == (31.25, pytest.approx((35 / 6) ** 2))
     k3 = report.entry("k3")
-    assert (k3.rhs, k3.lhs) == (140.0, pytest.approx(156.25))
+    assert (k3["rhs"], k3["lhs"]) == (140.0, pytest.approx(156.25))
     combined = report.entry("combined")
-    assert combined.margin == pytest.approx(1.8666666666666663, abs=1e-12)
+    assert combined["margin"] == pytest.approx(1.8666666666666663, abs=1e-12)
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
@@ -145,13 +145,13 @@ def test_kt_chain_equality_at_proportional(c):
     assert report.passed
     for name in ("k1", "k2", "k3", "eqn12", "eqn23", "combined"):
         entry = report.entry(name)
-        assert entry.boundary, name
-        assert abs(entry.margin) <= 1e-12 * max(1.0, abs(entry.lhs), abs(entry.rhs))
+        assert entry["boundary"], name
+        assert abs(entry["margin"]) <= 1e-12 * max(1.0, abs(entry["lhs"]), abs(entry["rhs"]))
 
 
 def test_kt_chain_omits_combined_on_zero_denominators():
     report = kt_chain(IntersectionProfile(4, (1, 0, 0, 0, 0)))
-    assert "combined" not in report.names()
+    assert "combined" not in report.entries
 
 
 def test_integrated_chain_example():
@@ -160,14 +160,14 @@ def test_integrated_chain_example():
     assert report.margin("chainA") == pytest.approx(11 / 3, abs=1e-12)
     assert report.margin("chainB") == pytest.approx(73.0, abs=1e-12)
     assert report.margin("final") == pytest.approx(787.5, abs=1e-10)
-    assert report.entry("final_scaling").boundary
+    assert report.entry("final_scaling")["boundary"]
 
 
 def test_integrated_chain_ones_and_2345():
     report = integrated_sigma_chain(constant_model((1, 1, 1, 1)))
     assert report.margin("final") == pytest.approx(64.0, abs=1e-12)
     assert report.margin("chainB") == pytest.approx(16.0, abs=1e-12)
-    assert report.entry("chainA").boundary  # equality at proportional classes
+    assert report.entry("chainA")["boundary"]  # equality at proportional classes
 
     report = integrated_sigma_chain(constant_model((2, 3, 4, 5)))
     assert report.margin("final") == pytest.approx(105840.0, abs=1e-6)
@@ -184,10 +184,10 @@ def test_verdicts_invariant_under_profile_scaling():
     rng = np.random.default_rng(23)
     for _ in range(25):
         p = constant_model(rng.uniform(-3.0, 3.0, size=4))
-        base = [(e.name, e.passed) for e in check_chern_n4(p).entries]
-        base += [(e.name, e.passed) for e in kt_chain(p).entries]
+        base = [(n, e["pass"]) for n, e in check_chern_n4(p).entries.items()]
+        base += [(n, e["pass"]) for n, e in kt_chain(p).entries.items()]
         for c in (1e-4, 3.0, 1e6):
             ps = IntersectionProfile(4, [c * x for x in p.d])
-            got = [(e.name, e.passed) for e in check_chern_n4(ps).entries]
-            got += [(e.name, e.passed) for e in kt_chain(ps).entries]
+            got = [(n, e["pass"]) for n, e in check_chern_n4(ps).entries.items()]
+            got += [(n, e["pass"]) for n, e in kt_chain(ps).entries.items()]
             assert got == base

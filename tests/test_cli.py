@@ -214,6 +214,31 @@ def test_suite_returns_the_dict_the_cli_prints(capsys, argv, suite):
     assert code == (0 if report["pass"] else 1)
 
 
+@pytest.mark.parametrize(
+    "command, d, checks",
+    [
+        ("check", [1, 2, 11 / 3, 6], ["check_chern_n3"]),
+        ("check", [1, 3.5, 71 / 6, 38.5, 120], ["check_chern_n4"]),
+        ("kt", [1, 2.5, 35 / 6, 12.5, 24], ["kt_chain", "integrated_sigma_chain"]),
+        ("kt", [1, 0.0, 2, 3, 4], ["kt_chain", "integrated_sigma_chain"]),
+    ],
+    ids=["check-n3", "check-n4", "kt-combined", "kt-no-combined"],
+)
+def test_profile_reports_print_their_entry_dicts(capsys, tmp_path, command, d, checks):
+    path = write(tmp_path / "p.json", {"n": len(d) - 1, "d": d})
+    code, out = run_cli(capsys, command, "--profile", path)
+    profile = parse_profile(load_json(path))
+    reports = [getattr(charge, check)(profile) for check in checks]
+    doc = {"profile": profile.to_dict(), "reports": [r.to_dict() for r in reports]}
+    assert out == dumps(doc) + "\n"
+    assert code == (0 if all(r.passed for r in reports) else 1)
+    if command == "kt":
+        assert ("combined" in reports[0].entries) == (d[1] != 0)
+    for report in reports:
+        for name in report.entries:
+            assert report.entry(name) is report.to_dict()["entries"][name]
+
+
 def test_consistency_cli(capsys):
     code, out = run_cli(capsys, "consistency", "--lambda", "2,3,4,5")
     assert code == 0

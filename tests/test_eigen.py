@@ -180,7 +180,7 @@ def test_newton_log_concavity(vals):
 def test_branch_supercritical_example():
     report = branch_check((2, 3, 4, 5), Branch.SUPERCRITICAL)
     assert report.passed
-    assert report.entry("min_pair_product").lhs == 6.0
+    assert report.entry("min_pair_product")["lhs"] == 6.0
     assert report.margin("min_pair_product") == 5.0
 
 
@@ -213,7 +213,7 @@ def test_branch_blocks_names_first_row_outside_its_branch():
 def test_branch_full_and_n3():
     report = branch_check((0.5, 1, 2, 3), Branch.FULL)
     assert report.passed
-    assert "sigma2_minus_sigma4_minus_1" not in report.names()
+    assert "sigma2_minus_sigma4_minus_1" not in report.entries
     report3 = branch_check((1, 2, 3), Branch.N3)  # phase is exactly pi
     assert report3.passed
     assert report3.margin("sigma2_minus_1") == pytest.approx(10.0)

@@ -49,6 +49,8 @@ from dhym.models import constant_model_rows
 from dhym.reports import FAILURE_CAP, MARGINS, Margin, Margins, Tally, compare_rows, evaluate
 from dhym.sampling import sample_level_set_batch
 
+from conftest import ReferenceTally
+
 REL = 1e-12
 
 
@@ -190,7 +192,10 @@ def bits(rows):
 
 
 def report_rows(report):
-    return bits((e.name, e.lhs, e.rhs, e.margin, e.passed, e.boundary) for e in report.entries)
+    return bits(
+        (name, e["lhs"], e["rhs"], e["margin"], e["pass"], e["boundary"])
+        for name, e in report.entries.items()
+    )
 
 
 def kernel_rows(margins, i):
@@ -236,8 +241,8 @@ def test_branch_n3_kernel_rows_match_scalar_reference(angle_rows):
 def test_full_is_mid_without_the_half_window_fact():
     mid = branch_check((0.5, 1, 2, 3), Branch.MID)
     full = branch_check((0.5, 1, 2, 3), Branch.FULL)
-    kept = [e for e in mid.entries if e.name != "sigma2_minus_sigma4_minus_1"]
-    assert full.entries == tuple(kept)
+    kept = [(n, e) for n, e in mid.entries.items() if n != "sigma2_minus_sigma4_minus_1"]
+    assert list(full.entries.items()) == kept
     assert len(kept) == len(mid.entries) - 1
 
 
@@ -267,7 +272,7 @@ def test_chern_n4_and_kt_rows_match_scalar_reference(rows):
         p = IntersectionProfile(4, row)
         assert kernel_rows(chern, i) == report_rows(check_chern_n4(p)) == bits(ref_chern_n4(row))
         assert kernel_rows(kt, i) == report_rows(kt_chain(p)) == bits(ref_kt(row))
-        assert ("combined" in kt_chain(p).names()) == (row[1] != 0.0 and row[3] != 0.0)
+        assert ("combined" in kt_chain(p).entries) == (row[1] != 0.0 and row[3] != 0.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -280,11 +285,11 @@ def test_chern_n3_rows_match_scalar_reference(rows):
 
 
 def test_compare_relations():
-    assert compare("x", 2.0, 1.0).passed
-    assert not compare("x", 1.0, 1.0).passed and compare("x", 1.0, 1.0).boundary
-    assert compare("x", 1.0, 1.0 + 1e-13, ">=").passed
-    assert compare("x", 1.0, 1.0 + 1e-13, "==").passed
-    assert not compare("x", 1.0, 1.1, "==").passed
+    assert compare("x", 2.0, 1.0)["pass"]
+    assert not compare("x", 1.0, 1.0)["pass"] and compare("x", 1.0, 1.0)["boundary"]
+    assert compare("x", 1.0, 1.0 + 1e-13, ">=")["pass"]
+    assert compare("x", 1.0, 1.0 + 1e-13, "==")["pass"]
+    assert not compare("x", 1.0, 1.1, "==")["pass"]
     with pytest.raises(ValueError):
         compare("x", 1.0, 0.0, "<")
 
@@ -297,12 +302,12 @@ def ref_tally(count, blocks, flags, qualified=True, cap=32):
             hit = np.flatnonzero(rows == i)
             if not hit.size:
                 continue
-            for entry in mg.report(int(hit[0])).entries:
-                key = f"{mg.label}.{entry.name}" if qualified else entry.name
-                if key not in mins or entry.margin < mins[key]:
-                    mins[key] = entry.margin
-                if not entry.passed and len(failures) < cap:
-                    failures.append((i, key, entry.margin))
+            for name, entry in mg.report(int(hit[0])).entries.items():
+                key = f"{mg.label}.{name}" if qualified else name
+                if key not in mins or entry["margin"] < mins[key]:
+                    mins[key] = entry["margin"]
+                if not entry["pass"] and len(failures) < cap:
+                    failures.append((i, key, entry["margin"]))
         for key, rows in flags:
             if i in rows and len(failures) < cap:
                 failures.append((i, key, 0.0))
@@ -490,30 +495,6 @@ def reference_compare_rows(label, entries):
     return Margins(label, names, relations, lhs, rhs, margin, passed, boundary, present)
 
 
-class ReferenceTally(Tally):
-    """Tally.add scanning every block for failures, failing or not."""
-
-    def add(self, blocks, flags=()):
-        seen, fails = [], []
-        for b, (rows, mg) in enumerate(blocks):
-            keys = [f"{mg.label}.{name}" if self.qualified else name for name in mg.names]
-            masked = np.where(mg.present, mg.margin, np.inf)
-            low = masked[masked.argmin(axis=0), np.arange(len(keys))].tolist()
-            first = rows[mg.present.argmax(axis=0)].tolist()
-            for k, exists in enumerate(mg.present.any(axis=0).tolist()):
-                if exists:
-                    seen.append((first[k], b, k, keys[k], low[k]))
-            r, c = (x[:FAILURE_CAP] for x in np.nonzero(mg.present & ~mg.passed))
-            hits = zip(rows[r].tolist(), c.tolist(), mg.margin[r, c].tolist())
-            fails += [(i, b, k, keys[k], m) for i, k, m in hits]
-        for f, (key, rows) in enumerate(flags):
-            fails += [(i, len(blocks) + f, 0, key, 0.0) for i in rows[:FAILURE_CAP].tolist()]
-        for *_, key, low in sorted(seen):
-            self.mins[key] = min(self.mins.get(key, low), low)
-        fails = sorted(fails)[: FAILURE_CAP - len(self.failures)]
-        self.failures += tuple((i, key, m) for i, _, _, key, m in fails)
-
-
 # a small pool makes ties, signed zeros and non-finite margins common
 cells = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.0 + 1e-12, math.inf, -math.inf, math.nan, 1e308]),
@@ -699,4 +680,4 @@ def test_final_scaling_holds_on_a_cancelling_constant_model():
     # the float margin is -2.9e-11, against a tolerance of 1e-12 * 3.8; the
     # exact margin is 0, as on every row of the exact-row test above
     lam = (-9.456175223503127, -9.407542989583437, 3.7536952670421044, 9.421163638995523)
-    assert integrated_sigma_chain(constant_model(lam)).entry("final_scaling").passed
+    assert integrated_sigma_chain(constant_model(lam)).entry("final_scaling")["pass"]

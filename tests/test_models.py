@@ -52,8 +52,8 @@ def test_weighted_model_can_break_log_concavity():
     mix = weighted_model([(0.5, (0, 0, 0, 0)), (0.5, (5, 5, 5, 5))])
     assert mix.synthetic
     report = kt_chain(mix)
-    assert not report.entry("k1").passed
-    assert report.entry("k1").margin < 0.0
+    assert not report.entry("k1")["pass"]
+    assert report.entry("k1")["margin"] < 0.0
 
 
 def test_weighted_model_validation():

@@ -15,7 +15,9 @@ from dhym import (
 )
 from dhym.eigen import ROW_BLOCK, phase_rows
 from dhym.errors import DomainError, SamplingExhaustedError
-from dhym.sampling import PHASE_TOL, _corner_batch, _half_width
+from dhym.sampling import PHASE_TOL, _corner_batch, _half_width, _rejection_batch
+
+from conftest import DrawLog
 
 TWO_PI = 2 * math.pi
 
@@ -89,11 +91,15 @@ def test_nan_theta_rejected_at_once(thetas):
     assert time.perf_counter() - start < 1.0
 
 
-def test_rejection_exhaustion_names_attempts(monkeypatch):
-    # a budget of 0 attempts per sample runs out after the first pass
-    monkeypatch.setattr(sampling, "MAX_ATTEMPTS_PER_SAMPLE", 0)
-    with pytest.raises(SamplingExhaustedError, match="rejection sampling exhausted 100 attempts"):
-        sample_level_set_batch(np.full(100, 3.0), seed=0)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_rejection_first_pass_keeps_a_sixth_at_the_regime_edge(sign):
+    # a pass keeps each pending row with probability at least 1/6, least
+    # at the largest |theta| the rejection draw takes, so its loop ends
+    theta = sign * np.nextafter(2.0 * _half_width(), 0.0)
+    sizes = []
+    got = _rejection_batch(np.full(100_000, theta), DrawLog(np.random.default_rng(0), sizes))
+    assert sizes[0] == 100_000 and sizes[0] - sizes[1] >= 15_000
+    assert np.all(np.abs(got) < _half_width())
 
 
 class EdgeFirst:

@@ -16,9 +16,11 @@ from dhym.eigen import (
 )
 from dhym.errors import DomainError
 from dhym.models import constant_model_rows
-from dhym.reports import FAILURE_CAP, Margin, evaluate
+from dhym.reports import Margin, evaluate
 from dhym.sampling import sample_level_set_batch
 from dhym.suites import SPAN
+
+from conftest import DrawLog, ReferenceTally
 
 TWO_PI = 2 * math.pi
 
@@ -141,27 +143,6 @@ def test_blocked_identity_suite_matches_unblocked_reference(count, seed):
 # -- the blocked theorem and KT suites against whole-array copies of them -----
 
 
-def reference_tally(blocks, flags=(), qualified=True):
-    """Minimum margin per key and the first FAILURE_CAP failures, reduced
-    over whole-sample arrays in one call (see reports.Tally)."""
-    seen, fails = [], []
-    for b, (rows, mg) in enumerate(blocks):
-        keys = [f"{mg.label}.{name}" if qualified else name for name in mg.names]
-        masked = np.where(mg.present, mg.margin, np.inf)
-        low = masked[masked.argmin(axis=0), np.arange(len(keys))].tolist()
-        first = rows[mg.present.argmax(axis=0)].tolist()
-        for k, exists in enumerate(mg.present.any(axis=0).tolist()):
-            if exists:
-                seen.append((first[k], b, k, keys[k], low[k]))
-        r, c = (x[:FAILURE_CAP] for x in np.nonzero(mg.present & ~mg.passed))
-        hits = zip(rows[r].tolist(), c.tolist(), mg.margin[r, c].tolist())
-        fails += [(i, b, k, keys[k], m) for i, k, m in hits]
-    for f, (key, rows) in enumerate(flags):
-        fails += [(i, len(blocks) + f, 0, key, 0.0) for i in rows[:FAILURE_CAP].tolist()]
-    mins = {key: low for *_, key, low in sorted(seen)}
-    return mins, tuple((i, key, m) for i, _, _, key, m in sorted(fails)[:FAILURE_CAP])
-
-
 def reference_theorem_report(count, seed, theta_lo, theta_hi):
     """theorem_suite's wire form, every step over all rows at once."""
     rng = np.random.default_rng(seed)
@@ -181,17 +162,18 @@ def reference_theorem_report(count, seed, theta_lo, theta_hi):
     re = -(quartic + dr[:, 4])
     second = chern.margin[rows, chern.names.index("second")]
     mismatch = rows[np.copysign(1.0, re) != np.copysign(1.0, second)]
-    mins, failures = reference_tally(blocks, flags=[("tstar_sign", mismatch)])
+    ref = ReferenceTally()
+    ref.add(blocks, flags=[("tstar_sign", mismatch)])
     return {
         "count": count,
         "theta_lo": theta_lo,
         "theta_hi": theta_hi,
         "max_phase_error": max_phase_err,
-        "min_margins": mins,
+        "min_margins": ref.mins,
         "tstar_count": len(rows),
         "sign_mismatches": len(mismatch),
-        "failures": failures,
-        "pass": not failures and len(mismatch) == 0 and max_phase_err < 1e-12,
+        "failures": ref.failures,
+        "pass": not ref.failures and len(mismatch) == 0 and max_phase_err < 1e-12,
     }
 
 
@@ -207,13 +189,14 @@ def reference_kt_report(count, seed):
         sigmas.append(e[gamma_cone_rows(e) >= 3])
         attempts += block
     d = constant_model_rows(np.concatenate(sigmas)[:count])
-    mins, failures = reference_tally([(np.arange(count), evaluate("kt_chain", d))], qualified=False)
+    ref = ReferenceTally(qualified=False)
+    ref.add([(np.arange(count), evaluate("kt_chain", d))])
     return {
         "count": count,
         "attempts": attempts,
-        "min_margins": mins,
-        "failures": failures,
-        "pass": not failures,
+        "min_margins": ref.mins,
+        "failures": ref.failures,
+        "pass": not ref.failures,
     }
 
 
@@ -311,17 +294,6 @@ def test_kt_prefilter_drops_no_gamma3_row_in_floats():
 #: spans several chunks; 4095, 4097 and 8193 put a pass boundary a row
 #: either side of the count
 KT_COUNTS = [1, 2, 999, 1000, 1001, 4095, 4096, 4097, 5000, 8193, 9000, 20000]
-
-
-class DrawLog:
-    """A Generator stand-in that logs the rows of each uniform draw."""
-
-    def __init__(self, rng, sizes):
-        self.rng, self.sizes = rng, sizes
-
-    def uniform(self, low, high, size):
-        self.sizes.append(size[0])
-        return self.rng.uniform(low, high, size)
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2024])

@@ -584,14 +584,14 @@ def test_integer_grid_window_hypothesis():
             window.append(check_chern_n4(p))
     assert raised == 52
     assert len(window) == 221
-    assert all(r.entry("first").passed and r.entry("second").passed for r in window)
-    assert sum(not r.entry("kahler2").passed for r in window) == 39
+    assert all(r.entry("first")["pass"] and r.entry("second")["pass"] for r in window)
+    assert sum(not r.entry("kahler2")["pass"] for r in window) == 39
 
     # the simplest kahler2 failure: 2 d_1 d_2 d_3 = 4 < d_0 d_3^2 + d_1^2 d_4 = 5
     p = IntersectionProfile(4, (1, 1, 1, 2, 1))
     assert winding_report(p).theta_alg == pytest.approx(5 * math.pi / 4, abs=1e-12)
     kahler2 = check_chern_n4(p).entry("kahler2")
-    assert (kahler2.lhs, kahler2.rhs, kahler2.passed) == (4.0, 5.0, False)
+    assert (kahler2["lhs"], kahler2["rhs"], kahler2["pass"]) == (4.0, 5.0, False)
 
 
 def test_one_level_set_mixture_lifts_below_the_window():
@@ -611,7 +611,7 @@ def test_one_level_set_mixture_lifts_below_the_window():
     assert analytic_angle_from_integrals(p) == theta
     assert winding_report(p).theta_alg == theta - TWO_PI == -1.7831853071795862
     report = check_chern_n4(p)
-    assert report.entry("first").passed
+    assert report.entry("first")["pass"]
     second = report.entry("second")
-    assert not second.passed and second.margin == pytest.approx(-2.480e5, rel=1e-3)
-    assert not report.entry("kahler2").passed
+    assert not second["pass"] and second["margin"] == pytest.approx(-2.480e5, rel=1e-3)
+    assert not report.entry("kahler2")["pass"]
