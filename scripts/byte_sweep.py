@@ -8,8 +8,8 @@ subcommands: random profiles whose entries include +-0.0, +-1e300 and
 subnormals, model specs, `--lambda` tuples, matrix pairs (the committed
 tests/data/pair_2345.json among them), malformed and missing files,
 argvs argparse rejects, the help screens, `kt` runs whose count-th kept
-row is the last draw of the first 4096-draw pass or falls just after it
-(PASS_EDGE), three suite runs at counts the random argvs never reach
+row is the last draw of the first draw chunk or the first of the second
+(CHUNK_EDGE), three suite runs at counts the random argvs never reach
 (LARGE), and `check` and `kt --profile` runs through every branch of a
 check's report (REPORT_BRANCHES).  For each argv the exit code, stdout
 and any file written by `--out` must be the same bytes in both trees.
@@ -210,15 +210,12 @@ LARGE = (
 )
 
 
-#: `kt` runs whose count-th kept row is the last draw of the first
-#: 4096-draw pass (attempts 4096) or one of the first two draws of the next
-#: (attempts 8192); the random argvs' counts of at most 300 end well inside
-#: the first pass, which keeps about 377 rows
-PASS_EDGE = (
-    ["kt", "--count", "374", "--seed", "2"],
-    ["kt", "--count", "375", "--seed", "2"],
-    ["kt", "--count", "372", "--seed", "29"],
-    ["kt", "--count", "373", "--seed", "29"],
+#: `kt` runs whose 30th kept row is the last draw of the first, 435-draw
+#: chunk (attempts 435) or the first draw of the second (attempts 436),
+#: where an off-by-one in the chunk's draw offset shows
+CHUNK_EDGE = (
+    ["kt", "--count", "30", "--seed", "4184"],
+    ["kt", "--count", "30", "--seed", "231"],
 )
 
 
@@ -243,7 +240,7 @@ REPORT_BRANCHES = (
 def corpus(n_argvs, seed, files, out):
     rng = random.Random(seed)
     argvs = [list(a) for a in REFUSED + HELP]
-    fixed = PASS_EDGE + LARGE
+    fixed = CHUNK_EDGE + LARGE
     while len(argvs) < n_argvs - len(fixed) - len(REPORT_BRANCHES):
         argvs.append(argv_for(rng, SUBCOMMANDS[len(argvs) % len(SUBCOMMANDS)], files, out))
     profiles = [[cmd, "--profile", files.write(json.dumps(doc))] for cmd, doc in REPORT_BRANCHES]

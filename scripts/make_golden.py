@@ -7,15 +7,20 @@ that `--out` writes goes to tests/data/<case>.csv.  tests/test_golden.py
 asserts that the current code reproduces every file byte for byte and
 exits with the code listed here.  The profile, model-spec and matrix-pair
 inputs are the tests/data/profile_*.json, spec_*.json and pair_*.json
-files.  Rerun this only when a change to the reports is intended.
+files.  Rerun this only when a change to the reports is intended.  Before
+it rewrites a file whose text changed, it prints each JSON key (or CSV
+cell) whose value moved, old -> new, with the distance in ulp of a float.
 
     PYTHONPATH=src python scripts/make_golden.py
 """
 
 import contextlib
+import csv
 import io
+import json
 import math
 import os
+import struct
 import sys
 import tempfile
 
@@ -51,7 +56,8 @@ def _path(name: str) -> list:
 #: tuple (-0.5, 1, 2, 3) starts with a negative eigenvalue, as mid-branch
 #: tuples do; pair_2345 is a 4x4 metric pair whose relative spectrum is
 #: about (2, 3, 4, 5); identity_2184 is a run whose max_rel_vieta numpy's
-#: AVX-512 pow would change; identity_100000 spans many row blocks of the suite
+#: AVX-512 pow would change if the Vieta powers took it, a second portable
+#: render; identity_100000 spans many row blocks of the suite
 CLI_CASES = {
     "sample_mid": (["sample", "--theta", "4.0", "--count", "1000", "--seed", "101"], 0),
     "sample_supercritical": (
@@ -109,6 +115,50 @@ def cases():
     return [*CLI_CASES, *SUITE_CASES]
 
 
+def _leaves(doc, key=""):
+    """(key path, value) of every scalar in a decoded document."""
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _leaves(v, f"{key}.{k}" if key else k)
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from _leaves(v, f"{key}[{i}]")
+    else:
+        yield key, doc
+
+
+def _decode(text: str):
+    """A golden file's values: its JSON, or a CSV trace as one dict per row."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return [{k: float(v) for k, v in row.items()} for row in csv.DictReader(io.StringIO(text))]
+
+
+def _ordinal(x: float) -> int:
+    # doubles in order as integers, -0.0 and 0.0 both 0
+    i = struct.unpack("<q", struct.pack("<d", x))[0]
+    return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+
+
+def moved(old_text: str, new_text: str) -> list:
+    """One line per key whose value differs between two renders of a golden
+    file, in the new file's key order (keys only in the old one last):
+    `key: old -> new`, followed by `(k ulp)` where either value is a float."""
+    old, new = dict(_leaves(_decode(old_text))), dict(_leaves(_decode(new_text)))
+    lines = []
+    for key in [*new, *(k for k in old if k not in new)]:
+        a, b = old.get(key, "absent"), new.get(key, "absent")
+        if repr(a) == repr(b):
+            continue
+        line = f"{key}: {a!r} -> {b!r}"
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+        if numbers and float in (type(a), type(b)) and math.isfinite(a) and math.isfinite(b):
+            line += f" ({abs(_ordinal(float(a)) - _ordinal(float(b)))} ulp)"
+        lines.append(line)
+    return lines
+
+
 def main() -> int:
     os.makedirs(DATA, exist_ok=True)
     for case in cases():
@@ -118,6 +168,12 @@ def main() -> int:
             return 1
         for name, text in files.items():
             path = os.path.join(DATA, name)
+            if os.path.exists(path):
+                with open(path, encoding="utf-8", newline="") as fh:
+                    old = fh.read()
+                changes = moved(old, text) or ([] if old == text else ["bytes only"])
+                for line in changes:
+                    print(f"{name}: {line}")
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
             print(path)

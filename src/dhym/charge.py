@@ -77,15 +77,13 @@ class IntersectionProfile:
 
 
 def z_of_t(p: IntersectionProfile, t: float) -> complex:
-    """Central charge Z(t) = -(1/n!) sum_k C(n,k) d_k (-i t)^(n-k), t > 0."""
+    """Central charge Z(t) = -(1/n!) sum_k C(n,k) d_k (-i t)^(n-k), t > 0,
+    from `path_polynomials` by the Horner loop that `dhym path` runs: the
+    same bits as its trace rows and `min_abs_z`."""
     if t <= 0.0:
         raise DomainError(f"path parameter t must be positive, got {t}")
-    n = p.n
-    acc = 0j
-    for k in range(n + 1):
-        m = n - k
-        acc += math.comb(n, k) * p.d[k] * _MINUS_I_POW[m % 4] * t**m
-    return -acc / math.factorial(n)
+    re_c, im_c = path_polynomials(p)
+    return complex(_horner(re_c, t), _horner(im_c, t))
 
 
 def path_polynomials(p: IntersectionProfile):
@@ -125,9 +123,9 @@ def _trim(c):
 
 
 def _roots(c) -> list:
-    """Complex roots of the polynomial, as numpy.polynomial.polyroots finds
-    them: the sorted eigenvalues of its companion matrix (1x1 at degree 1,
-    where only a zero root's sign can differ from polyroots' -c_0/c_1)."""
+    """Complex roots of the polynomial: the eigenvalues of its companion
+    matrix, in no set order (1x1 at degree 1, where only a zero root's sign
+    can differ from numpy.polynomial.polyroots' -c_0/c_1)."""
     c = _trim(c)
     # a leading coefficient that underflows next to the others would put inf
     # or NaN in the companion matrix; its root lies beyond the double range,
@@ -140,7 +138,7 @@ def _roots(c) -> list:
     mat = np.zeros((n, n))
     mat.reshape(-1)[n :: n + 1] = 1.0
     mat[:, -1] -= scaled
-    return np.sort(np.linalg.eigvals(mat)).tolist()
+    return np.linalg.eigvals(mat).tolist()
 
 
 def _newton_polish(c, x: float) -> float:

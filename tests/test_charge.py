@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from dhym import (
     kt_chain,
     z_of_t,
 )
+from dhym.charge import path_polynomials
 from dhym.errors import DomainError
 from dhym.serialize import parse_profile
 
@@ -70,6 +72,38 @@ def test_z_matches_eigen_product_on_constant_models():
         want = -np.prod(lam - 1j * t) / 24.0
         got = z_of_t(p, float(t))
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def test_z_within_horner_bound_of_mpmath():
+    """z_of_t against Z at 50 digits from the same doubles d_k and t, on
+    profiles with n = 3 and 4, entries of either sign from 1e-6 to 1e6 and
+    t in [1, 1e3].  Re and Im each stay within (2n + 3) u sum|c_k| t^k:
+    gamma_2n for Horner's rule (Higham 2002, sec. 5.1) plus gamma_3 for
+    the rounded coefficients c_k of path_polynomials.  The worst error
+    comes above a sixteenth of that bound, so the bound is not slack."""
+    ctx = mpmath.MPContext()
+    ctx.dps = 50
+    u = 2.0**-53
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for i in range(4000):
+        n = 3 + i % 2
+        d = 10.0 ** rng.uniform(-6.0, 6.0, n + 1) * rng.choice([-1.0, 1.0], n + 1)
+        d[0] = abs(d[0])
+        p = IntersectionProfile(n, tuple(d.tolist()))
+        t = float(10.0 ** rng.uniform(0.0, 3.0))
+        got = z_of_t(p, t)
+        tm = ctx.mpf(t)
+        exact = -ctx.fsum(
+            math.comb(n, k) * ctx.mpf(p.d[k]) * ctx.mpc(0, -1) ** (n - k) * tm ** (n - k)
+            for k in range(n + 1)
+        ) / math.factorial(n)
+        for part, want, c in zip((got.real, got.imag), (exact.real, exact.imag), path_polynomials(p)):
+            size = ctx.fsum(abs(ctx.mpf(x)) * tm**k for k, x in enumerate(c.tolist()))
+            ratio = float(abs(ctx.mpf(part) - want) / (u * size))
+            assert ratio <= 2 * n + 3, (p, t)
+            worst = max(worst, ratio / (2 * n + 3))
+    assert worst > 1 / 16
 
 
 def test_chern_n4_strict_example():

@@ -1,7 +1,8 @@
 """Smoke runs of the scripts that read suite reports or gate refactors:
 theorem_sweep.py, and the two-tree checks byte_sweep.py and ab_suites.py,
 run on one tree against itself and against a copy whose help screen differs
-by one character or whose sampler returns its rows in C order."""
+by one character or whose sampler returns its rows in C order; and
+make_golden.py's report of the values a regeneration moves."""
 
 import os
 import shutil
@@ -15,6 +16,7 @@ sys.path.insert(0, os.path.join(ROOT, "scripts"))
 
 import ab_suites  # noqa: E402
 import byte_sweep  # noqa: E402
+import make_golden  # noqa: E402
 import theorem_sweep  # noqa: E402
 
 
@@ -75,3 +77,23 @@ def test_ab_suites_sampler_mix_finds_a_changed_layout(tmp_path):
     sampling.write_text(text.replace(rows, c_rows), encoding="utf-8")
     with pytest.raises(SystemExit, match="outputs differ for sampler theta set 0"):
         ab_suites.main([SRC, str(change), "--mix", "sampler", "--rounds", "1", "--ops", "1"])
+
+
+def test_make_golden_names_the_moved_keys_and_their_ulp():
+    old = '{"count": 1000, "attempts": 12288, "m": {"k1": 0.1, "k2": 2, "z": 0.0}, "pass": true}'
+    new = '{"count": 1000, "attempts": 10894, "m": {"k1": 0.10000000000000003, "k2": 2, "z": -0.0}}'
+    assert make_golden.moved(old, new) == [
+        "attempts: 12288 -> 10894",
+        "m.k1: 0.1 -> 0.10000000000000003 (2 ulp)",
+        "m.z: 0.0 -> -0.0 (0 ulp)",
+        "pass: True -> 'absent'",
+    ]
+    assert make_golden.moved(old, old) == []
+    # a list entry, a float printed as an integer, and a CSV trace's cells
+    assert make_golden.moved('{"d": [1, 2.5]}', '{"d": [1.0000000000000002, 2.5]}') == [
+        "d[0]: 1 -> 1.0000000000000002 (1 ulp)"
+    ]
+    trace = "t,re,im\n1,0.5,-1\n2,0.25,-4\n"
+    assert make_golden.moved(trace, trace.replace("0.25", "0.25000000000000006")) == [
+        "[1].re: 0.25 -> 0.25000000000000006 (1 ulp)"
+    ]

@@ -113,7 +113,8 @@ def reference_identity_report(count, seed):
     m = min(count, 1000)
     x = rng.uniform(-SPAN, SPAN, size=m)
     vl = np.prod(x[:, None] + lam[:m], axis=1)
-    powers = (np.float_power(x, 4.0), np.float_power(x, 3.0), x**2, x, 1.0)
+    x2 = x * x
+    powers = (x2 * x2, x2 * x, x2, x, 1.0)
     rel_vieta = _max_rel(vl, sum(e[:m, k] * powers[k] for k in range(5)))
     p = constant_model_rows(e)
     newton = np.inf
@@ -178,22 +179,20 @@ def reference_theorem_report(count, seed, theta_lo, theta_hi):
 
 
 def reference_kt_report(count, seed):
-    """kt_suite's wire form: whole passes of max(4096, count) draws, then
-    one margin table over every kept row."""
+    """kt_suite's wire form from one draw of 16 * count + 4096 rows:
+    attempts is the 1-based index of its count-th Gamma_3 row, and one
+    margin table runs over the first count of them."""
     rng = np.random.default_rng(seed)
-    sigmas, attempts = [], 0
-    while sum(len(e) for e in sigmas) < count:
-        block = max(4096, count)
-        lam = np.sort(rng.uniform(-SPAN, SPAN, size=(block, 4)), axis=1)
-        e = sigma_rows(lam)
-        sigmas.append(e[gamma_cone_rows(e) >= 3])
-        attempts += block
-    d = constant_model_rows(np.concatenate(sigmas)[:count])
+    lam = np.sort(rng.uniform(-SPAN, SPAN, size=(16 * count + 4096, 4)), axis=1)
+    e = sigma_rows(lam)
+    kept = np.flatnonzero(gamma_cone_rows(e) >= 3)[:count]
+    assert len(kept) == count
+    d = constant_model_rows(e[kept])
     ref = ReferenceTally(qualified=False)
     ref.add([(np.arange(count), evaluate("kt_chain", d))])
     return {
         "count": count,
-        "attempts": attempts,
+        "attempts": int(kept[-1]) + 1,
         "min_margins": ref.mins,
         "failures": ref.failures,
         "pass": not ref.failures,
@@ -290,19 +289,19 @@ def test_kt_prefilter_drops_no_gamma3_row_in_floats():
     assert not suites._gamma3(e).any()
 
 
-#: counts around one pass (4096 draws), and above ROW_BLOCK, where a pass
-#: spans several chunks; 4095, 4097 and 8193 put a pass boundary a row
-#: either side of the count
+#: counts whose count-th kept row falls in the first chunk (1, 2), in the
+#: second (999..1001) and in the sixth to the twenty-seventh; the first
+#: chunk is sized from the count up to 656 and capped at ROW_BLOCK above
 KT_COUNTS = [1, 2, 999, 1000, 1001, 4095, 4096, 4097, 5000, 8193, 9000, 20000]
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2024])
 @pytest.mark.parametrize("count", KT_COUNTS)
 def test_kt_draw_stops_at_the_count_th_kept_row(count, seed, monkeypatch):
-    """The chunked draw reports what whole passes of max(4096, count) draws
-    report, attempts included, and its last chunk holds the count-th kept
-    row.  The sizes are those of the draws, not of the rows sorted, which
-    the prefilter shrinks."""
+    """The chunked draw reports what one unchunked draw reports, and
+    attempts is the draw index of the count-th kept row, plus 1, which the
+    last chunk holds.  The sizes are those of the draws, not of the rows
+    sorted, which the prefilter shrinks."""
     sizes, default_rng = [], np.random.default_rng
     with monkeypatch.context() as m:
         m.setattr(suites.np.random, "default_rng", lambda seed: DrawLog(default_rng(seed), sizes))
@@ -311,4 +310,5 @@ def test_kt_draw_stops_at_the_count_th_kept_row(count, seed, monkeypatch):
     rng = np.random.default_rng(seed)
     e = sigma_rows(np.sort(rng.uniform(-SPAN, SPAN, size=(got["attempts"], 4)), axis=1))
     needed = np.flatnonzero(gamma_cone_rows(e) >= 3)[count - 1] + 1
+    assert got["attempts"] == needed
     assert sum(sizes[:-1]) < needed <= sum(sizes) and max(sizes) <= ROW_BLOCK
