@@ -291,14 +291,29 @@ def factorization_rows(lam: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.n
     RHS = -(l2+l3+l4)(l1+l3)(l1+l2) - l3*l4*(l1+l3) - l4^2*(l1+l3)
     agree identically; evaluating both sides exercises the cancellation
     pattern behind the mid-branch estimate sigma_1*sigma_2 > sigma_1 + sigma_3.
+    Each side is built in place, with l1 + l3 computed once; the roundings
+    are those of the two expressions above, left to right.
     """
     l1, l2, l3, l4 = lam.T
-    lhs = e[:, 3] - e[:, 1] * (e[:, 2] - l2 * l4)
-    rhs = (
-        -(l2 + l3 + l4) * (l1 + l3) * (l1 + l2)
-        - l3 * l4 * (l1 + l3)
-        - l4 * l4 * (l1 + l3)
-    )
+    # huge eigenvalues overflow to inf silently, as Python float arithmetic does
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = l2 * l4
+        np.subtract(e[:, 2], lhs, out=lhs)
+        lhs *= e[:, 1]
+        np.subtract(e[:, 3], lhs, out=lhs)
+        s13 = l1 + l3
+        rhs = l2 + l3
+        rhs += l4
+        np.negative(rhs, out=rhs)
+        rhs *= s13
+        term = l1 + l2
+        rhs *= term
+        np.multiply(l3, l4, out=term)
+        term *= s13
+        rhs -= term
+        np.multiply(l4, l4, out=term)
+        term *= s13
+        rhs -= term
     return lhs, rhs
 
 

@@ -16,10 +16,17 @@ reproducible.
 
 The angle rows are built column by column in one (4, m) buffer, and the
 sampler returns its transpose: an F-ordered (m, 4) array whose columns are
-contiguous.  The rejection loop writes its first pass, which covers every
-row, into the buffer in place; only the rows that pass rejects are gathered
-and scattered after that.  The corner draw writes its columns straight into
-the buffer.  A batch that is all in one regime (all rejection, or all
+contiguous.  The rejection loop runs every pass ROW_BLOCK rows at a time,
+so its temporaries stay block-sized instead of megabytes of fresh pages.
+Its first pass, which covers every row, writes each block's draws into
+the buffer in place; the rows it rejects go into one index array, which
+each later pass walks block by block, scattering the rows it accepts and
+keeping the rest for the next pass.  uniform fills sequentially, so the
+blocks draw the stream that one draw per pass would, and the rows are the
+same bits.  The corner draw writes its columns straight into the buffer,
+unblocked: its two draws are separate segments of the stream, the radii
+of all rows and then their spacings, so a blocked corner draw would draw
+other rows.  A batch that is all in one regime (all rejection, or all
 corner, as every theta in (pi, 2*pi) is) fills the buffer with no index
 scatter.
 
@@ -38,7 +45,7 @@ import math
 
 import numpy as np
 
-from .eigen import sort_rows
+from .eigen import row_blocks, sort_rows
 from .errors import DomainError, SamplingExhaustedError
 
 #: half-width clip on each angle: u_i in (-pi/2 + ANGLE_EPS, pi/2 - ANGLE_EPS)
@@ -88,10 +95,12 @@ def _corner_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def _rejection_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Vectorised rejection for the easy range |theta| < pi - 2*eps; each
-    pass draws one triple for every row still pending.  The first pass
-    covers every row and writes its draws into the (4, m) buffer in place;
-    later passes gather and scatter only the rows still pending.  Returns
-    the buffer's transpose, an F-ordered (m, 4) array.
+    pass draws one triple for every row still pending, ROW_BLOCK rows at a
+    time.  The first pass covers every row and writes each block's draws
+    into its slice of the (4, m) buffer in place; later passes split the
+    pending rows into ROW_BLOCK pieces, and each piece draws, tests and
+    scatters its accepted rows in turn and keeps its missed rows for the
+    next pass.  Returns the buffer's transpose, an F-ordered (m, 4) array.
 
     A pass keeps each pending row with probability at least 1/6, so the
     loop ends: u_1 + u_2 + u_3 must land in (theta - a, theta + a), and
@@ -100,20 +109,30 @@ def _rejection_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray
     a = _half_width()
     m = thetas.shape[0]
     out = np.empty((_N, m))
-    out[:3] = rng.uniform(-a, a, size=(m, 3)).T
-    np.subtract(thetas, out[0] + out[1] + out[2], out=out[3])
-    pending = np.flatnonzero(np.abs(out[3]) >= a)
+    # 1-D row views: a scatter into each is cheaper than into out[i, rows]
+    cols = tuple(out)
+    pending = [np.empty(0, np.intp)]  # an empty batch has no block
+    for blk in row_blocks(m):
+        u = out[:, blk]
+        u[:3] = rng.uniform(-a, a, size=(blk.stop - blk.start, 3)).T
+        np.add(u[0], u[1], out=u[3])  # u_4 = theta - ((u_1 + u_2) + u_3)
+        u[3] += u[2]
+        np.subtract(thetas[blk], u[3], out=u[3])
+        pending.append(np.flatnonzero(np.abs(u[3]) >= a) + blk.start)
+    pending = np.concatenate(pending)
     while pending.size:
-        u = rng.uniform(-a, a, size=(pending.size, 3))
-        u1, u2, u3 = u.T
-        u4 = thetas[pending] - (u1 + u2 + u3)
-        ok = np.abs(u4) < a
-        hit = np.flatnonzero(ok)
-        rows = pending[hit]
-        # one integer gather and scatter per column: cheaper than a (3, k) block
-        for i, col in enumerate((u1, u2, u3, u4)):
-            out[i, rows] = col[hit]
-        pending = pending[~ok]
+        missed = []
+        for blk in row_blocks(pending.size):
+            rows = pending[blk]
+            u1, u2, u3 = rng.uniform(-a, a, size=(rows.size, 3)).T
+            u4 = thetas.take(rows) - (u1 + u2 + u3)
+            ok = np.abs(u4) < a
+            hit = np.flatnonzero(ok)
+            kept = rows.take(hit)
+            for col, draw in zip(cols, (u1, u2, u3, u4)):
+                col[kept] = draw.take(hit)
+            missed.append(rows.compress(~ok))  # rows[~ok] costs 3x on a random mask
+        pending = np.concatenate(missed)
     return out.T
 
 

@@ -60,8 +60,12 @@ VIETA_ROWS = 1000
 
 def _max_rel(a, b) -> float:
     """max |a - b| / max(1, |a|, |b|) over the rows."""
-    scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    return float(np.max(np.abs(a - b) / scale))
+    scale = np.abs(a)
+    np.maximum(scale, np.abs(b), out=scale)
+    np.maximum(scale, 1.0, out=scale)
+    diff = np.abs(a - b)
+    diff /= scale
+    return float(diff.max())
 
 
 def _newton_mins(p) -> list[float]:
@@ -69,9 +73,13 @@ def _newton_mins(p) -> list[float]:
     for k = 1, 2, 3."""
     out = []
     for k in (1, 2, 3):
-        square, outer = p[:, k] ** 2, p[:, k - 1] * p[:, k + 1]
-        scale = np.maximum(1.0, np.maximum(square, np.abs(outer)))
-        out.append(float(np.min((square - outer) / scale)))
+        square, outer = p[:, k] * p[:, k], p[:, k - 1] * p[:, k + 1]
+        scale = np.abs(outer)
+        np.maximum(square, scale, out=scale)
+        np.maximum(scale, 1.0, out=scale)
+        square -= outer
+        square /= scale
+        out.append(float(square.min()))
     return out
 
 

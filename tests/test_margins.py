@@ -10,6 +10,7 @@ every float of an identity or a profile.
 """
 
 import math
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -429,6 +430,16 @@ def test_factorization_rows_match_scalar_reference(rows):
     for i, vals in enumerate(rows):
         want = hexes(ref_factorization(vals))
         assert hexes((lhs[i], rhs[i])) == hexes(factorization_identity(vals)) == want
+
+
+def test_factorization_identity_overflows_silently():
+    # sigma_rows and phase_component_rows overflow to inf with no warning, as
+    # Python floats do; so must both sides of the factorization
+    vals = (0.0, 0.0, 1e300, 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = factorization_identity(vals)
+    assert hexes(got) == hexes(ref_factorization(vals))
 
 
 @settings(max_examples=200, deadline=None)

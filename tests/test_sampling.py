@@ -1,6 +1,7 @@
 import inspect
 import math
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -91,15 +92,48 @@ def test_nan_theta_rejected_at_once(thetas):
     assert time.perf_counter() - start < 1.0
 
 
+def take_pass(sizes, rows):
+    """Pop the logged draw sizes of one rejection pass over `rows` rows:
+    ROW_BLOCK-row calls and a last one of at most ROW_BLOCK rows, summing
+    to `rows`."""
+    pass_sizes = []
+    while sum(pass_sizes) < rows:
+        pass_sizes.append(sizes.pop(0))
+    assert sum(pass_sizes) == rows
+    assert all(k == ROW_BLOCK for k in pass_sizes[:-1]) and 0 < pass_sizes[-1] <= ROW_BLOCK
+    return pass_sizes
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_rejection_first_pass_keeps_a_sixth_at_the_regime_edge(sign):
     # a pass keeps each pending row with probability at least 1/6, least
     # at the largest |theta| the rejection draw takes, so its loop ends
-    theta = sign * np.nextafter(2.0 * _half_width(), 0.0)
+    a = _half_width()
+    theta = sign * np.nextafter(2.0 * a, 0.0)
     sizes = []
     got = _rejection_batch(np.full(100_000, theta), DrawLog(np.random.default_rng(0), sizes))
-    assert sizes[0] == 100_000 and sizes[0] - sizes[1] >= 15_000
-    assert np.all(np.abs(got) < _half_width())
+    # the first pass's draws, made at once: the rows it rejects are pass 2's
+    u = np.random.default_rng(0).uniform(-a, a, size=(100_000, 3))
+    rejected = int(np.count_nonzero(np.abs(theta - (u[:, 0] + u[:, 1] + u[:, 2])) >= a))
+    take_pass(sizes, 100_000)
+    take_pass(sizes, rejected)
+    assert 100_000 - rejected >= 15_000
+    assert np.all(np.abs(got) < a)
+
+
+def test_rejection_draw_keeps_its_temporaries_block_sized():
+    # every pass draws, tests and scatters ROW_BLOCK rows at a time, so the
+    # sampler's peak beyond its (m, 4) result stays well under one
+    # whole-pass (m, 3) draw and its sums (3.3 MiB at 1e5 rows)
+    thetas = np.random.default_rng(0).uniform(-math.pi + 0.01, math.pi - 0.01, size=100_000)
+    tracemalloc.start()
+    try:
+        lam = sample_level_set_batch(thetas, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lam.nbytes == 100_000 * 4 * 8  # 3.05 MiB
+    assert peak - lam.nbytes < 2 * 2**20
 
 
 class EdgeFirst:
@@ -179,21 +213,34 @@ def reference_sample_level_set_batch(thetas, seed):
 
 BLOCK_SIZES = [0, 1, 999, 1000, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 7]
 
-#: theta draws for the corner (hi), mirrored corner (lo), rejection (mid)
-#: and mixed regimes of the sampler
+
+def uniform_thetas(lo, hi):
+    return lambda rng, size: rng.uniform(lo, hi, size=size)
+
+
+def edge_thetas(rng, size):
+    """|theta| within 0.05 below the corner switch 2*(pi/2 - eps), either
+    sign, where a rejection pass keeps about a sixth of its rows: at
+    3*ROW_BLOCK + 7 rows, several later passes hold more than ROW_BLOCK."""
+    switch = 2.0 * _half_width()
+    return rng.uniform(switch - 0.05, switch, size=size) * rng.choice((-1.0, 1.0), size=size)
+
+
+#: theta draws, (rng, size) -> thetas, for the corner (hi), mirrored corner
+#: (lo), rejection (mid), mixed and rejection-edge regimes of the sampler
 REGIMES = {
-    "hi": (math.pi, TWO_PI - 0.01),
-    "lo": (-TWO_PI + 0.01, -math.pi),
-    "mid": (-math.pi + 0.01, math.pi - 0.01),
-    "mixed": (-TWO_PI + 0.01, TWO_PI - 0.01),
+    "hi": uniform_thetas(math.pi, TWO_PI - 0.01),
+    "lo": uniform_thetas(-TWO_PI + 0.01, -math.pi),
+    "mid": uniform_thetas(-math.pi + 0.01, math.pi - 0.01),
+    "mixed": uniform_thetas(-TWO_PI + 0.01, TWO_PI - 0.01),
+    "edge": edge_thetas,
 }
 
 
 @pytest.mark.parametrize("regime", sorted(REGIMES))
 @pytest.mark.parametrize("size", BLOCK_SIZES)
 def test_blocked_sampler_matches_unblocked_reference(regime, size):
-    lo, hi = REGIMES[regime]
-    thetas = np.random.default_rng([size, 7]).uniform(lo, hi, size=size)
+    thetas = REGIMES[regime](np.random.default_rng([size, 7]), size)
     seed = 1000 + size
     got = sample_level_set_batch(thetas, seed=seed)
     assert got.flags.f_contiguous  # column-major, so the row kernels read contiguous columns
@@ -204,7 +251,7 @@ def test_blocked_sampler_matches_unblocked_reference(regime, size):
 
 def test_generator_seed_draws_the_integer_seed_stream():
     # a batch with rows in both corners and in the rejection middle
-    thetas = np.random.default_rng(8).uniform(*REGIMES["mixed"], size=3000)
+    thetas = REGIMES["mixed"](np.random.default_rng(8), 3000)
     a = _half_width()
     assert (thetas >= 2.0 * a).any() and (thetas <= -2.0 * a).any()
     assert (np.abs(thetas) < 2.0 * a).any()
@@ -228,13 +275,14 @@ def test_sampler_has_one_seed_argument():
 
 
 def construction_bound_thetas():
-    """2e5 thetas across REGIMES, then 2000 each at the corner switch
-    +/-(pi - 2*eps) and within 1e-12 of the reach limit +/-(2*pi - 4*eps)."""
+    """50 000 thetas from each of REGIMES, then 2000 each at the corner
+    switch +/-(pi - 2*eps) and within 1e-12 of the reach limit
+    +/-(2*pi - 4*eps)."""
     rng = np.random.default_rng(2024)
     a = _half_width()
     edges = [2.0 * a, 4.0 * a - 1e-12, np.nextafter(4.0 * a, 0.0)]
     return np.concatenate(
-        [rng.uniform(*REGIMES[r], size=50_000) for r in sorted(REGIMES)]
+        [draw(rng, 50_000) for draw in REGIMES.values()]
         + [np.full(2000, sign * x) for x in edges for sign in (1.0, -1.0)]
     )
 

@@ -1,8 +1,9 @@
 """Smoke runs of the scripts that read suite reports or gate refactors:
-theorem_sweep.py, and the two-tree checks byte_sweep.py and ab_suites.py,
-run on one tree against itself and against a copy whose help screen differs
-by one character or whose sampler returns its rows in C order; and
-make_golden.py's report of the values a regeneration moves."""
+theorem_sweep.py, and the two-tree checks byte_sweep.py and ab_suites.py
+(its window, sampler, origin and pair mixes), run on one tree against
+itself and against a copy whose help screen differs by one character or
+whose sampler returns its rows in C order; and make_golden.py's report of
+the values a regeneration moves."""
 
 import os
 import shutil
@@ -62,6 +63,30 @@ def test_ab_suites_sampler_mix_reads_every_draw_byte_equal(capsys):
     head = "sampler mix, 2 ops x 2 rounds, seed 1831; every output byte-equal"
     assert out.splitlines()[0] == head
     assert [line.split()[0] for line in out.splitlines()[2:]] == ["sampler"]
+
+
+def test_ab_suites_origin_mix_reads_every_report_byte_equal(capsys):
+    assert ab_suites.main([SRC, SRC, "--mix", "origin", "--rounds", "2", "--ops", "4"]) == 0
+    out = capsys.readouterr().out
+    head = "origin mix, 4 ops x 2 rounds, seed 1831; every output byte-equal"
+    assert out.splitlines()[0] == head
+    assert [line.split()[0] for line in out.splitlines()[2:]] == ["blowup", "n4"]
+
+
+def test_ab_suites_origin_op_compares_the_degenerate_message():
+    # (2, 1, -4, 5) is an origin hit of the grid: no report, an error message
+    pkg = ab_suites.load_tree(SRC, "dhym_origin")
+    kind, _, call = ab_suites.origin_op("blowup", (2, 1, -4, 5))
+    out, _ = call(pkg)
+    assert kind == "blowup" and out.startswith("DegeneratePathError: ")
+
+
+def test_ab_suites_pair_mix_reads_every_pair_byte_equal(capsys):
+    assert ab_suites.main([SRC, SRC, "--mix", "pair", "--rounds", "2", "--ops", "4"]) == 0
+    out = capsys.readouterr().out
+    head = "pair mix, 4 ops x 2 rounds, seed 1831; every output byte-equal"
+    assert out.splitlines()[0] == head
+    assert [line.split()[0] for line in out.splitlines()[2:]] == ["pair"]
 
 
 def test_ab_suites_sampler_mix_finds_a_changed_layout(tmp_path):
