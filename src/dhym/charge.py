@@ -83,7 +83,8 @@ def z_of_t(p: IntersectionProfile, t: float) -> complex:
     if t <= 0.0:
         raise DomainError(f"path parameter t must be positive, got {t}")
     re_c, im_c = path_polynomials(p)
-    return complex(_horner(re_c, t), _horner(im_c, t))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as Python floats
+        return complex(_horner(re_c, t), _horner(im_c, t))
 
 
 def path_polynomials(p: IntersectionProfile):

@@ -3,8 +3,9 @@
 Every check's margin is the inequality rewritten as ``margin > 0`` (or
 ``>= 0`` for the non-strict ones), so a report never loses the distance to
 the boundary.  Margins within ``BOUNDARY_REL`` of zero, relative to
-``max(|lhs|, |rhs|)``, are flagged as boundary cases instead of being
-silently rounded to a verdict.  The scale is purely relative: entries of a
+``max(|lhs|, |rhs|)`` and capped at that of the largest double (so a side
+that overflows to inf gets a finite band), are flagged as boundary cases
+instead of being silently rounded to a verdict.  The scale is purely relative: entries of a
 profile scaled by c > 0 scale uniformly, so verdicts are invariant under
 rescaling the underlying classes.
 
@@ -28,6 +29,8 @@ import numpy as np
 
 #: relative tolerance for boundary / equality detection
 BOUNDARY_REL = 1e-12
+#: the widest band: the tolerance of a side at the largest double
+_BAND_CAP = BOUNDARY_REL * np.finfo(float).max
 
 #: failures a suite report lists before it stops recording them
 FAILURE_CAP = 32
@@ -105,6 +108,7 @@ def compare_rows(label: str, entries) -> Margins:
             present[:, k] = entry.present
     margin = lhs - rhs
     tol = BOUNDARY_REL * np.maximum(np.abs(lhs), np.abs(rhs))
+    np.minimum(tol, _BAND_CAP, out=tol)  # an infinite side gets a finite band
     boundary = np.abs(margin) <= tol
     names, relations = (tuple(x) for x in zip(*((e.name, e.relation) for e in entries)))
     # relations are validated above, so the masks partition the columns; > and >= run if used

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -53,6 +54,14 @@ def test_z_examples():
     z = z_of_t(p, math.sqrt(11.0))
     assert z.real == pytest.approx(22.5, abs=1e-9)
     assert z.imag == pytest.approx(0.0, abs=1e-9)
+
+
+def test_z_overflows_silently():
+    # to inf, as Python floats and every other kernel do: no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = z_of_t(IntersectionProfile(4, (1e300,) * 5), 1e10)
+    assert z == complex(-math.inf, -math.inf)
 
 
 def test_z_requires_positive_t():

@@ -10,6 +10,7 @@ every float of an identity or a profile.
 """
 
 import math
+import sys
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -53,13 +54,15 @@ from dhym.sampling import sample_level_set_batch
 from conftest import ReferenceTally
 
 REL = 1e-12
+#: the band of a side at the largest double: an infinite side's band
+BAND_CAP = REL * sys.float_info.max
 
 
 def ref_compare(name, lhs, rhs, relation=">"):
     margin = lhs - rhs
-    scale = max(abs(lhs), abs(rhs))
-    boundary = abs(margin) <= REL * scale
-    passed = {">": margin > 0.0, ">=": margin >= -REL * scale, "==": boundary}[relation]
+    tol = min(REL * max(abs(lhs), abs(rhs)), BAND_CAP)
+    boundary = abs(margin) <= tol
+    passed = {">": margin > 0.0, ">=": margin >= -tol, "==": boundary}[relation]
     return (name, lhs, rhs, margin, passed, boundary)
 
 
@@ -295,6 +298,22 @@ def test_compare_relations():
         compare("x", 1.0, 0.0, "<")
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda: compare("x", 1.0, math.inf, ">="),
+        lambda: compare("x", math.inf, 1.0, "=="),
+        lambda: kt_chain(IntersectionProfile(4, (1, 1e200, 1, 1e200, 1))).entry("k2"),
+    ],
+    ids=["ge_infinite_rhs", "eq_infinite_lhs", "kt_k2_rhs_overflows"],
+)
+def test_an_infinite_side_gets_a_finite_band(entry):
+    # REL times an infinite side would be a band that holds every margin
+    e = entry()
+    assert math.inf in (abs(e["lhs"]), abs(e["rhs"]))
+    assert not e["pass"] and not e["boundary"]
+
+
 def ref_tally(count, blocks, flags, qualified=True, cap=32):
     """The per-sample loop the suites ran before the array reduction."""
     mins, failures = {}, []
@@ -498,7 +517,7 @@ def reference_compare_rows(label, entries):
         if entry.present is not None:
             present[:, k] = entry.present
     margin = lhs - rhs
-    tol = REL * np.maximum(np.abs(lhs), np.abs(rhs))
+    tol = np.minimum(REL * np.maximum(np.abs(lhs), np.abs(rhs)), BAND_CAP)
     boundary = np.abs(margin) <= tol
     names, relations = (tuple(x) for x in zip(*((e.name, e.relation) for e in entries)))
     strict, loose = (np.array([r == rel for r in relations]) for rel in (">", ">="))
