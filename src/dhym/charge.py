@@ -180,9 +180,10 @@ def _re_z_at_tstar_rows(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the sign of Re Z(T*)."""
     t = _im_root(4, d)
     rows = np.flatnonzero(t > 1.0)
-    t, d = t[rows], d[rows]
+    t = t[rows]
+    d0, d2, d4 = d[:, ::2].T.take(rows, axis=1)  # d[rows] would copy all five columns
     t2 = t * t
-    return rows, -(d[:, 0] * (t2 * t2) - 6 * d[:, 2] * t2 + d[:, 4])
+    return rows, -(d0 * (t2 * t2) - 6 * d2 * t2 + d4)
 
 
 def _positive_axis_roots(p: IntersectionProfile, t_im: float, re_c, im_c) -> list:

@@ -376,7 +376,7 @@ def branch_blocks(lam: np.ndarray, e: np.ndarray, thetas: np.ndarray, phase: np.
     branch that occurs; a branch that owns every row gets lam and e themselves.
     """
     which = _branch_index(thetas)
-    lo, hi = _BOUNDS[which].T
+    lo, hi = _BOUNDS.take(which, axis=0).T
     outside = ~((lo < phase) & (phase < hi))
     if outside.any():
         i = outside.argmax()

@@ -13,10 +13,13 @@ The margin expressions of every pointwise and Chern/KT check live in one
 table, ``MARGINS``, evaluated over arrays of rows: sorted eigenvalue rows
 with their sigma rows for the branch checks, profile rows ``d`` for the
 rest.  A scalar check is the table on one row; the suites evaluate it one
-row block at a time and fold the columns into a ``Tally``.  The table is
-column-major: ``compare_rows`` allocates every (m, K) array F-ordered, so
-an entry's write and the fold's reads of it are contiguous columns, like
-the row blocks that feed it; it runs only the pass tests of relations in use.
+row block at a time and fold the columns into a ``Tally``.  ``compare_rows``
+keeps only what a verdict needs: the (m, K) margins, pass flags and
+presence, allocated F-ordered so that an entry's write and the fold's reads
+of it are contiguous columns, like the row blocks that feed it.  The band
+enters a verdict only on ``==`` columns and on ``>=`` columns with a row
+below zero; ``Margins.report`` builds a printed row's sides and band from
+the entries themselves.
 """
 
 from __future__ import annotations
@@ -70,59 +73,85 @@ class Margin(NamedTuple):
 
 
 class Margins(NamedTuple):
-    """One check over m rows: column k of each (m, K) array is entry names[k]."""
+    """One check over m rows: column k of each (m, K) table is entries[k].
+
+    The tables hold only what a verdict needs; ``report`` builds a row's
+    sides and band from ``entries``, whose columns are views of the caller's
+    arrays, so read a Margins before changing its inputs.
+    """
 
     label: str
-    names: tuple[str, ...]
-    relations: tuple[str, ...]
-    lhs: np.ndarray
-    rhs: np.ndarray
+    entries: tuple[Margin, ...]
     margin: np.ndarray
     passed: np.ndarray
-    boundary: np.ndarray
     present: np.ndarray
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(e.name for e in self.entries)
+
+    @property
+    def relations(self) -> tuple[str, ...]:
+        return tuple(e.relation for e in self.entries)
 
     def report(self, i: int = 0) -> InequalityReport:
         """Row i as a report, its absent entries left out."""
-        lhs, rhs, margin, passed, boundary, present = (a[i].tolist() for a in self[3:])
-        keys = ("lhs", "rhs", "margin", "pass", "relation", "boundary")
-        cols = zip(lhs, rhs, margin, passed, self.relations, boundary)
-        entries = {n: dict(zip(keys, c)) for n, c, kept in zip(self.names, cols, present) if kept}
+        entries = {}
+        cols = (self.margin[i].tolist(), self.passed[i].tolist(), self.present[i].tolist())
+        for e, margin, passed, kept in zip(self.entries, *cols):
+            if kept:
+                lhs, rhs = float(e.lhs[i]), float(e.rhs[i] if np.ndim(e.rhs) else e.rhs)
+                entries[e.name] = {
+                    "lhs": lhs,
+                    "rhs": rhs,
+                    "margin": margin,
+                    "pass": passed,
+                    "relation": e.relation,
+                    "boundary": bool(abs(margin) <= _tol(lhs, rhs)),
+                }
         return InequalityReport(self.label, entries)
 
 
+def _tol(lhs, rhs):
+    """The boundary band of sides lhs and rhs, capped so that an infinite side
+    gets a finite band; np.maximum keeps a NaN side, where max() drops it."""
+    return np.minimum(BOUNDARY_REL * np.maximum(np.abs(lhs), np.abs(rhs)), _BAND_CAP)
+
+
 def compare_rows(label: str, entries) -> Margins:
-    """Signed margins of every entry over the rows.
+    """Signed margins and verdicts of every entry over the rows.
 
     A relation is ``">"`` (strict), ``">="`` (non-strict, roundoff
     tolerated) or ``"=="`` (equality within the boundary tolerance).
     """
     shape = (len(entries[0].lhs), len(entries))
-    lhs, rhs = np.empty(shape, order="F"), np.empty(shape, order="F")
+    margin = np.empty(shape, order="F")
+    passed = np.empty(shape, dtype=bool, order="F")
     present = np.ones(shape, dtype=bool, order="F")
     for k, entry in enumerate(entries):
-        if entry.relation not in (">", ">=", "=="):
+        m, ok = margin[:, k], passed[:, k]
+        np.subtract(entry.lhs, entry.rhs, out=m)
+        if entry.relation == ">":
+            np.greater(m, 0.0, out=ok)
+        elif entry.relation == ">=":
+            # the band is >= 0, or NaN only beside a NaN margin, so it can
+            # pass only the rows that are not >= 0
+            if not np.greater_equal(m, 0.0, out=ok).all():
+                ok |= m >= -_tol(entry.lhs, entry.rhs)
+        elif entry.relation == "==":
+            np.less_equal(np.abs(m), _tol(entry.lhs, entry.rhs), out=ok)
+        else:
             raise ValueError(f"unknown relation {entry.relation!r}")
-        lhs[:, k], rhs[:, k] = entry.lhs, entry.rhs
         if entry.present is not None:
             present[:, k] = entry.present
-    margin = lhs - rhs
-    tol = BOUNDARY_REL * np.maximum(np.abs(lhs), np.abs(rhs))
-    np.minimum(tol, _BAND_CAP, out=tol)  # an infinite side gets a finite band
-    boundary = np.abs(margin) <= tol
-    names, relations = (tuple(x) for x in zip(*((e.name, e.relation) for e in entries)))
-    # relations are validated above, so the masks partition the columns; > and >= run if used
-    passed = np.array([r == "==" for r in relations]) & boundary
-    if ">" in relations:
-        passed |= np.array([r == ">" for r in relations]) & (margin > 0.0)
-    if ">=" in relations:
-        passed |= np.array([r == ">=" for r in relations]) & (margin >= -tol)
-    return Margins(label, names, relations, lhs, rhs, margin, passed, boundary, present)
+    return Margins(label, tuple(entries), margin, passed, present)
 
 
 def compare(name: str, lhs: float, rhs: float, relation: str = ">") -> dict:
-    """The entry dict of ``lhs relation rhs``: compare_rows on one row."""
-    return compare_rows("", [Margin(name, [lhs], rhs, relation)]).report().entries[name]
+    """The entry dict of ``lhs relation rhs``: compare_rows on one row, with
+    non-finite sides as silent as in ``evaluate``."""
+    with np.errstate(all="ignore"):
+        return compare_rows("", [Margin(name, [lhs], rhs, relation)]).report().entries[name]
 
 
 def _mid(lam, e):
@@ -235,14 +264,16 @@ class Tally:
         seen, fails = [], []
         for b, (rows, mg) in enumerate(blocks):
             keys = [f"{mg.label}.{name}" if self.qualified else name for name in mg.names]
+            if mg.present.all():  # every key first met on the block's first row
+                masked, failed = mg.margin, ~mg.passed
+                first, exists = [int(rows[0])] * len(keys), [True] * len(keys)
+            else:
+                masked, failed = np.where(mg.present, mg.margin, np.inf), mg.present & ~mg.passed
+                first = rows[mg.present.argmax(axis=0)].tolist()
+                exists = mg.present.any(axis=0).tolist()
             # argmin takes the first of equal minima, as the loop's `<` kept it
-            masked = mg.margin if mg.present.all() else np.where(mg.present, mg.margin, np.inf)
             low = masked[masked.argmin(axis=0), np.arange(len(keys))].tolist()
-            first = rows[mg.present.argmax(axis=0)].tolist()
-            for k, exists in enumerate(mg.present.any(axis=0).tolist()):
-                if exists:
-                    seen.append((first[k], b, k, keys[k], low[k]))
-            failed = mg.present & ~mg.passed
+            seen += [(first[k], b, k, keys[k], low[k]) for k in range(len(keys)) if exists[k]]
             if failed.any():
                 # np.nonzero walks row-major whatever the layout, so each
                 # block's first FAILURE_CAP suffice

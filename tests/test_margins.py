@@ -14,6 +14,7 @@ import sys
 import warnings
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -48,7 +49,16 @@ from dhym.eigen import (
 )
 from dhym.errors import PhaseOutsideBranchError, UndefinedAngleError
 from dhym.models import constant_model_rows
-from dhym.reports import FAILURE_CAP, MARGINS, Margin, Margins, Tally, compare_rows, evaluate
+from dhym.reports import (
+    FAILURE_CAP,
+    MARGINS,
+    Margin,
+    Margins,
+    Tally,
+    _tol,
+    compare_rows,
+    evaluate,
+)
 from dhym.sampling import sample_level_set_batch
 
 from conftest import ReferenceTally
@@ -314,6 +324,52 @@ def test_an_infinite_side_gets_a_finite_band(entry):
     assert not e["pass"] and not e["boundary"]
 
 
+@pytest.mark.parametrize("relation", [">", ">=", "=="])
+@pytest.mark.parametrize(
+    "lhs, rhs",
+    [(math.inf, math.inf), (-math.inf, -math.inf), (math.nan, 1.0), (1.0, math.nan)],
+    ids=["inf_inf", "neg_inf_neg_inf", "nan_lhs", "nan_rhs"],
+)
+def test_compare_is_as_silent_as_evaluate(relation, lhs, rhs):
+    # inf - inf is NaN: no warning, and a NaN margin passes no relation
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = compare("x", lhs, rhs, relation)
+    assert math.isnan(e["margin"]) and not e["pass"] and not e["boundary"]
+    assert bits([(e["lhs"], e["rhs"])]) == bits([(lhs, rhs)])
+
+
+def test_ge_column_passes_the_band_below_zero():
+    """A >= column with a row that is not >= 0 falls back to the band: rows
+    in [-tol, 0) pass, rows below -tol and NaN rows fail.  Beside it, a >=
+    column with every row >= 0, an == column and a > column."""
+    one = np.ones(6)
+    rhs = np.array([0.5, 1.0, 1.0 + 2.0**-44, 1.0 + 2.0**-38, 1.0, 1.0])
+    lhs = np.array([1.0, 1.0, 1.0, 1.0, math.nan, -0.0])
+    entries = [
+        Margin("band", lhs, rhs, ">="),
+        Margin("above", one, one * 0.5, ">="),
+        Margin("equal", lhs, rhs, "=="),
+        Margin("strict", lhs, 1.0, ">"),
+    ]
+    mg = compare_rows("x", entries)
+    assert mg.passed[:, 0].tolist() == [True, True, True, False, False, False]
+    assert mg.passed[:, 1].all() and mg.present.all()
+    assert mg.passed[:, 2].tolist() == [False, True, True, False, False, False]
+    assert not mg.passed[:, 3].any()
+    for i in range(6):
+        sides = [(e.lhs[i], e.rhs[i] if np.ndim(e.rhs) else e.rhs) for e in entries]
+        want = [ref_compare(e.name, *side, e.relation) for e, side in zip(entries, sides)]
+        assert report_rows(mg.report(i)) == bits(want)
+    # every entry present: the fold's fast path, against the full scan
+    rows = np.arange(10, 16)
+    fold, ref = Tally(), ReferenceTally()
+    fold.add([(rows, mg)], [("flag", rows[1:2])])
+    ref.add([(rows, reference_compare_rows("x", entries))], [("flag", rows[1:2])])
+    assert repr((fold.mins, fold.failures)) == repr((ref.mins, ref.failures))
+    assert [key for _, key, _ in fold.failures].count("x.band") == 3
+
+
 def ref_tally(count, blocks, flags, qualified=True, cap=32):
     """The per-sample loop the suites ran before the array reduction."""
     mins, failures = {}, []
@@ -377,6 +433,18 @@ def test_tally_matches_loop_order_and_cap(count):
     assert tally(single, flags, qualified=False) == ref_tally(count, single, flags, False)
 
 
+def rows_of(mg, keep):
+    """The Margins of the rows `keep` of mg, its entry columns cut to match."""
+
+    def cut(x):
+        return x[keep] if np.ndim(x) else x
+
+    entries = tuple(
+        e._replace(lhs=cut(e.lhs), rhs=cut(e.rhs), present=cut(e.present)) for e in mg.entries
+    )
+    return Margins(mg.label, entries, *(a[keep] for a in mg[2:]))
+
+
 def row_block_parts(blocks, flags, edges):
     """(blocks, flags) of the samples in each row block [edges[j], edges[j+1]);
     a block with no sample there is left out, as branch_blocks leaves out a
@@ -387,7 +455,7 @@ def row_block_parts(blocks, flags, edges):
         for rows, mg in blocks:
             keep = (lo <= rows) & (rows < hi)
             if keep.any():
-                part.append((rows[keep], Margins(*mg[:3], *(a[keep] for a in mg[3:]))))
+                part.append((rows[keep], rows_of(mg, keep)))
         parts.append((part, [(key, rows[(lo <= rows) & (rows < hi)]) for key, rows in flags]))
     return parts
 
@@ -507,9 +575,25 @@ def test_analytic_angle_matches_scalar_reference(row):
 # -- the column-major margin table against the row-major one it replaced ------
 
 
+class RowMajorMargins(NamedTuple):
+    """The table compare_rows built before it kept only margins and
+    verdicts: both sides and the band as (m, K) arrays too."""
+
+    label: str
+    names: tuple
+    relations: tuple
+    lhs: np.ndarray
+    rhs: np.ndarray
+    margin: np.ndarray
+    passed: np.ndarray
+    boundary: np.ndarray
+    present: np.ndarray
+
+
 def reference_compare_rows(label, entries):
-    """compare_rows with C-ordered (m, K) blocks and the pass column picked
-    by a nested np.where over the relation masks."""
+    """compare_rows with C-ordered (m, K) blocks of both sides, the band of
+    every cell, and the pass column picked by a nested np.where over the
+    relation masks."""
     shape = (len(entries[0].lhs), len(entries))
     lhs, rhs, present = np.empty(shape), np.empty(shape), np.ones(shape, dtype=bool)
     for k, entry in enumerate(entries):
@@ -522,7 +606,7 @@ def reference_compare_rows(label, entries):
     names, relations = (tuple(x) for x in zip(*((e.name, e.relation) for e in entries)))
     strict, loose = (np.array([r == rel for r in relations]) for rel in (">", ">="))
     passed = np.where(strict, margin > 0.0, np.where(loose, margin >= -tol, boundary))
-    return Margins(label, names, relations, lhs, rhs, margin, passed, boundary, present)
+    return RowMajorMargins(label, names, relations, lhs, rhs, margin, passed, boundary, present)
 
 
 # a small pool makes ties, signed zeros and non-finite margins common
@@ -554,10 +638,16 @@ def margin_entries(draw, m=None):
 
 
 def assert_same_margins(got, want):
-    assert got[:3] == want[:3]
-    for a, b in zip(got[3:], want[3:]):
+    """The tables bit for bit, and every row's report against the reference
+    row's sides, margin, pass and band, its absent entries left out."""
+    assert (got.label, got.names, got.relations) == want[:3]
+    for a, b in zip(got[2:], (want.margin, want.passed, want.present)):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()  # every bit, NaN payloads and -0.0 included
+    cols = (want.lhs, want.rhs, want.margin, want.passed, want.boundary)
+    for i in range(len(want.margin)):
+        rows = zip(want.names, *(c[i].tolist() for c in cols), want.present[i].tolist())
+        assert report_rows(got.report(i)) == bits(r[:-1] for r in rows if r[-1])
 
 
 def _one_relation(relation, present=None):
@@ -579,7 +669,7 @@ def test_compare_rows_bits_match_row_major_reference(entries):
     with np.errstate(all="ignore"):
         got, want = compare_rows("x", entries), reference_compare_rows("x", entries)
     assert_same_margins(got, want)
-    assert all(a.flags.f_contiguous for a in got[3:])
+    assert all(a.flags.f_contiguous for a in got[2:])
 
 
 @st.composite
@@ -685,7 +775,8 @@ def test_profile_tables_run_unchanged_on_exact_rows(label, n):
             assert not margin.any()
             continue
         holds = (margin > 0) if entry.relation == ">" else (margin >= 0)
-        outside = ~floats.boundary[:, k]
+        side = floats.entries[k]
+        outside = ~(np.abs(floats.margin[:, k]) <= _tol(side.lhs, side.rhs))
         assert np.array_equal(floats.passed[outside, k], holds[outside]), entry.name
         print(f"{label}.{entry.name}: {len(d) - outside.sum()} of {len(d)} rows in the band")
 
@@ -696,7 +787,7 @@ def test_kt_squares_are_correctly_rounded():
     x = rng.choice([-1.0, 1.0], (20000, 3)) * 10.0 ** rng.uniform(-150.0, 150.0, (20000, 3))
     d = np.ones((20000, 5))
     d[:, 1:4] = x
-    lhs = evaluate("kt_chain", d).lhs[:, :3]
+    lhs = np.column_stack([e.lhs for e in evaluate("kt_chain", d).entries[:3]])
     want = [[float(Fraction(v) ** 2) for v in row] for row in x.tolist()]
     assert lhs.tolist() == want
 
