@@ -51,10 +51,9 @@ def sort_rows(lam: np.ndarray) -> np.ndarray:
     Precondition: no NaN, and the zeros of a row share one sign.  Then the
     result is bit-equal to np.sort(lam, axis=1); otherwise min and max may
     give both zeros of a -0.0/+0.0 pair one sign, which is value-equal only.
-    The callers meet it: uniform draws give only +0.0, the sampler's
-    high-corner rows only +0.0 and its low-corner rows only -0.0, and it
-    refuses a NaN theta first.  (A rejection row at theta = -0.0 mixes
-    signs only if its drawn angles are exactly 0, x and -x.)
+    The callers meet it: uniform draws give only +0.0, the sampler's rows
+    only zeros of theta's sign (its draws are mirrored copies of rows whose
+    zeros are all +0.0), and it refuses a NaN theta first.
     """
     net = SORT_NETWORKS[lam.shape[1]]
     for blk in row_blocks(lam.shape[0]):

@@ -1,42 +1,32 @@
 """Deterministic sampling of the constraint surface sum(arctan lambda_i) = theta.
 
-Angles u_i = arctan(lambda_i) are drawn uniformly from the clipped box
-(-pi/2 + eps, pi/2 - eps)^3, the fourth angle is solved as
-u_4 = theta - (u_1 + u_2 + u_3) and rejected unless it falls in the same
-box.  Uniform-in-angle covers the level set evenly and avoids tangent
-blow-up.
-
-Plain rejection against the box has acceptance probability ~(2*pi-theta)^3
-near theta -> 2*pi (every angle is forced into a sliver below pi/2), which
-is unusable.  For theta >= pi - 2*eps the acceptance region is exactly a
-corner simplex of the box, so the same conditional distribution is sampled
-directly there in O(1) per draw; the rejection loop is kept for the easy
-middle range.  All draws come from one seeded generator, so runs are
-reproducible.
+Angles u_i = arctan(lambda_i) are uniform on the level set within the
+clipped box (-a, a)^4, a = pi/2 - eps: u_1..u_3 are drawn and the fourth
+solved, u_4 = theta - (u_1 + u_2 + u_3).  Uniform-in-angle covers the level
+set evenly and avoids tangent blow-up.  With v_i = a - u_i and t = |theta|
+(rows of theta < 0 are mirrored, which negation does exactly), every row
+lies in the corner simplex {v > 0, sum(v) < 4a - t}.  For t >= 2a that is
+the whole region, drawn directly by _corner_batch; below, _rejection_batch
+proposes from it and keeps at least half of its rows (the cube kept 1/6
+near t = 2a), with only +, -, *, min, max and compares, which round alike
+on every CPU.  All draws come from one seeded generator.
 
 The angle rows are built column by column in one (4, m) buffer, and the
 sampler returns its transpose: an F-ordered (m, 4) array whose columns are
 contiguous.  The rejection loop runs every pass ROW_BLOCK rows at a time,
-so its temporaries stay block-sized instead of megabytes of fresh pages.
-Its first pass, which covers every row, writes each block's draws into
-the buffer in place; the rows it rejects go into one index array, which
-each later pass walks block by block, scattering the rows it accepts and
-keeping the rest for the next pass.  uniform fills sequentially, so the
-blocks draw the stream that one draw per pass would, and the rows are the
-same bits.  The corner draw writes its columns straight into the buffer,
-unblocked: its two draws are separate segments of the stream, the radii
-of all rows and then their spacings, so a blocked corner draw would draw
-other rows.  A batch that is all in one regime (all rejection, or all
-corner, as every theta in (pi, 2*pi) is) fills the buffer with no index
-scatter.
+so its temporaries stay block-sized.  Its first pass writes each block's
+draws into the buffer in place; the rows it rejects go into one index
+array, which each later pass walks block by block, scattering the rows it
+keeps.  A row's three uniforms are adjacent in the stream, so the blocks
+draw the rows that one draw per pass would.  The corner draw writes its
+columns straight into the buffer, unblocked: its two draws are separate
+segments of the stream (all radii, then all spacings).  A batch that is
+all in one regime fills the buffer with no index scatter.
 
 The eigenvalues are lambda_i = tan(u_i), with no correction: u_4 is exact
 to a few ulp of 2*pi, and tan, arctan and the four-term sum each add about
 one ulp, so sum(arctan lambda_i) misses theta by about 1e-14 < PHASE_TOL.
-np.tan runs once over the whole buffer, and each row is then sorted in
-place by eigen.sort_rows, a compare-exchange network on contiguous
-columns; the corner draw orders each pair of simplex spacings with one
-np.minimum and np.maximum.
+np.tan runs once over the buffer, and eigen.sort_rows sorts its rows in place.
 """
 
 from __future__ import annotations
@@ -93,43 +83,57 @@ def _corner_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return u.T
 
 
-def _rejection_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vectorised rejection for the easy range |theta| < pi - 2*eps; each
-    pass draws one triple for every row still pending, ROW_BLOCK rows at a
-    time.  The first pass covers every row and writes each block's draws
-    into its slice of the (4, m) buffer in place; later passes split the
-    pending rows into ROW_BLOCK pieces, and each piece draws, tests and
-    scatters its accepted rows in turn and keeps its missed rows for the
-    next pass.  Returns the buffer's transpose, an F-ordered (m, 4) array.
-
-    A pass keeps each pending row with probability at least 1/6, so the
-    loop ends: u_1 + u_2 + u_3 must land in (theta - a, theta + a), and
-    as its density is symmetric and unimodal, that window holds the least
-    mass at |theta| = 2a, where it is (a, 3a) or (-3a, -a), of mass 1/6."""
+def _band_draw(thetas: np.ndarray, rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
+    """One simplex proposal per row (|theta| < 2a) into the (4, k) block u,
+    and the mask of the rows kept: v = (4a - t)*(s_1, s_2 - s_1, s_3 - s_2)
+    from sorted uniforms s_1 <= s_2 <= s_3, u_i = a - v_i, kept where
+    max(v) < 2a (each u_i > -a) and the computed u_4 has |u_4| < a."""
     a = _half_width()
+    t = np.abs(thetas)
+    s = rng.random((t.size, 3)).T  # a row's three draws are adjacent in the stream
+    lo, hi = np.minimum(s[0], s[1]), np.maximum(s[0], s[1])
+    mid, top = np.minimum(hi, s[2]), np.maximum(hi, s[2], out=hi)
+    np.minimum(lo, mid, out=u[0])
+    np.subtract(np.maximum(lo, mid, out=mid), u[0], out=u[1])
+    np.subtract(top, mid, out=u[2])
+    u[:3] *= 4.0 * a - t  # v
+    ok = np.maximum(np.maximum(u[0], u[1], out=lo), u[2], out=lo) < 2.0 * a
+    np.subtract(a, u[:3], out=u[:3])
+    np.subtract(t, (u[0] + u[1]) + u[2], out=u[3])
+    ok &= np.abs(u[3]) < a
+    u *= np.copysign(1.0, thetas)  # negation is exact: the mirrored rows sum to theta
+    return ok
+
+
+def _rejection_batch(thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Rejection from the corner simplex (_band_draw) for |theta| < 2a: each
+    pass draws one proposal for every pending row, ROW_BLOCK rows at a time,
+    the first in place and the later ones scattering their kept rows.
+    Returns the (4, m) buffer's transpose.
+
+    The draw is exact: the target {v in (0, 2a)^3 : 2a - t < sum(v) < 4a - t}
+    lies in the proposal simplex, so a kept row is uniform on it.  Its share
+    of the simplex, 1 - 4*((2a - t)/(4a - t))^3, is 1/2 at theta = 0 and
+    rises to 1 as t -> 2a, so a pass keeps a pending row with probability at
+    least 1/2.  |u_4| < a is sum(v) > 2a - t exactly, and guards rounding."""
     m = thetas.shape[0]
     out = np.empty((_N, m))
     # 1-D row views: a scatter into each is cheaper than into out[i, rows]
     cols = tuple(out)
     pending = [np.empty(0, np.intp)]  # an empty batch has no block
     for blk in row_blocks(m):
-        u = out[:, blk]
-        u[:3] = rng.uniform(-a, a, size=(blk.stop - blk.start, 3)).T
-        np.add(u[0], u[1], out=u[3])  # u_4 = theta - ((u_1 + u_2) + u_3)
-        u[3] += u[2]
-        np.subtract(thetas[blk], u[3], out=u[3])
-        pending.append(np.flatnonzero(np.abs(u[3]) >= a) + blk.start)
+        ok = _band_draw(thetas[blk], rng, out[:, blk])
+        pending.append(np.flatnonzero(~ok) + blk.start)
     pending = np.concatenate(pending)
     while pending.size:
         missed = []
         for blk in row_blocks(pending.size):
             rows = pending[blk]
-            u1, u2, u3 = rng.uniform(-a, a, size=(rows.size, 3)).T
-            u4 = thetas.take(rows) - (u1 + u2 + u3)
-            ok = np.abs(u4) < a
+            u = np.empty((_N, rows.size))
+            ok = _band_draw(thetas.take(rows), rng, u)
             hit = np.flatnonzero(ok)
             kept = rows.take(hit)
-            for col, draw in zip(cols, (u1, u2, u3, u4)):
+            for col, draw in zip(cols, u):
                 col[kept] = draw.take(hit)
             missed.append(rows.compress(~ok))  # rows[~ok] costs 3x on a random mask
         pending = np.concatenate(missed)

@@ -54,6 +54,13 @@ NEWTON_TOL = 1e-12
 SPAN = 10.0
 
 
+def _span(u):
+    """-SPAN + 2*SPAN*u in place, Generator.uniform's arithmetic on random u."""
+    u *= 2.0 * SPAN
+    u -= SPAN
+    return u
+
+
 #: Vieta's expansion is checked on the first VIETA_ROWS rows
 VIETA_ROWS = 1000
 
@@ -119,8 +126,8 @@ def identity_suite(count: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     product, fact, newton = [], [], []
     for blk in row_blocks(count):
-        # uniform fills sequentially, so block draws are the rows of one draw
-        lam = np.asfortranarray(rng.uniform(-SPAN, SPAN, size=(blk.stop - blk.start, 4)))
+        # random fills sequentially, so block draws are the rows of one draw
+        lam = _span(np.asfortranarray(rng.random((blk.stop - blk.start, 4))))
         e = sigma_rows(sort_rows(lam))
         if blk.start == 0:  # ROW_BLOCK >= VIETA_ROWS: the Vieta rows
             head = lam[:VIETA_ROWS], e[:VIETA_ROWS]
@@ -133,7 +140,7 @@ def identity_suite(count: int, seed: int) -> dict:
     # each k's minimum over all blocks, then the least of k = 1, 2, 3
     newton = min(np.inf, *np.min(newton, axis=0).tolist())
 
-    x = rng.uniform(-SPAN, SPAN, size=min(count, VIETA_ROWS))
+    x = _span(rng.random(min(count, VIETA_ROWS)))
     lam, e = head
     x2 = x * x
     powers = (x2 * x2, x2 * x, x2, x, 1.0)
@@ -232,9 +239,9 @@ def _gamma3(e) -> np.ndarray:  # gamma_cone_rows(e) >= 3, without its counts
     return np.logical_and.reduce(e[:, 1:4] > 0.0, axis=1)
 
 
-def _three_positive(lam) -> np.ndarray:
+def _three_positive(lam, cut) -> np.ndarray:
     """Mask of the rows of lam, shape (m, 4) and C-ordered, with at least
-    three entries > 0.  Each row's four bool bytes of lam > 0 are read as
+    three entries > cut.  Each row's four bool bytes of lam > cut are read as
     one uint32; times 0x01010101, its top byte is their sum (no lower byte
     exceeds 3, so none carries), in either byte order.
 
@@ -249,7 +256,7 @@ def _three_positive(lam) -> np.ndarray:
     a margin as large as the terms of sigma_2, far above their rounding.
     A row the mask drops therefore never meets _gamma3 in floats either.
     """
-    return (lam > 0.0).view(np.uint32).ravel() * np.uint32(0x01010101) >= np.uint32(3 << 24)
+    return (lam > cut).view(np.uint32).ravel() * np.uint32(0x01010101) >= np.uint32(3 << 24)
 
 
 def kt_suite(count: int, seed: int) -> dict:
@@ -262,8 +269,8 @@ def kt_suite(count: int, seed: int) -> dict:
     first `count` kept constant models.  The draw stops at the chunk that
     holds the count-th kept row, in chunks sized from the acceptance so
     far (the first from the cube's Gamma_3 share).  Each chunk drops its
-    rows with fewer than three entries > 0 (_three_positive) before the
-    sort and the sigma rows, which only the rest get.  `attempts` is the
+    rows with fewer than three entries > 0 (raw draws u > 0.5, exactly)
+    before the scaling, the sort and the sigma rows.  `attempts` is the
     1-based draw index of the count-th kept row, so count / attempts is
     the Gamma_3 acceptance.
     """
@@ -273,22 +280,22 @@ def kt_suite(count: int, seed: int) -> dict:
     kept, n_kept, drawn = [], 0, 0
     while n_kept < count:
         # the rows still needed at the acceptance so far, plus 1/8 and 64,
-        # within ROW_BLOCK; uniform fills sequentially, so the chunks are
+        # within ROW_BLOCK; random fills sequentially, so the chunks are
         # the rows of one draw
         if n_kept:
             want = (count - n_kept) * drawn // n_kept * 9 // 8 + 64
         else:  # at the Gamma_3 share of the cube, about 1 in 11
             want = count * 11 * 9 // 8 + 64
-        lam = rng.uniform(-SPAN, SPAN, size=(min(want, ROW_BLOCK), 4))
-        rows = np.flatnonzero(_three_positive(lam))
-        e = sigma_rows(sort_rows(np.asfortranarray(lam.take(rows, axis=0))))
+        u = rng.random((min(want, ROW_BLOCK), 4))
+        rows = np.flatnonzero(_three_positive(u, 0.5))
+        e = sigma_rows(sort_rows(_span(np.asfortranarray(u.take(rows, axis=0)))))
         hit = np.flatnonzero(_gamma3(e))
         # kept as columns: e.T[:, hit] and e[hit] would copy row-major
         kept.append(e.T.take(hit, axis=1))
         if n_kept + hit.size >= count:  # the draw index of the count-th kept row, plus 1
             used = drawn + int(rows[hit[count - n_kept - 1]]) + 1
         n_kept += hit.size
-        drawn += lam.shape[0]
+        drawn += u.shape[0]
     e = np.concatenate(kept, axis=1)[:, :count].T
     fold = Tally(qualified=False)
     for blk in row_blocks(count):

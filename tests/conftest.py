@@ -44,11 +44,11 @@ class ReferenceTally(Tally):
 
 
 class DrawLog:
-    """A Generator stand-in that logs the rows of each uniform draw."""
+    """A Generator stand-in that logs the rows of each random draw."""
 
     def __init__(self, rng, sizes):
         self.rng, self.sizes = rng, sizes
 
-    def uniform(self, low, high, size):
+    def random(self, size):
         self.sizes.append(size[0])
-        return self.rng.uniform(low, high, size)
+        return self.rng.random(size)

@@ -105,3 +105,40 @@ def test_phase_rows_bytes_without_avx512():
     )
     rows, phases = proc.stdout.split()
     assert [rows, phases] == here.getvalue().split()
+
+
+#: the band rows' angles (before np.tan) of seeded mid, edge and mixed
+#: batches, and their digest; the mixed batch's corner rows take numpy's
+#: SIMD pow, so only its band rows |theta| < 2a are hashed
+BAND_DIGEST = (
+    "import hashlib, math, numpy as np\n"
+    "from dhym.sampling import _half_width, _level_set_angles\n"
+    "rng = np.random.default_rng(35)\n"
+    "switch = 2.0 * _half_width()\n"
+    "batches = [\n"
+    "    rng.uniform(-math.pi + 0.01, math.pi - 0.01, 100000),\n"
+    "    rng.uniform(switch - 0.05, switch, 100000) * rng.choice((-1.0, 1.0), 100000),\n"
+    "    rng.uniform(-2 * math.pi + 0.01, 2 * math.pi - 0.01, 100000),\n"
+    "]\n"
+    "for seed, thetas in enumerate(batches):\n"
+    "    u = _level_set_angles(thetas, np.random.default_rng(seed))\n"
+    "    band = np.abs(thetas) < switch\n"
+    "    print(band.sum(), hashlib.sha256(u[band].tobytes()).hexdigest())\n"
+)
+
+
+def test_band_angle_rows_bytes_without_avx512():
+    # the band's simplex draw is +, -, *, min, max and compares, which every
+    # SIMD level rounds alike; a pow or cbrt in it would show here
+    env = {**os.environ, **NO_AVX512}
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(ROOT, "src"), env.get("PYTHONPATH", "")])
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env, capture_output=True)
+    if probe.returncode != 0:
+        pytest.skip(f"numpy does not start with {NO_AVX512}: {probe.stderr[-200:]!r}")
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(BAND_DIGEST, {})
+    proc = subprocess.run(
+        [sys.executable, "-c", BAND_DIGEST], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split() == here.getvalue().split()

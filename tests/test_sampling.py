@@ -104,21 +104,41 @@ def take_pass(sizes, rows):
     return pass_sizes
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_rejection_first_pass_keeps_a_sixth_at_the_regime_edge(sign):
-    # a pass keeps each pending row with probability at least 1/6, least
-    # at the largest |theta| the rejection draw takes, so its loop ends
+def reference_band_draw(thetas, r):
+    """The band's simplex proposals in one unblocked pass: angle rows
+    (k, 4) from uniform rows r (k, 3), sorted by np.sort, and the mask of
+    the rows kept."""
     a = _half_width()
-    theta = sign * np.nextafter(2.0 * a, 0.0)
-    sizes = []
-    got = _rejection_batch(np.full(100_000, theta), DrawLog(np.random.default_rng(0), sizes))
-    # the first pass's draws, made at once: the rows it rejects are pass 2's
-    u = np.random.default_rng(0).uniform(-a, a, size=(100_000, 3))
-    rejected = int(np.count_nonzero(np.abs(theta - (u[:, 0] + u[:, 1] + u[:, 2])) >= a))
-    take_pass(sizes, 100_000)
-    take_pass(sizes, rejected)
-    assert 100_000 - rejected >= 15_000
-    assert np.all(np.abs(got) < a)
+    t = np.abs(thetas)
+    v = (4.0 * a - t)[:, None] * np.diff(np.sort(r, axis=1), axis=1, prepend=0.0)
+    u = np.empty((len(t), 4))
+    u[:, :3] = a - v
+    u[:, 3] = t - ((u[:, 0] + u[:, 1]) + u[:, 2])
+    ok = (v.max(axis=1) < 2.0 * a) & (np.abs(u[:, 3]) < a)
+    return u * np.copysign(1.0, thetas)[:, None], ok
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_rejection_first_pass_keeps_half_its_rows(sign):
+    # a pass keeps a pending row with probability 1 - 4*((2a - t)/(4a - t))^3,
+    # least, 1/2, at theta = +-0.0 and near 1 at the corner switch |theta| -> 2a,
+    # where the cube proposal kept 1/6
+    a = _half_width()
+    for theta, floor in ((sign * 0.0, 49_000), (sign * np.nextafter(2.0 * a, 0.0), 99_000)):
+        thetas = np.full(100_000, theta)
+        sizes = []
+        got = _rejection_batch(thetas, DrawLog(np.random.default_rng(0), sizes))
+        # the first pass's draws, made at once: the rows it rejects are pass 2's
+        _, ok = reference_band_draw(thetas, np.random.default_rng(0).random((100_000, 3)))
+        rejected = int(np.count_nonzero(~ok))
+        take_pass(sizes, 100_000)
+        if rejected:
+            take_pass(sizes, rejected)
+        assert 100_000 - rejected >= floor
+        assert np.all(np.abs(got) < a)
+        # theta and -theta draw mirrored rows, bit for bit
+        mirror = _rejection_batch(-thetas, np.random.default_rng(0))
+        assert np.array_equal(_bits(got), _bits(-mirror))
 
 
 def test_rejection_draw_keeps_its_temporaries_block_sized():
@@ -174,7 +194,7 @@ def test_exhaustion_beyond_clipped_box():
 
 def reference_sample_level_set_batch(thetas, seed):
     """The level-set sampler in one pass over all rows: full-length tan,
-    sort and polish, rejection with 2-D boolean masks."""
+    sort and polish, simplex rejection with 2-D boolean masks."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     rng = np.random.default_rng(seed)
     a = _half_width()
@@ -191,12 +211,8 @@ def reference_sample_level_set_batch(thetas, seed):
         out = np.empty((th.shape[0], 4))
         pending = np.arange(th.shape[0])
         while pending.size:
-            u123 = rng.uniform(-a, a, size=(pending.size, 3))
-            u4 = th[pending] - u123.sum(axis=1)
-            ok = np.abs(u4) < a
-            hit = pending[ok]
-            out[hit, :3] = u123[ok]
-            out[hit, 3] = u4[ok]
+            draw, ok = reference_band_draw(th[pending], rng.random((pending.size, 3)))
+            out[pending[ok]] = draw[ok]
             pending = pending[~ok]
         u[mid] = out
     lam = np.sort(np.tan(u), axis=1)
@@ -220,8 +236,7 @@ def uniform_thetas(lo, hi):
 
 def edge_thetas(rng, size):
     """|theta| within 0.05 below the corner switch 2*(pi/2 - eps), either
-    sign, where a rejection pass keeps about a sixth of its rows: at
-    3*ROW_BLOCK + 7 rows, several later passes hold more than ROW_BLOCK."""
+    sign, where a rejection pass keeps nearly every row."""
     switch = 2.0 * _half_width()
     return rng.uniform(switch - 0.05, switch, size=size) * rng.choice((-1.0, 1.0), size=size)
 
@@ -237,10 +252,15 @@ REGIMES = {
 }
 
 
-@pytest.mark.parametrize("regime", sorted(REGIMES))
+#: and |theta| < 0.05, where a rejection pass keeps about half its rows:
+#: at 3*ROW_BLOCK + 7 rows, the second pass holds more than ROW_BLOCK
+BLOCK_REGIMES = {**REGIMES, "centre": uniform_thetas(-0.05, 0.05)}
+
+
+@pytest.mark.parametrize("regime", sorted(BLOCK_REGIMES))
 @pytest.mark.parametrize("size", BLOCK_SIZES)
 def test_blocked_sampler_matches_unblocked_reference(regime, size):
-    thetas = REGIMES[regime](np.random.default_rng([size, 7]), size)
+    thetas = BLOCK_REGIMES[regime](np.random.default_rng([size, 7]), size)
     seed = 1000 + size
     got = sample_level_set_batch(thetas, seed=seed)
     assert got.flags.f_contiguous  # column-major, so the row kernels read contiguous columns
@@ -305,3 +325,49 @@ def test_rows_meet_phase_tol_by_construction():
         for i in rows.tolist()
     )
     assert worst <= 0.25 * PHASE_TOL
+
+
+# -- the band's draw against the exact law of the level set -------------------
+
+
+def irwin_hall3_cdf(z):
+    """CDF of the sum of three U(0, 1) at z."""
+    z = np.clip(z, 0.0, 3.0)
+    return sum((-1) ** k * math.comb(3, k) * np.maximum(z - k, 0.0) ** 3 for k in range(4)) / 6
+
+
+def angle_cdf(theta, x):
+    """CDF at x of one angle of a row uniform on the level set
+    {u in (-a, a)^4 : sum(u) = theta}.  Its density at x is, up to a
+    constant, that of the sum of the other three, three U(-a, a), at
+    theta - x, an Irwin-Hall density; G below is that sum's CDF."""
+    a = _half_width()
+
+    def g(s):
+        return irwin_hall3_cdf((s + 3.0 * a) / (2.0 * a))
+
+    x = np.clip(x, -a, a)
+    return (g(theta + a) - g(theta - x)) / (g(theta + a) - g(theta - a))
+
+
+def ks_statistic(sample, cdf):
+    """Kolmogorov-Smirnov distance of a sample from a continuous CDF."""
+    f = cdf(np.sort(sample))
+    n = f.size
+    return max(float(np.max(np.arange(1, n + 1) / n - f)), float(np.max(f - np.arange(n) / n)))
+
+
+#: +-0.0, +-0.3, +-1.5 and just below the corner switch 2a, either sign
+LAW_THETAS = [
+    s * x for x in (0.0, 0.3, 1.5, 2.0 * _half_width() - 1e-9) for s in (1.0, -1.0)
+]
+
+
+@pytest.mark.parametrize("theta", LAW_THETAS)
+def test_band_rows_follow_the_exact_level_set_law(theta):
+    # KS at alpha = 1e-3: the asymptotic critical value sqrt(-ln(alpha/2)/2)/sqrt(n)
+    n = 100_000
+    u = _rejection_batch(np.full(n, theta), np.random.default_rng([35, n]))
+    crit = math.sqrt(-0.5 * math.log(0.5e-3)) / math.sqrt(n)
+    for col in (0, 3):  # a drawn angle and the solved one share the law
+        assert ks_statistic(u[:, col], lambda x: angle_cdf(theta, x)) < crit

@@ -18,7 +18,7 @@ from dhym.errors import DomainError
 from dhym.models import constant_model_rows
 from dhym.reports import Margin, evaluate
 from dhym.sampling import sample_level_set_batch
-from dhym.suites import SPAN
+from dhym.suites import SPAN, VIETA_ROWS
 
 from conftest import DrawLog, ReferenceTally
 
@@ -252,7 +252,32 @@ def test_kt_gamma3_mask_keeps_the_gamma_cone_rows():
     assert gamma_cone_rows(edges).tolist() == leading
     assert 0 < suites._gamma3(edges).sum() < len(edges)
     rows = np.ascontiguousarray(edges[:, 1:])
-    assert np.array_equal(suites._three_positive(rows), np.count_nonzero(rows > 0.0, axis=1) >= 3)
+    want = np.count_nonzero(rows > 0.0, axis=1) >= 3
+    assert np.array_equal(suites._three_positive(rows, 0.0), want)
+
+
+@pytest.mark.parametrize("shape", [(ROW_BLOCK, 4), (VIETA_ROWS,)], ids=["rows", "vieta"])
+def test_scaled_random_is_generator_uniform(shape):
+    # the identity and KT suites draw random() and scale it in place; numpy's
+    # uniform(-SPAN, SPAN) is -SPAN + 2*SPAN*random(), so the bits must agree
+    # (a numpy that changes either shows here)
+    for seed in range(20):
+        want = np.random.default_rng(seed).uniform(-SPAN, SPAN, size=shape)
+        got = suites._span(np.random.default_rng(seed).random(shape))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_kt_prefilter_on_raw_draws_is_the_sign_of_the_scaled_ones():
+    # u > 0.5 exactly where -SPAN + 2*SPAN*u > 0: on every double within 2^20
+    # ulp of 0.5, and on every multiple of 2^-53 (the values random() draws)
+    # within 2^20 of them
+    bits = np.float64(0.5).view(np.int64) + np.arange(-(2**20), 2**20 + 1)
+    grid = 0.5 + np.arange(-(2**20), 2**20 + 1) * 2.0**-53
+    for u in (bits.view(np.float64), grid):
+        assert np.array_equal(u > 0.5, suites._span(u.copy()) > 0.0)
+    rows = np.random.default_rng(3).random((ROW_BLOCK, 4))
+    want = np.count_nonzero(suites._span(rows.copy()) > 0.0, axis=1) >= 3
+    assert np.array_equal(suites._three_positive(rows, 0.5), want)
 
 
 def test_kt_prefilter_drops_no_gamma3_row_in_floats():
@@ -283,7 +308,7 @@ def test_kt_prefilter_drops_no_gamma3_row_in_floats():
     a += np.abs(a) * rng.integers(-4, 5, m) * 2.0**-52
     rows = rng.permuted(np.stack([a, b, c, d], axis=1), axis=1)
     assert np.all(np.count_nonzero(rows > 0.0, axis=1) <= 2)
-    assert not suites._three_positive(rows).any()
+    assert not suites._three_positive(rows, 0.0).any()
     e = sigma_rows(suites.sort_rows(np.asfortranarray(rows)))
     assert np.count_nonzero((e[:, 1] > 0.0) & (e[:, 3] > 0.0)) > m // 10
     assert not suites._gamma3(e).any()
