@@ -17,9 +17,9 @@ row block at a time and fold the columns into a ``Tally``.  ``compare_rows``
 keeps only what a verdict needs: the (m, K) margins, pass flags and
 presence, allocated F-ordered so that an entry's write and the fold's reads
 of it are contiguous columns, like the row blocks that feed it.  The band
-enters a verdict only on ``==`` columns and on the rows of a ``>=`` column
-that are below zero; ``Margins.report`` builds a printed row's sides and
-band from the entries themselves.
+enters a verdict only on ``==`` columns and on ``>=`` columns with a row
+below zero; ``Margins.report`` builds a printed row's sides and band from
+the entries themselves.
 """
 
 from __future__ import annotations
@@ -134,14 +134,9 @@ def compare_rows(label: str, entries) -> Margins:
         if entry.relation == ">":
             np.greater(m, 0.0, out=ok)
         elif entry.relation == ">=":
-            # the band (>= 0, or NaN beside a NaN margin) can pass only the rows
-            # not >= 0: gathered when they are few in a long column, else whole
-            low = m.size - np.count_nonzero(np.greater_equal(m, 0.0, out=ok))
-            if low and 16 * low + 4096 < m.size:
-                low = np.flatnonzero(~ok)
-                sides = (np.take(x, low) if np.ndim(x) else x for x in (entry.lhs, entry.rhs))
-                ok[low] = m.take(low) >= -_tol(*sides)
-            elif low:
+            # the band is >= 0, or NaN only beside a NaN margin, so it can
+            # pass only the rows that are not >= 0
+            if not np.greater_equal(m, 0.0, out=ok).all():
                 ok |= m >= -_tol(entry.lhs, entry.rhs)
         elif entry.relation == "==":
             np.less_equal(np.abs(m), _tol(entry.lhs, entry.rhs), out=ok)

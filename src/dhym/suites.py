@@ -239,10 +239,11 @@ def _gamma3(e) -> np.ndarray:  # gamma_cone_rows(e) >= 3, without its counts
     return np.logical_and.reduce(e[:, 1:4] > 0.0, axis=1)
 
 
-def _three_positive(lam, cut) -> np.ndarray:
-    """Mask of the rows of lam, shape (m, 4) and C-ordered, with at least
-    three entries > cut.  Each row's four bool bytes of lam > cut are read as
-    one uint32; times 0x01010101, its top byte is their sum (no lower byte
+def _three_positive(u) -> np.ndarray:
+    """Mask of the rows of raw draws u, shape (m, 4) and C-ordered, whose
+    rows lam = _span(u) have at least three entries > 0: u > 0.5 exactly
+    where lam > 0.  Each row's four bool bytes of u > 0.5 are read as one
+    uint32; times 0x01010101, its top byte is their sum (no lower byte
     exceeds 3, so none carries), in either byte order.
 
     Every Gamma_3 row is one of them, since in Gamma_k every n - k + 1
@@ -256,7 +257,7 @@ def _three_positive(lam, cut) -> np.ndarray:
     a margin as large as the terms of sigma_2, far above their rounding.
     A row the mask drops therefore never meets _gamma3 in floats either.
     """
-    return (lam > cut).view(np.uint32).ravel() * np.uint32(0x01010101) >= np.uint32(3 << 24)
+    return (u > 0.5).view(np.uint32).ravel() * np.uint32(0x01010101) >= np.uint32(3 << 24)
 
 
 def kt_suite(count: int, seed: int) -> dict:
@@ -287,7 +288,7 @@ def kt_suite(count: int, seed: int) -> dict:
         else:  # at the Gamma_3 share of the cube, about 1 in 11
             want = count * 11 * 9 // 8 + 64
         u = rng.random((min(want, ROW_BLOCK), 4))
-        rows = np.flatnonzero(_three_positive(u, 0.5))
+        rows = np.flatnonzero(_three_positive(u))
         e = sigma_rows(sort_rows(_span(np.asfortranarray(u.take(rows, axis=0)))))
         hit = np.flatnonzero(_gamma3(e))
         # kept as columns: e.T[:, hit] and e[hit] would copy row-major

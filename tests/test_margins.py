@@ -368,40 +368,29 @@ def test_ge_column_passes_the_band_below_zero():
     ref.add([(rows, reference_compare_rows("x", entries))], [("flag", rows[1:2])])
     assert repr((fold.mins, fold.failures)) == repr((ref.mins, ref.failures))
     assert [key for _, key, _ in fold.failures].count("x.band") == 3
-
-
-@pytest.mark.parametrize("few", [False, True], ids=["many_below", "few_below"])
-@pytest.mark.parametrize("constant", [False, True], ids=["column_rhs", "constant_rhs"])
-def test_ge_band_on_the_rows_below_zero_matches_all_rows(constant, few):
-    """A >= column takes the band on its rows that are not >= 0 (NaN among
-    them), gathered when they are few in a long column; its verdicts equal
-    the band taken on every row, over mixed signs, signed zeros, NaN,
-    infinite sides and near-ties either side of the band, with a column or
-    a constant on the right."""
+    # long columns over mixed signs, signed zeros, NaN, infinite sides and
+    # near-ties either side of the band, against a column or a constant:
+    # the margins' bytes, and the band's verdicts taken on every row
     rng = np.random.default_rng(35)
     pool = np.array(
         [0.0, -0.0, 1.0, -1.0, 1.0 + 2.0**-44, 1.0 - 2.0**-44, 1.0 + 2.0**-38, 1.0 - 2.0**-38]
         + [math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324]
     )
-    m, k = (20_000, 100) if few else (8000, 4000)  # rows, and rows drawn from the pool
 
     def side():
-        return np.concatenate([rng.choice(pool, k), rng.normal(size=m - k)])
+        return np.concatenate([rng.choice(pool, 4000), rng.normal(size=4000)])
 
-    lhs, rhs = side(), (1.0 if constant else side())
-    if few:  # every normal row passes
-        lhs[k:] = np.abs(lhs[k:]) + (rhs if constant else rhs[k:]) + 1.0
-    with np.errstate(all="ignore"):
-        mg = compare_rows("x", [Margin("ge", lhs, rhs, ">="), Margin("gt", lhs, rhs, ">")])
-        margin = lhs - rhs
-        want = (margin >= 0.0) | (margin >= -_tol(lhs, rhs))
-    assert mg.margin[:, 0].tobytes() == margin.tobytes()
-    assert mg.passed[:, 0].tolist() == want.tolist()
-    # the band passed some rows below zero and failed others, NaN ones too
-    below = ~(margin >= 0.0)
-    assert want[below].any() and not want[below].all() and np.isnan(margin[below]).any()
-    assert (16 * below.sum() + 4096 < m) == few  # the gather, or the whole column
-    assert mg.passed[:, 1].tolist() == (margin > 0.0).tolist()
+    lhs = side()
+    for rhs in (side(), 1.0):
+        with np.errstate(all="ignore"):
+            mg = compare_rows("x", [Margin("ge", lhs, rhs, ">=")])
+            margin = lhs - rhs
+            want = (margin >= 0.0) | (margin >= -_tol(lhs, rhs))
+        assert mg.margin[:, 0].tobytes() == margin.tobytes()
+        assert mg.passed[:, 0].tolist() == want.tolist()
+        # the band passed some rows below zero and failed others, NaN ones too
+        below = ~(margin >= 0.0)
+        assert want[below].any() and not want[below].all() and np.isnan(margin[below]).any()
 
 
 def ref_tally(count, blocks, flags, qualified=True, cap=32):

@@ -239,7 +239,8 @@ def test_blocked_kt_suite_matches_whole_array_reference(count):
 def test_kt_gamma3_mask_keeps_the_gamma_cone_rows():
     # the KT draw's mask against gamma_cone_rows(e) >= 3: on sigma rows of
     # uniform draws, and on rows of NaN, +-0.0 and values either side of 0;
-    # its prefilter against a count of the entries > 0 on such rows
+    # its prefilter against a count of the raw draws > 0.5 on rows of NaN,
+    # 0.5, its neighbours and values either side
     rng = np.random.default_rng(9)
     drawn = sigma_rows(np.sort(rng.uniform(-SPAN, SPAN, size=(ROW_BLOCK, 4)), axis=1))
     pool = np.array([math.nan, 0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, math.inf, -math.inf])
@@ -251,9 +252,10 @@ def test_kt_gamma3_mask_keeps_the_gamma_cone_rows():
     leading = [next((k for k, s in enumerate(row[1:]) if not s > 0.0), 4) for row in edges.tolist()]
     assert gamma_cone_rows(edges).tolist() == leading
     assert 0 < suites._gamma3(edges).sum() < len(edges)
-    rows = np.ascontiguousarray(edges[:, 1:])
-    want = np.count_nonzero(rows > 0.0, axis=1) >= 3
-    assert np.array_equal(suites._three_positive(rows, 0.0), want)
+    half = np.array([math.nan, 0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 1.0])
+    rows = rng.choice(half, size=(4096, 4))
+    want = np.count_nonzero(rows > 0.5, axis=1) >= 3
+    assert 0 < want.sum() < len(rows) and np.array_equal(suites._three_positive(rows), want)
 
 
 @pytest.mark.parametrize("shape", [(ROW_BLOCK, 4), (VIETA_ROWS,)], ids=["rows", "vieta"])
@@ -277,7 +279,7 @@ def test_kt_prefilter_on_raw_draws_is_the_sign_of_the_scaled_ones():
         assert np.array_equal(u > 0.5, suites._span(u.copy()) > 0.0)
     rows = np.random.default_rng(3).random((ROW_BLOCK, 4))
     want = np.count_nonzero(suites._span(rows.copy()) > 0.0, axis=1) >= 3
-    assert np.array_equal(suites._three_positive(rows, 0.5), want)
+    assert np.array_equal(suites._three_positive(rows), want)
 
 
 def test_kt_prefilter_drops_no_gamma3_row_in_floats():
@@ -307,8 +309,9 @@ def test_kt_prefilter_drops_no_gamma3_row_in_floats():
     a = np.where(np.isfinite(a), a, magnitudes(m))
     a += np.abs(a) * rng.integers(-4, 5, m) * 2.0**-52
     rows = rng.permuted(np.stack([a, b, c, d], axis=1), axis=1)
+    # the prefilter's test on the raw draws of these rows (u > 0.5 exactly
+    # where lam > 0) drops every one
     assert np.all(np.count_nonzero(rows > 0.0, axis=1) <= 2)
-    assert not suites._three_positive(rows, 0.0).any()
     e = sigma_rows(suites.sort_rows(np.asfortranarray(rows)))
     assert np.count_nonzero((e[:, 1] > 0.0) & (e[:, 3] > 0.0)) > m // 10
     assert not suites._gamma3(e).any()
