@@ -13,7 +13,10 @@ row is the last draw of the first draw chunk or the first of the second
 (LARGE), and `check` and `kt --profile` runs through every branch of a
 check's report (REPORT_BRANCHES).  For each argv the exit code, stdout
 and any file written by `--out` must be the same bytes in both trees.
-Prints each argv that differs and exits 1 if any does, else 0.
+Prints each argv that differs and, under it, what moved: the exit codes,
+and each key of the JSON report (or cell of the CSV trace) whose value
+moved, old -> new, with its distance in ulp (make_golden.moved).  Exits 1
+if any argv differs, else 0.
 
     python scripts/byte_sweep.py PARENT_SRC CHANGE_SRC --argvs 2400 --seed 21
 """
@@ -30,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 from ab_suites import load_tree
+from make_golden import moved
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIR_2345 = ROOT / "tests" / "data" / "pair_2345.json"
@@ -261,6 +265,24 @@ def run(cli, argv, out):
     return code, buf.getvalue(), written
 
 
+def differences(parent, change):
+    """What moved between two runs (exit code, stdout, file written) of one
+    argv, one line each: the exit codes, then each moved key of stdout and
+    of the file, or `bytes only` where the text is neither JSON nor CSV or
+    no value moved."""
+    lines = [f"exit: {parent[0]} -> {change[0]}"] if parent[0] != change[0] else []
+    for name, old, new in zip(("stdout", "out"), parent[1:], change[1:]):
+        if old == new:
+            continue
+        old, new = (x.decode() if isinstance(x, bytes) else x or "" for x in (old, new))
+        try:
+            keys = moved(old, new)
+        except (ValueError, TypeError):  # neither JSON nor CSV: help text, say
+            keys = []
+        lines += [f"{name}: {key}" for key in keys or ["bytes only"]]
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent_src", help="src directory holding the parent's dhym package")
@@ -282,6 +304,8 @@ def main(argv=None) -> int:
             if parent != change:
                 differ += 1
                 print(f"differs: {' '.join(argv_)}")
+                for line in differences(parent, change):
+                    print(f"  {line}")
     print(f"{len(argvs)} argvs over {len(SUBCOMMANDS)} subcommands, seed {args.seed}: "
           f"{differ} differ")
     return 1 if differ else 0

@@ -8,14 +8,17 @@ central charge
 
 is a polynomial path in the complex plane; as t runs from +infinity down
 to 1 its continuous argument defines the algebraic lifted angle, provided
-the path misses the origin.  Both real and imaginary parts are low-degree
-polynomials with closed-form real roots, so the lift is tracked exactly by
-splitting [1, t_max] at those roots (the quadrant is constant in between):
-`winding_report` evaluates Z only at the roots and their midpoints, and a
-sampled trace of the lift is built only on request (`winding_trace`).  One
-Horner loop evaluates every polynomial, at a point or over an array, in
-numpy.polynomial's order of operations: the bits match numpy's polyval
-without its per-call overhead.
+the path misses the origin.  Re Z holds only even powers of t and Im Z
+only odd ones, so with s = t^2, Re Z = A(s), Im Z = t B(s) and
+|Z|^2 = A(s)^2 + s B(s)^2: the real roots of Re Z and Im Z and the
+critical points of |Z| are roots in s of polynomials of degree at most 3
+(a quadratic for n = 3), taken in closed form and Newton-polished.  The
+lift is tracked exactly by splitting [1, t_max] at the axis roots (the
+quadrant is constant in between): `winding_report` evaluates Z only at
+the roots and their midpoints, and a sampled trace of the lift is built
+only on request (`winding_trace`).  One Horner loop evaluates every
+polynomial, at a point or over an array, in numpy.polynomial's order of
+operations: the bits match numpy's polyval without its per-call overhead.
 """
 
 from __future__ import annotations
@@ -111,35 +114,67 @@ def _horner(c, x):
 
 
 def _derivative(c) -> list:
-    # as numpy.polynomial.polyder: a constant's derivative is [0 * c_0]
-    return [j * c[j] for j in range(1, len(c))] or [c[0] * 0]
+    return [j * c[j] for j in range(1, len(c))]
 
 
-def _trim(c):
-    # trailing zeros dropped, one entry kept, as numpy.polynomial trims series
-    end = len(c)
-    while end > 1 and c[end - 1] == 0:
-        end -= 1
-    return c[:end]
+def _quadratic(a: float, b: float, c: float) -> tuple[list, list]:
+    """Real roots of a x^2 + b x + c (a != 0) by the stable formula, and the
+    complex pair (real part, |imaginary part|) where there are none."""
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return [], [(-0.5 * b / a, 0.5 * math.sqrt(-disc) / abs(a))]
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b if b != 0.0 else 1.0))
+    return [q / a, c / q if q != 0.0 else 0.0], []
 
 
-def _roots(c) -> list:
-    """Complex roots of the polynomial: the eigenvalues of its companion
-    matrix, in no set order (1x1 at degree 1, where only a zero root's sign
-    can differ from numpy.polynomial.polyroots' -c_0/c_1)."""
-    c = _trim(c)
-    # a leading coefficient that underflows next to the others would put inf
-    # or NaN in the companion matrix; its root lies beyond the double range,
-    # so it is dropped.  The caller's d|Z|^2/dt has c_0 = +-0 and a nonzero
-    # entry, so the drop stops at degree 1 or more
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        while len(c) > 1 and not np.isfinite(scaled := np.array(c[:-1]) / c[-1]).all():
-            c = c[:-1]
-    n = len(c) - 1
-    mat = np.zeros((n, n))
-    mat.reshape(-1)[n :: n + 1] = 1.0
-    mat[:, -1] -= scaled
-    return np.linalg.eigvals(mat).tolist()
+def _real_roots(c) -> list:
+    """Real roots of the polynomial with ascending coefficients c, of degree
+    at most 3, in closed form, and the real part of each complex pair whose
+    imaginary part is below 1e-9 (1 + |real part|): a double root split by
+    rounding.  A leading coefficient that is 0 or whose quotients overflow
+    is dropped (its root lies beyond the double range), the rest made monic
+    and its variable scaled by a power of two that bounds every coefficient.
+    A cubic's root of largest modulus comes from the trigonometric or
+    Cardano form, the other two from the quadratic left when it is divided
+    out, which keeps smaller roots accurate; where it is a complex pair, the
+    real root is -c_0 over the pair's squared modulus.
+    """
+    c = list(c)
+    while len(c) > 1 and (c[-1] == 0.0 or not all(math.isfinite(x / c[-1]) for x in c[:-1])):
+        c.pop()
+    deg = len(c) - 1
+    if deg < 2:
+        return [-c[0] / c[1]] if deg == 1 else []
+    monic = [x / c[-1] for x in c[:-1]]
+    k = max(math.frexp(abs(x) ** (1.0 / (deg - j)))[1] for j, x in enumerate(monic)) - 1
+    u = [math.ldexp(x, -k * (deg - j)) for j, x in enumerate(monic)]  # each below 2^(deg - j)
+    if deg == 2:
+        roots, pairs = _quadratic(1.0, u[1], u[0])
+    else:
+        c0, c1, c2 = u
+        q = (c2 * c2 - 3.0 * c1) / 9.0
+        r = (c2 * (2.0 * c2 * c2 - 9.0 * c1) + 27.0 * c0) / 54.0
+        pair, size = (0.0, 0.0), 0.0
+        if r * r < q * q * q:  # three real roots; q > 0
+            angle = math.acos(max(-1.0, min(1.0, r / (q * math.sqrt(q)))))
+            cosines = [math.cos((angle + j * TWO_PI) / 3.0) for j in range(3)]
+            big = max((-2.0 * math.sqrt(q) * x - c2 / 3.0 for x in cosines), key=abs)
+        else:  # one real root and a pair (Cardano, without the cancelling sum)
+            a = -math.copysign(math.cbrt(abs(r) + math.sqrt(r * r - q * q * q)), r)
+            b = q / a if a != 0.0 else 0.0
+            big = a + b - c2 / 3.0
+            pair = (-0.5 * (a + b) - c2 / 3.0, 0.5 * math.sqrt(3.0) * abs(a - b))
+            size = pair[0] * pair[0] + pair[1] * pair[1]
+        if size > big * big:
+            roots, pairs = [-c0 / size], [pair]
+        elif big == 0.0:  # u^3
+            roots, pairs = [0.0], []
+        else:
+            roots, pairs = _quadratic(1.0, (-c0 / big - c1) / big, -c0 / big)
+            roots.append(big)
+    scale = math.ldexp(1.0, k)
+    roots += [re for re, im in pairs if im * scale < 1e-9 * (1.0 + abs(re * scale))]
+    return [x * scale for x in roots]
 
 
 def _newton_polish(c, x: float) -> float:
@@ -194,12 +229,7 @@ def _positive_axis_roots(p: IntersectionProfile, t_im: float, re_c, im_c) -> lis
     by the stable quadratic formula, and (3 d_1 t^2 - d_3) / 6 for n = 3.
     """
     if p.n == 4:
-        a, b, c = p.d[0], -6.0 * p.d[2], p.d[4]
-        disc = b * b - 4.0 * a * c
-        squares = []
-        if disc >= 0.0:
-            q = -0.5 * (b + math.copysign(math.sqrt(disc), b if b != 0.0 else 1.0))
-            squares = [q / a, c / q if q != 0.0 else 0.0]
+        squares = _quadratic(p.d[0], -6.0 * p.d[2], p.d[4])[0]
     else:
         squares = [p.d[3] / (3.0 * p.d[1])] if p.d[1] != 0.0 else []
     roots = {_newton_polish(re_c, math.sqrt(s)) for s in squares if s > 0.0}
@@ -234,28 +264,35 @@ def _origin(p: IntersectionProfile, re_c, im_c, roots, t_hi: float) -> tuple[flo
     larger (large t amplifies the polynomial so |Z| can read as O(1) at a
     point within one ulp of a true zero).  Otherwise the first candidate
     of least |Z| is tested against the threshold.
+
+    Re Z holds only even powers of t and Im Z only odd ones (n = 3, 4), so
+    Re Z = A(s) and Im Z = t B(s) with s = t^2, and |Z|^2 = M(s) =
+    A(s)^2 + s B(s)^2.  Its critical points on [1, t_hi] are t = sqrt(s)
+    at the real roots s in [1, t_hi^2] of M'(s) = 2 A A' + B^2 + 2 s B B',
+    a cubic for n = 4 and a quadratic for n = 3, solved in closed form
+    (`_real_roots`) and polished by two guarded Newton steps on M'.
     """
     threshold = DEGENERACY_REL * max(abs(x) for x in p.d) / math.factorial(p.n)
     axis = [r for r in roots if r >= 1.0]
-    # a power-of-two scale keeps |Z|^2 finite (d_k = 1e300) and its roots' bits
-    e = -math.frexp(max(np.abs(re_c).max(), np.abs(im_c).max()))[1]
-    # |Z|^2 = Re^2 + Im^2 on trimmed series, as numpy.polynomial's polymul
-    # (np.convolve) and polyadd form it
-    squares = [
-        _trim(np.convolve(s, s).tolist())
-        for s in (_trim([math.ldexp(x, e) for x in c]) for c in (re_c, im_c))
-    ]
-    mod2, other = sorted(squares, key=len, reverse=True)
-    mod2 = _trim([x + y for x, y in zip(mod2, other)] + mod2[len(other) :])
-    dmod2 = _derivative(mod2)
+    # a power-of-two scale keeps M finite (d_k = 1e300) and its roots' bits
+    re_l, im_l = re_c.tolist(), im_c.tolist()
+    e = -math.frexp(max(map(abs, re_l + im_l)))[1]
+    a = [math.ldexp(x, e) for x in re_l[::2]]
+    b = [math.ldexp(x, e) for x in im_l[1::2]]
+    mod2 = [0.0] * max(2 * len(a) - 1, 2 * len(b))  # M = A^2 + s B^2
+    for i, x in enumerate(a):
+        for j, y in enumerate(a):
+            mod2[i + j] += x * y
+    for i, x in enumerate(b):
+        for j, y in enumerate(b):
+            mod2[i + j + 1] += x * y
+    slope = _derivative(mod2)
     critical = []
-    if any(x != 0.0 for x in dmod2):
-        for r in _roots(dmod2):
-            if abs(r.imag) < 1e-9 * (1.0 + abs(r)) and 1.0 <= r.real <= t_hi:
-                x = float(r.real)
-                for _ in range(2):
-                    x = _newton_polish(dmod2, x)
-                critical.append(min(max(x, 1.0), t_hi))
+    for s in _real_roots(slope):
+        if 1.0 <= s <= t_hi * t_hi:
+            for _ in range(2):
+                s = _newton_polish(slope, s)
+            critical.append(min(max(math.sqrt(s), 1.0), t_hi))
     ts = np.unique(np.array(axis + [1.0, t_hi] + critical))
     re_v, im_v = np.abs(_horner(re_c, ts)), np.abs(_horner(im_c, ts))
 

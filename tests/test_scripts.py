@@ -2,8 +2,9 @@
 theorem_sweep.py, and the two-tree checks byte_sweep.py and ab_suites.py
 (each of its five mixes, and the perfbench workload operations they run),
 run on one tree against itself and against a copy whose help screen differs
-by one character or whose sampler returns its rows in C order; and
-make_golden.py's report of the values a regeneration moves."""
+by one character or whose sampler returns its rows in C order or unsorted
+(ab_suites.py's byte and oracle modes); and the reports of the values that
+moved, make_golden.py's for a regeneration and byte_sweep.py's per argv."""
 
 import importlib
 import os
@@ -49,7 +50,29 @@ def test_byte_sweep_finds_a_changed_help_screen(capsys, tmp_path):
     cli.write_text(text.replace(description, description.replace('.",', '.!",')), encoding="utf-8")
     assert byte_sweep.main([SRC, str(change), "--argvs", "40"]) == 1
     out = capsys.readouterr().out
-    assert out.splitlines() == ["differs: -h", "40 argvs over 8 subcommands, seed 21: 1 differ"]
+    assert out.splitlines() == [
+        "differs: -h",
+        "  stdout: bytes only",
+        "40 argvs over 8 subcommands, seed 21: 1 differ",
+    ]
+
+
+def test_byte_sweep_names_what_moved():
+    # the keys of a report, the cells of a written trace and the exit code
+    report = '{"min_abs_z": 2.5, "t_at_min": 1.5, "pass": true}\n'
+    moved_report = '{"min_abs_z": 2.5000000000000004, "t_at_min": 1.5, "pass": true}\n'
+    trace = b"t,re\n1,0.5\n"
+    assert byte_sweep.differences((0, report, trace), (0, moved_report, trace)) == [
+        "stdout: min_abs_z: 2.5 -> 2.5000000000000004 (1 ulp)"
+    ]
+    moved_trace = trace.replace(b"0.5", b"0.5000000000000001")
+    assert byte_sweep.differences((0, "", trace), (2, "", moved_trace)) == [
+        "exit: 0 -> 2",
+        "out: [0].re: 0.5 -> 0.5000000000000001 (1 ulp)",
+    ]
+    assert byte_sweep.differences((0, report, None), (0, report + " ", None)) == [
+        "stdout: bytes only"
+    ]
 
 
 #: per mix, the ops a smoke run takes and the kinds they cover
@@ -128,15 +151,16 @@ def test_ab_suites_mix_runs_its_workloads_first_ops(mix):
 
 def test_ab_suites_origin_op_compares_the_degenerate_message():
     # ("n3", 2, 1, -4, 5) is an origin hit of the grid: no report, an error message
+    # and the workload's oracle reads the tree's error as its own hit
     key = ("n3", 2, 1, -4, 5)
-    profile = dict(ab_suites.workloads.OriginScan(1831).ops)[key]
+    wl = ab_suites.workloads.OriginScan(1831)
     pkg = ab_suites.load_tree(SRC, "dhym_origin")
-    kind, _, call = ab_suites.origin_op(key, profile)
-    out, _ = call(pkg)
-    assert kind == "n3" and out.startswith("DegeneratePathError: ")
+    kind, _, call = ab_suites.origin_op(wl, (key, dict(wl.ops)[key]))
+    out, _, ok = call(pkg)
+    assert kind == "n3" and out.startswith("DegeneratePathError: ") and ok()
 
 
-def test_ab_suites_sampler_mix_finds_a_changed_layout(tmp_path):
+def test_ab_suites_sampler_mix_finds_a_changed_layout(capsys, tmp_path):
     # the same row bytes in C order: only the F-contiguity tells them apart
     change = tmp_path / "src"
     shutil.copytree(
@@ -147,8 +171,34 @@ def test_ab_suites_sampler_mix_finds_a_changed_layout(tmp_path):
     rows, c_rows = "return sort_rows(lam)\n", "return np.ascontiguousarray(sort_rows(lam))\n"
     assert text.count(rows) == 1
     sampling.write_text(text.replace(rows, c_rows), encoding="utf-8")
+    argv = [SRC, str(change), "--mix", "sampler", "--rounds", "1", "--ops", "2"]
     with pytest.raises(SystemExit, match="outputs differ for sampler theta set 0"):
-        ab_suites.main([SRC, str(change), "--mix", "sampler", "--rounds", "1", "--ops", "1"])
+        ab_suites.main(argv)
+    # both layouts pass identity_bulk's oracle, which times the change and
+    # counts the draws whose bytes differ
+    capsys.readouterr()
+    assert ab_suites.main(argv + ["--oracle"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (
+        "sampler mix, 2 ops x 1 rounds, seed 1831; every output passes the oracle; "
+        "2 ops differ in bytes"
+    )
+    assert lines[2].split()[0] == "sampler"
+
+
+def test_ab_suites_oracle_mode_refuses_an_output_the_oracle_fails(tmp_path):
+    # a sampler whose rows are not sorted fails identity_bulk's oracle
+    change = tmp_path / "src"
+    shutil.copytree(
+        os.path.join(SRC, "dhym"), change / "dhym", ignore=shutil.ignore_patterns("__pycache__")
+    )
+    sampling = change / "dhym" / "sampling.py"
+    text = sampling.read_text(encoding="utf-8")
+    rows = "return sort_rows(lam)\n"
+    sampling.write_text(text.replace(rows, "return sort_rows(lam)[:, ::-1]\n"), encoding="utf-8")
+    argv = [SRC, str(change), "--mix", "sampler", "--rounds", "1", "--ops", "1", "--oracle"]
+    with pytest.raises(SystemExit, match="change output fails the workload's oracle"):
+        ab_suites.main(argv)
 
 
 def test_make_golden_names_the_moved_keys_and_their_ulp():

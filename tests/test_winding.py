@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import os
+import struct
 from dataclasses import astuple
 from itertools import product
 from re import findall
@@ -27,7 +28,16 @@ from dhym import (
     winding_trace,
     z_of_t,
 )
-from dhym.charge import DEGENERACY_REL, _im_root, _lift_anchor, _t_max
+from dhym.charge import (
+    _NOISE,
+    DEGENERACY_REL,
+    _im_root,
+    _lift_anchor,
+    _origin,
+    _positive_axis_roots,
+    _real_roots,
+    _t_max,
+)
 from dhym.errors import DegeneratePathError, DomainError, UndefinedAngleError
 
 TWO_PI = 2 * math.pi
@@ -163,7 +173,7 @@ def ref_axis_roots(p, t_im, re_c, im_c):
 def ref_polyroots(c):
     """npoly.polyroots(c) after dropping each leading coefficient so small
     next to the others that the companion matrix would hold inf or NaN: its
-    root lies beyond the double range (what charge._roots does)."""
+    root lies beyond the double range (as charge._real_roots drops it)."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while len(c) > 1 and not np.isfinite(c[:-1] / c[-1]).all():
             c = c[:-1]
@@ -263,30 +273,289 @@ _volume = st.floats(min_value=5e-324, allow_infinity=False) | st.sampled_from([1
 def _pinned(test):
     # the mpmath reference origin hits; a tangent double root of Re Z (Z
     # touches the imaginary axis at sqrt(3)) and the same tangent through
-    # the origin; a 3-fold whose d|Z|^2/dt has a leading coefficient that
-    # underflows next to the others
-    pinned = [(1, 0.5, 1, 3, 9), (1, 1, 1, 3, 9), (1.5344713853406947e-160, 1, 0, 0)]
+    # the origin; a 3-fold whose M'(s) has a leading coefficient that
+    # underflows next to the others; a 4-fold whose cubic M'(s) =
+    # s (s^2 + 1e-122) / 144 underflows in a naive closed form
+    pinned = [
+        (1, 0.5, 1, 3, 9),
+        (1, 1, 1, 3, 9),
+        (1.5344713853406947e-160, 1, 0, 0),
+        (1, 0, 0, 0, 1.0009925029485596e-122),
+    ]
     for d in [blowup_p3(*h).d for h in REF_HITS] + pinned:
         test = example(d=tuple(map(float, d)))(test)
     return test
+
+
+# The exact least |Z| on [1, t_max].  Re Z = A(s) and Im Z = t B(s) with
+# s = t^2, so |Z|^2 = M(s) = A(s)^2 + s B(s)^2 and the least |Z| lies at an
+# endpoint or at a real root of M'(s) in [1, t_max^2].  The coefficients are
+# path_polynomials', taken exactly; roots come from mpmath.polyroots.
+
+
+def mp_roots(c):
+    """The complex roots of the polynomial with ascending coefficients c,
+    taken exactly, by mpmath.polyroots: the variable is scaled by the roots'
+    order of magnitude and the precision raised by its digits, so that a
+    root of modulus 1 or more keeps 50 digits."""
+    with mpmath.workdps(60):
+        c = [mpmath.mpf(x) for x in c]
+        while c and c[-1] == 0:
+            c.pop()
+        deg = len(c) - 1
+        if deg < 1:
+            return []
+        monic = [x / c[-1] for x in c[:-1]]
+        scale = max(abs(x) ** (mpmath.mpf(1) / (deg - j)) for j, x in enumerate(monic))
+        if scale == 0:
+            return [mpmath.mpf(0)] * deg
+        digits = max(0, int(mpmath.log10(scale)))
+    with mpmath.workdps(60 + digits):
+        scaled = [x / scale ** (deg - j) for j, x in enumerate(monic)]
+        roots = mpmath.polyroots([1, *scaled[::-1]], maxsteps=2000, extraprec=2 * mpmath.mp.prec)
+        return [r * scale for r in roots]
+
+
+def mp_mul(x, y):
+    out = [mpmath.mpf(0)] * (len(x) + len(y) - 1)
+    for (i, a), (j, b) in product(enumerate(x), enumerate(y)):
+        out[i + j] += a * b
+    return out
+
+
+def exact_slope(p):
+    """Ascending coefficients of M'(s), exact: Re Z = A(s), Im Z = t B(s)
+    and M = A^2 + s B^2."""
+    re_c, im_c = path_polynomials(p)
+    with mpmath.workdps(50):
+        a = [mpmath.mpf(float(x)) for x in re_c[::2]]
+        b = [mpmath.mpf(float(x)) for x in im_c[1::2]]
+        m = mp_mul(a, a) + [mpmath.mpf(0)] * (2 * len(b) - 2 * len(a) + 1)
+        for j, x in enumerate(mp_mul(b, b)):
+            m[j + 1] += x
+        return [j * x for j, x in enumerate(m)][1:]
+
+
+def exact_abs_z(p, t):
+    """|Z(t)| of the double coefficients of path_polynomials(p), at 50 digits."""
+    re_c, im_c = path_polynomials(p)
+    with mpmath.workdps(50):
+        t = mpmath.mpf(t)
+        re, im = (mpmath.polyval([mpmath.mpf(float(x)) for x in c[::-1]], t) for c in (re_c, im_c))
+        return mpmath.hypot(re, im)
+
+
+def exact_least_modulus(p, t_hi):
+    """(least |Z| on [1, t_hi], a t where it is reached) at 50 digits: |Z| at
+    the endpoints, the real roots of M'(s) in [1, t_hi^2] and the positive
+    roots of Re Z = A(s) and Im Z = t B(s).  Every root's real part counts,
+    so a double root that polyroots leaves slightly complex is not lost."""
+    re_c, im_c = path_polynomials(p)
+    with mpmath.workdps(50):
+        a = [mpmath.mpf(float(x)) for x in re_c[::2]]
+        b = [mpmath.mpf(float(x)) for x in im_c[1::2]]
+        s_hi = mpmath.mpf(t_hi) ** 2
+        squares = [mpmath.mpf(1), s_hi] + [
+            mpmath.re(r)
+            for c in (exact_slope(p), a, b)
+            for r in mp_roots(c)
+            if 1 <= mpmath.re(r) <= s_hi
+        ]
+        return min((exact_abs_z(p, mpmath.sqrt(s)), mpmath.sqrt(s)) for s in squares)
+
+
+def origin_noise(p, t):
+    """_origin's evaluation noise bound at t: _NOISE * sum |c_k| t^k over the
+    coefficients of Re Z and Im Z."""
+    re_c, im_c = path_polynomials(p)
+    with mpmath.workdps(50):
+        terms = [abs(mpmath.mpf(float(x))) * mpmath.mpf(t) ** k for k, x in enumerate(re_c)]
+        terms += [abs(mpmath.mpf(float(x))) * mpmath.mpf(t) ** k for k, x in enumerate(im_c)]
+        return _NOISE * mpmath.fsum(terms)
+
+
+def assert_least_modulus(p, report):
+    """min_abs_z is within _origin's noise bound of the exact least |Z|, and
+    so is the exact |Z| at t_at_min."""
+    least, t_least = exact_least_modulus(p, report.t_max)
+    bound = origin_noise(p, max(report.t_at_min, t_least))
+    assert 1.0 <= report.t_at_min <= report.t_max
+    assert abs(report.min_abs_z - least) <= bound, (p.d, report.min_abs_z, least, bound)
+    assert exact_abs_z(p, report.t_at_min) - least <= bound, (p.d, report.t_at_min, t_least)
+
+
+def ulps(x, y):
+    """Distance in ulp between two doubles of the same sign."""
+    i, j = (int.from_bytes(struct.pack("<d", v), "little") for v in (x, y))
+    return abs(i - j)
+
+
+def assert_matches_grid_reference(p, near=None):
+    """theta_alg, t_star, t_max and every raised error bit for bit as the grid
+    reference; min_abs_z and t_at_min against the exact least |Z| and, with
+    near, within that many ulp of the reference's."""
+    got, want = outcome(new_winding, p), outcome(ref_winding, p)
+    if len(got) == 3 or len(want) == 3:  # (type, args, attributes) of an error
+        assert got == want
+        return
+    assert got[:3] == want[:3]
+    report = winding_report(p)
+    assert_least_modulus(p, report)
+    if near is not None:
+        _, _, _, min_abs_z, t_at_min = ref_winding(p)
+        assert ulps(report.min_abs_z, min_abs_z) <= near, (p.d, report.min_abs_z, min_abs_z)
+        assert ulps(report.t_at_min, t_at_min) <= near, (p.d, report.t_at_min, t_at_min)
 
 
 @settings(max_examples=400, deadline=None)
 @_pinned
 @given(d=st.sampled_from([3, 4]).flatmap(lambda n: st.tuples(_volume, *[_entry] * n)))
 def test_lift_at_axis_roots_matches_grid_reference(d):
-    # theta_alg, t_star, t_max, min_abs_z, t_at_min and every raised error,
-    # bit for bit
     p = IntersectionProfile(len(d) - 1, d)
     with np.errstate(all="ignore"):
-        assert outcome(new_winding, p) == outcome(ref_winding, p)
+        assert_matches_grid_reference(p)
 
 
 def test_lift_at_axis_roots_matches_grid_reference_on_blowup_grid():
     for a, b, c, e in product(range(2, 6), range(1, 5), range(-5, 6), range(-5, 6)):
         if b < a and (c, e) != (0, 0):
-            p = blowup_p3(a, b, c, e)
-            assert outcome(new_winding, p) == outcome(ref_winding, p), (a, b, c, e)
+            assert_matches_grid_reference(blowup_p3(a, b, c, e), near=2)
+
+
+def test_least_modulus_matches_the_exact_oracle():
+    # a seeded few hundred 3- and 4-fold profiles, O(1) and spread over
+    # 16 orders of magnitude, and the blow-up grid pairs nearest the origin;
+    # the reference origin hits are exact zeros of |Z| on [1, t_max]
+    rng = np.random.default_rng(36)
+    profiles = []
+    for i in range(300):
+        n = 3 + i % 2
+        if i % 3:
+            d = [rng.uniform(0.01, 50.0), *rng.uniform(-50.0, 50.0, n)]
+        else:
+            d = 10.0 ** rng.uniform(-8.0, 8.0, n + 1) * rng.choice([-1.0, 1.0], n + 1)
+            d[0] = abs(d[0])
+        profiles.append(IntersectionProfile(n, d))
+    grid = [
+        blowup_p3(*h)
+        for h in product(range(2, 6), range(1, 5), range(-5, 6), range(-5, 6))
+        if h[1] < h[0] and h[2:] != (0, 0) and h not in REF_HITS
+    ]
+    distance = {}
+    for p in grid:
+        r = winding_report(p)
+        distance[p] = r.min_abs_z / max(abs(x) for x in p.d)
+    profiles += sorted(distance, key=distance.get)[:20]
+    raised = 0
+    for p in profiles:
+        try:
+            report = winding_report(p)
+        except DegeneratePathError as exc:
+            # |Re Z| and |Im Z| were within a tolerance at t_origin, so |Z|
+            # was within twice it and the noise
+            raised += 1
+            least, _ = exact_least_modulus(p, _t_max(p, [exc.t_origin]))
+            assert least <= 2 * exc.threshold + origin_noise(p, exc.t_origin)
+        else:
+            assert_least_modulus(p, report)
+    assert raised < 10
+    for h in REF_HITS:
+        p = blowup_p3(*h)
+        with pytest.raises(DegeneratePathError) as err:
+            winding_report(p)
+        least, _ = exact_least_modulus(p, _t_max(p, [err.value.t_origin]))
+        assert least < DEGENERACY_REL * max(abs(x) for x in p.d) / 6
+
+
+#: (ascending coefficients, relative tolerance): three real roots, graded
+#: ones, one real root with a pair beside it or far above it, a double
+#: (tangent) root, a triple root, quadratics with two, one and no real roots,
+#: a leading coefficient that is zero or whose quotients overflow, and x^3
+ROOT_CASES = [
+    ([-30.0, 31.0, -10.0, 1.0], 1e-14),  # (s - 2)(s - 3)(s - 5)
+    ([-1e43, 1.001e43, -1e40, 1.0], 1e-14),  # about (s - 1)(s - 1e3)(s - 1e40)
+    ([-2.0, 1.0, -2.0, 1.0], 1e-14),  # (s - 2)(s^2 + 1)
+    ([-1e20, 1e20, -1.0, 1.0], 1e-14),  # (s - 1)(s^2 + 1e20)
+    ([1e40, 1e40, 1.0, 1.0], 1e-14),  # (s + 1)(s^2 + 1e40)
+    ([-28.0, 32.0, -11.0, 1.0], 1e-7),  # (s - 2)^2 (s - 7)
+    ([-8.0, 12.0, -6.0, 1.0], 1e-5),  # (s - 2)^3
+    ([0.5, -4.5, 0.0, 2.0], 1e-14),  # roots below 1 and of either sign
+    ([2.0, -3.0, 1.0], 1e-14),
+    ([4.0, -4.0, 1.0], 1e-7),
+    ([1.0, 0.0, 1.0], 1e-14),
+    ([3.0, 2.0], 1e-14),
+    ([1.0, -2.0, 0.0, 0.0], 1e-14),
+    ([1.0, -2.0, 1e-310], 1e-14),
+    ([0.0, 0.0, 0.0, 2.0], 1e-14),
+    ([5.0], 1e-14),
+]
+
+
+@pytest.mark.parametrize("coeffs, tol", ROOT_CASES)
+def test_real_roots_match_polyroots(coeffs, tol):
+    # every real root of the exact polynomial is found, and every root found
+    # lies at a root, real or the real part of a near-real pair, to tol
+    # relative (a double root splits by about sqrt(eps), a triple by cbrt)
+    got = _real_roots(coeffs)
+    want = [r for r in mp_roots(coeffs) if abs(mpmath.im(r)) <= tol * max(1, abs(r))]
+    with np.errstate(over="ignore", divide="ignore"):
+        if coeffs[-1] != 0.0 and not np.isfinite(np.divide(coeffs[:-1], coeffs[-1])).all():
+            # the dropped leading coefficient's root lies beyond the double range
+            want = [r for r in want if abs(r) < 1e300]
+    for r in want:
+        assert min(abs(x - r) for x in got) <= tol * max(1, abs(r)), (coeffs, got, r)
+    for x in got:
+        assert min(abs(x - mpmath.re(r)) for r in want) <= tol * max(1, abs(x)), (coeffs, got)
+
+
+def test_real_roots_at_the_edges_of_the_double_range():
+    # entries of +-1e300, subnormals and zeros in every position: no error,
+    # no NaN
+    edges = [0.0, 1.0, -1.0, 1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160]
+    for coeffs in [*product(edges, repeat=3), *product(edges, repeat=4)]:
+        assert not any(math.isnan(x) for x in _real_roots(coeffs)), coeffs
+
+
+def test_winding_at_the_edges_of_the_double_range():
+    # a 4-fold whose M'(s) = s (s^2 + 1e-122) / 144 (the cubic's terms
+    # underflow), the 3-fold whose M' has a leading coefficient that
+    # underflows, and profiles of zeros, +-1, +-1e300 and subnormals: a
+    # report that meets the exact least |Z|, or DomainError or
+    # DegeneratePathError
+    edges = [0.0, 1.0, -1.0, 1e300, -1e300, 5e-324, -5e-324]
+    profiles = [(1.0, 0.0, 0.0, 0.0, 1.0009925029485596e-122), (1.5344713853406947e-160, 1, 0, 0)]
+    profiles += [(d0, *tail) for d0 in (5e-324, 1.0, 1e300) for tail in product(edges, repeat=3)]
+    profiles += [(1.0, *tail) for tail in product(edges[:-1], repeat=4)]
+    reports = 0
+    for d in profiles:
+        p = IntersectionProfile(len(d) - 1, d)
+        try:
+            with np.errstate(all="ignore"):
+                report = winding_report(p)
+        except (DomainError, DegeneratePathError):
+            continue
+        assert_least_modulus(p, report)
+        reports += 1
+    assert reports > 500
+
+
+def test_origin_on_critical_points_outside_the_interval():
+    # M'(s) has real roots at 0.32 (below 1), 12.1 and 23.6: on [1, 4] (up
+    # to s = 16) only one lies inside, on [1, t_max] two
+    p = IntersectionProfile(4, (1.0, 0.0, 4.0, 2.0, 9.0))
+    slope = exact_slope(p)
+    squares = sorted(float(mpmath.re(r)) for r in mp_roots(slope))
+    assert squares[0] < 1.0 < squares[1] < 16.0 < squares[2]
+    found = sorted(_real_roots([float(x) for x in slope]))
+    assert found == pytest.approx(squares, rel=1e-14)
+    re_c, im_c = path_polynomials(p)
+    t_im = float(_im_root(4, p.d))
+    roots = _positive_axis_roots(p, t_im, re_c, im_c)
+    for t_hi in (4.0, winding_report(p).t_max):
+        least, t_at = _origin(p, re_c, im_c, roots, t_hi)
+        exact, _ = exact_least_modulus(p, t_hi)
+        bound = origin_noise(p, t_hi)
+        assert abs(least - exact) <= bound and exact_abs_z(p, t_at) - exact <= bound
 
 
 def test_trace_report_is_the_winding_report_on_blowup_grid():
