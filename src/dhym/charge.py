@@ -270,16 +270,25 @@ def _origin(p: IntersectionProfile, re_c, im_c, roots, t_hi: float) -> tuple[flo
     A(s)^2 + s B(s)^2.  Its critical points on [1, t_hi] are t = sqrt(s)
     at the real roots s in [1, t_hi^2] of M'(s) = 2 A A' + B^2 + 2 s B B',
     a cubic for n = 4 and a quadratic for n = 3, solved in closed form
-    (`_real_roots`) and polished by two guarded Newton steps on M'.
+    (`_real_roots`) and polished by two guarded Newton steps on M', both
+    in a variable scaled by a power of two (see below).
     """
     threshold = DEGENERACY_REL * max(abs(x) for x in p.d) / math.factorial(p.n)
     axis = [r for r in roots if r >= 1.0]
-    # a power-of-two scale keeps M finite (d_k = 1e300) and its roots' bits
-    re_l, im_l = re_c.tolist(), im_c.tolist()
-    e = -math.frexp(max(map(abs, re_l + im_l)))[1]
-    a = [math.ldexp(x, e) for x in re_l[::2]]
-    b = [math.ldexp(x, e) for x in im_l[1::2]]
-    mod2 = [0.0] * max(2 * len(a) - 1, 2 * len(b))  # M = A^2 + s B^2
+    # Powers of two scale t by 2^h, which brings the lowest and the highest
+    # nonzero term to one size, and the coefficients by 2^e, which keeps M
+    # finite (d_k = 1e300).  Both are exact, so only the Newton guard's
+    # 1 + |u| can tell them apart, and no square that places a critical
+    # point underflows (d_k = 1e217 beside 1).  M is a polynomial in
+    # u = s / 4^h.
+    coeffs = [x + y for x, y in zip(re_c.tolist(), im_c.tolist())]  # one of each is 0
+    sizes = [(m, math.frexp(x)[1]) for m, x in enumerate(coeffs) if x != 0.0] or [(0, 0)]
+    (lo, size_lo), (hi, size_hi) = sizes[0], sizes[-1]
+    h = min(max(round((size_lo - size_hi) / (hi - lo)), 0), 500) if hi > lo else 0
+    e = -max(size + h * m for m, size in sizes)
+    a = [math.ldexp(x, e + h * m) for m, x in enumerate(coeffs) if m % 2 == 0]
+    b = [math.ldexp(x, e + h * m) for m, x in enumerate(coeffs) if m % 2 == 1]
+    mod2 = [0.0] * max(2 * len(a) - 1, 2 * len(b))  # M = A^2 + u B^2
     for i, x in enumerate(a):
         for j, y in enumerate(a):
             mod2[i + j] += x * y
@@ -287,12 +296,13 @@ def _origin(p: IntersectionProfile, re_c, im_c, roots, t_hi: float) -> tuple[flo
         for j, y in enumerate(b):
             mod2[i + j + 1] += x * y
     slope = _derivative(mod2)
+    s_per_u = math.ldexp(1.0, 2 * h)
     critical = []
-    for s in _real_roots(slope):
-        if 1.0 <= s <= t_hi * t_hi:
+    for u in _real_roots(slope):
+        if 1.0 <= u * s_per_u <= t_hi * t_hi:
             for _ in range(2):
-                s = _newton_polish(slope, s)
-            critical.append(min(max(math.sqrt(s), 1.0), t_hi))
+                u = _newton_polish(slope, u)
+            critical.append(min(max(math.sqrt(u * s_per_u), 1.0), t_hi))
     ts = np.unique(np.array(axis + [1.0, t_hi] + critical))
     re_v, im_v = np.abs(_horner(re_c, ts)), np.abs(_horner(im_c, ts))
 
