@@ -8,12 +8,15 @@ directory at the front of PYTHONPATH, so every Python process of the run
 loads it: pytest itself and the `python -m dhym` subprocesses the tests
 start.  It installs sys.settrace (and threading.settrace), follows only
 frames whose code lies under src/dhym, and at exit writes the lines it saw
-to one file per process.
+to a file of its own, with whether its tracer was still installed.
 
 A line counts as a statement when dis.findlinestarts reports it for some
 code object compiled from a src/dhym file.  Prints each statement line no
 process executed, as `src/dhym/FILE.py:LINE: source`, and exits 1 if there
-is any, 0 if there is none, and 2 if the test run itself fails.  Extra
+is any, 0 if there is none, and 2 if the test run itself fails or a
+process ended with its tracer replaced (sys.settrace by other code, or a
+trace function that raised): that process ran lines it could not record,
+so the script names it instead of listing lines as never run.  Extra
 arguments go to pytest after the tier-1 ones, to trace a subset:
 
     python scripts/line_trace.py
@@ -35,7 +38,7 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 #: the tracer each process loads at startup; {package} and {out} are filled in
 SITECUSTOMIZE = '''\
-import atexit, os, sys, threading
+import atexit, os, sys, tempfile, threading
 
 _PACKAGE = {package!r} + os.sep
 _SEEN = set()
@@ -55,9 +58,13 @@ def _global(frame, event, arg):
 
 
 def _dump():
+    tracer = sys.gettrace()
     sys.settrace(None)
-    path = os.path.join({out!r}, f"{{os.getpid()}}.txt")
-    with open(path, "w", encoding="utf-8") as fh:
+    # a pid can come back within one run, so the name is made unique
+    fd, path = tempfile.mkstemp(prefix=f"{{os.getpid()}}-", suffix=".txt", dir={out!r})
+    with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        state = "intact" if tracer is _global else f"displaced by {{tracer!r}}"
+        fh.write(f"{{os.getpid()}} {{sys.argv!r}}\\t{{state}}\\n")
         for name, line in _SEEN:
             fh.write(f"{{os.path.realpath(name)}}\\t{{line}}\\n")
 
@@ -78,8 +85,9 @@ def statement_lines(path: Path) -> set:
     return lines
 
 
-def run_traced(pytest_args) -> tuple[int, set]:
-    """Exit code of the traced tier-1 run and the (file, line) pairs it ran."""
+def run_traced(pytest_args) -> tuple[int, set, list]:
+    """Exit code of the traced tier-1 run, the (file, line) pairs it ran and
+    the processes whose tracer was replaced before they ended."""
     with tempfile.TemporaryDirectory() as tmp:
         site, out = Path(tmp, "site"), Path(tmp, "out")
         site.mkdir()
@@ -91,18 +99,25 @@ def run_traced(pytest_args) -> tuple[int, set]:
             p for p in (str(site), str(SRC), env.get("PYTHONPATH")) if p
         )
         code = subprocess.run([sys.executable, *TIER1, *pytest_args], cwd=ROOT, env=env).returncode
-        seen = set()
-        for dump in out.iterdir():
-            for row in dump.read_text(encoding="utf-8").splitlines():
+        seen, displaced = set(), []
+        for dump in sorted(out.iterdir()):
+            process, *rows = dump.read_text(encoding="utf-8").splitlines()
+            name, state = process.split("\t")
+            if state != "intact":
+                displaced.append(f"{name}: tracer {state}")
+            for row in rows:
                 name, line = row.split("\t")
                 seen.add((name, int(line)))
-    return code, seen
+    return code, seen, displaced
 
 
 def main(argv=None) -> int:
-    code, seen = run_traced(sys.argv[1:] if argv is None else argv)
+    code, seen, displaced = run_traced(sys.argv[1:] if argv is None else argv)
     if code != 0:
         print(f"line_trace: the test run exited {code}", file=sys.stderr)
+        return 2
+    if displaced:
+        print("\n".join(f"line_trace: process {p}" for p in displaced), file=sys.stderr)
         return 2
     missed, total = [], 0
     for path in sorted(PACKAGE.glob("*.py")):

@@ -232,9 +232,10 @@ def _positive_axis_roots(p: IntersectionProfile, t_im: float, re_c, im_c) -> lis
         squares = _quadratic(p.d[0], -6.0 * p.d[2], p.d[4])[0]
     else:
         squares = [p.d[3] / (3.0 * p.d[1])] if p.d[1] != 0.0 else []
-    roots = {_newton_polish(re_c, math.sqrt(s)) for s in squares if s > 0.0}
+    # on the coefficient arrays a polished root is a numpy scalar
+    roots = {float(_newton_polish(re_c, math.sqrt(s))) for s in squares if s > 0.0}
     if not math.isnan(t_im):
-        roots.add(_newton_polish(im_c, t_im))
+        roots.add(float(_newton_polish(im_c, t_im)))
     return sorted(roots)
 
 
@@ -253,17 +254,9 @@ def _t_max(p: IntersectionProfile, roots) -> float:
     return max([2.0 * (1.0 + term)] + [2.0 * r + 1.0 for r in roots])
 
 
-def _origin(p: IntersectionProfile, re_c, im_c, roots, t_hi: float) -> tuple[float, float]:
-    """Least |Z| on [1, t_hi] and the t where it is reached; raises
-    DegeneratePathError when Z comes near the origin there.
-
-    Re Z and Im Z are evaluated once at every candidate: the axis `roots`,
-    the endpoints and the real critical points of |Z|^2.  A pass through
-    the origin sits at an axis root, so there both components are tested,
-    each against the threshold or its own evaluation noise, whichever is
-    larger (large t amplifies the polynomial so |Z| can read as O(1) at a
-    point within one ulp of a true zero).  Otherwise the first candidate
-    of least |Z| is tested against the threshold.
+def _critical_points(re_l: list, im_l: list, t_hi: float) -> list:
+    """The critical points of |Z| on [1, t_hi], from the coefficient lists
+    of Re Z and Im Z.
 
     Re Z holds only even powers of t and Im Z only odd ones (n = 3, 4), so
     Re Z = A(s) and Im Z = t B(s) with s = t^2, and |Z|^2 = M(s) =
@@ -273,15 +266,13 @@ def _origin(p: IntersectionProfile, re_c, im_c, roots, t_hi: float) -> tuple[flo
     (`_real_roots`) and polished by two guarded Newton steps on M', both
     in a variable scaled by a power of two (see below).
     """
-    threshold = DEGENERACY_REL * max(abs(x) for x in p.d) / math.factorial(p.n)
-    axis = [r for r in roots if r >= 1.0]
     # Powers of two scale t by 2^h, which brings the lowest and the highest
     # nonzero term to one size, and the coefficients by 2^e, which keeps M
     # finite (d_k = 1e300).  Both are exact, so only the Newton guard's
     # 1 + |u| can tell them apart, and no square that places a critical
     # point underflows (d_k = 1e217 beside 1).  M is a polynomial in
     # u = s / 4^h.
-    coeffs = [x + y for x, y in zip(re_c.tolist(), im_c.tolist())]  # one of each is 0
+    coeffs = [x + y for x, y in zip(re_l, im_l)]  # one of each is 0
     sizes = [(m, math.frexp(x)[1]) for m, x in enumerate(coeffs) if x != 0.0] or [(0, 0)]
     (lo, size_lo), (hi, size_hi) = sizes[0], sizes[-1]
     h = min(max(round((size_lo - size_hi) / (hi - lo)), 0), 500) if hi > lo else 0
@@ -303,25 +294,42 @@ def _origin(p: IntersectionProfile, re_c, im_c, roots, t_hi: float) -> tuple[flo
             for _ in range(2):
                 u = _newton_polish(slope, u)
             critical.append(min(max(math.sqrt(u * s_per_u), 1.0), t_hi))
-    ts = np.unique(np.array(axis + [1.0, t_hi] + critical))
-    re_v, im_v = np.abs(_horner(re_c, ts)), np.abs(_horner(im_c, ts))
+    return critical
 
-    re_tol = np.maximum(threshold, _NOISE * _horner(np.abs(re_c), ts))
-    im_tol = np.maximum(threshold, _NOISE * _horner(np.abs(im_c), ts))
-    on_axis = np.isin(ts, axis) & (re_v <= re_tol) & (im_v <= im_tol)
-    if on_axis.any():
-        i = int(np.argmax(on_axis))
-        raise DegeneratePathError(
-            float(ts[i]), float(max(re_v[i], im_v[i])), float(max(re_tol[i], im_tol[i]))
-        )
-    # |Z| by libm hypot (the abs of a Python complex): numpy's AVX-512 hypot
-    # kernel can differ from it in the last bit, which would make min_abs_z
-    # depend on the CPU
-    mod = [abs(complex(re, im)) for re, im in zip(re_v.tolist(), im_v.tolist())]
-    i = mod.index(min(mod))
-    if mod[i] < threshold:
-        raise DegeneratePathError(float(ts[i]), mod[i], threshold)
-    return mod[i], float(ts[i])
+
+def _origin(p: IntersectionProfile, re_c, im_c, roots, t_hi: float) -> tuple[float, float]:
+    """Least |Z| on [1, t_hi] and the t where it is reached; raises
+    DegeneratePathError when Z comes near the origin there.
+
+    Re Z and Im Z are evaluated once at every candidate, in ascending t and
+    on Python floats: the axis `roots`, the endpoints and the critical
+    points of |Z| (`_critical_points`).  A pass through the origin sits at
+    an axis root, so there both components are tested, each against the
+    threshold or its own evaluation noise, whichever is larger (large t
+    amplifies the polynomial so |Z| can read as O(1) at a point within one
+    ulp of a true zero), and the first such hit raises.  Otherwise the
+    first candidate of least |Z| is tested against the threshold.
+    """
+    threshold = DEGENERACY_REL * max(abs(x) for x in p.d) / math.factorial(p.n)
+    axis = [r for r in roots if r >= 1.0]
+    re_l, im_l = re_c.tolist(), im_c.tolist()
+    least = (math.inf, 1.0)
+    for t in sorted({*axis, 1.0, t_hi, *_critical_points(re_l, im_l, t_hi)}):
+        re, im = abs(_horner(re_l, t)), abs(_horner(im_l, t))
+        if t in axis:
+            re_tol = max(threshold, _NOISE * _horner([abs(x) for x in re_l], t))
+            im_tol = max(threshold, _NOISE * _horner([abs(x) for x in im_l], t))
+            if re <= re_tol and im <= im_tol:
+                raise DegeneratePathError(t, max(re, im), max(re_tol, im_tol))
+        # |Z| by libm hypot (the abs of a Python complex): numpy's AVX-512
+        # hypot kernel can differ from it in the last bit, which would make
+        # min_abs_z depend on the CPU
+        mod = abs(complex(re, im))
+        if mod < least[0]:
+            least = (mod, t)
+    if least[0] < threshold:
+        raise DegeneratePathError(least[1], least[0], threshold)
+    return least
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@ theorem_sweep.py, and the two-tree checks byte_sweep.py and ab_suites.py
 (each of its five mixes, and the perfbench workload operations they run),
 run on one tree against itself and against a copy whose help screen differs
 by one character or whose sampler returns its rows in C order or unsorted
-(ab_suites.py's byte and oracle modes); and the reports of the values that
-moved, make_golden.py's for a regeneration and byte_sweep.py's per argv."""
+(ab_suites.py's byte and oracle modes); the reports of the values that
+moved, make_golden.py's for a regeneration and byte_sweep.py's per argv;
+and line_trace.py's refusal of a run whose tracer was replaced."""
 
 import importlib
 import os
@@ -20,6 +21,7 @@ sys.path.insert(0, os.path.join(ROOT, "scripts"))
 
 import ab_suites  # noqa: E402
 import byte_sweep  # noqa: E402
+import line_trace  # noqa: E402
 import make_golden  # noqa: E402
 import theorem_sweep  # noqa: E402
 
@@ -219,3 +221,15 @@ def test_make_golden_names_the_moved_keys_and_their_ulp():
     assert make_golden.moved(trace, trace.replace("0.25", "0.25000000000000006")) == [
         "[1].re: 0.25 -> 0.25000000000000006 (1 ulp)"
     ]
+
+
+def test_line_trace_names_a_process_whose_tracer_was_replaced(capsys, tmp_path):
+    # the process ran lines it could not record, so none is listed as never run
+    test = tmp_path / "test_drop.py"
+    test.write_text("import sys\n\n\ndef test_drop():\n    sys.settrace(None)\n", encoding="utf-8")
+    assert line_trace.main([str(test)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("line_trace: process ") and "test_drop.py" in line
+    assert line.endswith(": tracer displaced by None")

@@ -3,7 +3,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from itertools import product
 from re import findall
 
@@ -31,6 +31,7 @@ from dhym import (
 from dhym.charge import (
     _NOISE,
     DEGENERACY_REL,
+    _critical_points,
     _im_root,
     _lift_anchor,
     _origin,
@@ -263,6 +264,17 @@ def new_winding(p):
 with open(os.path.join(ROOT, "perfbench", "origin_hits_ref.json"), encoding="utf-8") as fh:
     REF_HITS = [tuple(h) for h in json.load(fh)["hits"]]
 
+
+def blowup_grid():
+    """The blow-up pairs of the grid the tests walk: 2 <= a <= 5, 1 <= b < a,
+    -5 <= c, e <= 5, (c, e) != (0, 0)."""
+    return [
+        blowup_p3(a, b, c, e)
+        for a, b, c, e in product(range(2, 6), range(1, 5), range(-5, 6), range(-5, 6))
+        if b < a and (c, e) != (0, 0)
+    ]
+
+
 _extreme = st.sampled_from(
     [0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, 2.2250738585072014e-308]
 )
@@ -270,17 +282,18 @@ _entry = _extreme | st.floats(allow_nan=False, allow_infinity=False) | st.intege
 _volume = st.floats(min_value=5e-324, allow_infinity=False) | st.sampled_from([1.0, 2.5])
 
 
-def _pinned(test):
-    # the mpmath reference origin hits; a tangent double root of Re Z (Z
-    # touches the imaginary axis at sqrt(3)) and the same tangent through
-    # the origin; a 3-fold whose M'(s) has a leading coefficient that
-    # underflows next to the others; a 4-fold whose cubic M'(s) =
-    # s (s^2 + 1e-122) / 144 underflows in a naive closed form; three whose
-    # least |Z| sits where terms 1e200 and more apart balance (a square
-    # underflows at one power-of-two scale; the last comes within the
-    # threshold there, which the reference missed); a least-|Z| hit at a
-    # critical point; a subnormal path
-    pinned = [
+# the mpmath reference origin hits; a tangent double root of Re Z (Z
+# touches the imaginary axis at sqrt(3)) and the same tangent through the
+# origin; a 3-fold whose M'(s) has a leading coefficient that underflows
+# next to the others; a 4-fold whose cubic M'(s) = s (s^2 + 1e-122) / 144
+# underflows in a naive closed form; three whose least |Z| sits where terms
+# 1e200 and more apart balance (a square underflows at one power-of-two
+# scale; the last comes within the threshold there, which the reference
+# missed); a least-|Z| hit at a critical point; a subnormal path
+PINNED = [
+    tuple(map(float, d))
+    for d in [blowup_p3(*h).d for h in REF_HITS]
+    + [
         (1, 0.5, 1, 3, 9),
         (1, 1, 1, 3, 9),
         (1.5344713853406947e-160, 1, 0, 0),
@@ -291,8 +304,12 @@ def _pinned(test):
         (2.3409832286613924e179, -7, 2.3409832286613924e179, 0.0, 2.3409832286613924e179),
         (1e-323, 1e-323, 1e-323, 1e-323),
     ]
-    for d in [blowup_p3(*h).d for h in REF_HITS] + pinned:
-        test = example(d=tuple(map(float, d)))(test)
+]
+
+
+def _pinned(test):
+    for d in PINNED:
+        test = example(d=d)(test)
     return test
 
 
@@ -441,9 +458,8 @@ def test_lift_at_axis_roots_matches_grid_reference(d):
 
 
 def test_lift_at_axis_roots_matches_grid_reference_on_blowup_grid():
-    for a, b, c, e in product(range(2, 6), range(1, 5), range(-5, 6), range(-5, 6)):
-        if b < a and (c, e) != (0, 0):
-            assert_matches_grid_reference(blowup_p3(a, b, c, e), near=2)
+    for p in blowup_grid():
+        assert_matches_grid_reference(p, near=2)
 
 
 def test_least_modulus_matches_the_exact_oracle():
@@ -580,6 +596,89 @@ def test_origin_on_critical_points_outside_the_interval():
         exact, _ = exact_least_modulus(p, t_hi)
         bound = origin_noise(p, t_hi)
         assert abs(least - exact) <= bound and exact_abs_z(p, t_at) - exact <= bound
+
+
+# _origin's candidate test as it ran on numpy arrays before it moved to
+# Python floats: np.unique over the candidates, polyval over that array,
+# np.isin for the axis roots and np.maximum for the tolerances.  The Python
+# floats must give the same bits.
+
+
+def origin_inputs(p):
+    """The arguments winding_report passes to _origin after p, or None where
+    Z(t) overflows a double on [1, t_max] (no origin test runs there)."""
+    re_c, im_c = path_polynomials(p)
+    t_im = float(_im_root(p.n, p.d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        roots = _positive_axis_roots(p, t_im, re_c, im_c)
+        t_hi = _t_max(p, roots)
+        size = npoly.polyval(t_hi, np.abs(re_c)) + npoly.polyval(t_hi, np.abs(im_c))
+    return (re_c, im_c, roots, t_hi) if math.isfinite(size) else None
+
+
+def numpy_origin(p, re_c, im_c, roots, t_hi):
+    threshold = DEGENERACY_REL * max(abs(x) for x in p.d) / math.factorial(p.n)
+    axis = [r for r in roots if r >= 1.0]
+    critical = _critical_points(re_c.tolist(), im_c.tolist(), t_hi)
+    ts = np.unique(np.array(axis + [1.0, t_hi] + critical))
+    re_v, im_v = np.abs(npoly.polyval(ts, re_c)), np.abs(npoly.polyval(ts, im_c))
+    re_tol = np.maximum(threshold, _NOISE * npoly.polyval(ts, np.abs(re_c)))
+    im_tol = np.maximum(threshold, _NOISE * npoly.polyval(ts, np.abs(im_c)))
+    on_axis = np.isin(ts, axis) & (re_v <= re_tol) & (im_v <= im_tol)
+    if on_axis.any():
+        i = int(np.argmax(on_axis))
+        raise DegeneratePathError(
+            float(ts[i]), float(max(re_v[i], im_v[i])), float(max(re_tol[i], im_tol[i]))
+        )
+    mod = [abs(complex(re, im)) for re, im in zip(re_v.tolist(), im_v.tolist())]
+    i = mod.index(min(mod))
+    if mod[i] < threshold:
+        raise DegeneratePathError(float(ts[i]), mod[i], threshold)
+    return mod[i], float(ts[i])
+
+
+def assert_origin_matches_numpy(p):
+    """_origin returns the bits of numpy_origin, or raises the same error
+    with the same arguments and message."""
+    args = origin_inputs(p)
+    if args is not None:
+        got = outcome(lambda q: _origin(q, *args), p)
+        assert got == outcome(lambda q: numpy_origin(q, *args), p), p.d
+
+
+@settings(max_examples=500, deadline=None)
+@_pinned
+@given(d=st.sampled_from([3, 4]).flatmap(lambda n: st.tuples(_volume, *[_entry] * n)))
+def test_origin_matches_the_numpy_candidate_test(d):
+    with np.errstate(all="ignore"):
+        assert_origin_matches_numpy(IntersectionProfile(len(d) - 1, d))
+
+
+def test_origin_matches_the_numpy_candidate_test_on_grid_and_level_sets():
+    profiles = blowup_grid() + [blowup_p3(5, 4, -5, -8), blowup_p3(8, 2, 5, 4)]
+    for i, theta in enumerate((-2.0, 0.5, 3.2, 3.9, 4.7, 5.5, 6.1)):
+        rows = sample_level_set_batch(np.full(150, theta), seed=370 + i)
+        profiles += [constant_model(row) for row in rows]
+    for p in profiles:
+        assert_origin_matches_numpy(p)
+
+
+def test_report_and_error_values_are_python_floats():
+    # a root polished on the coefficient arrays is a numpy scalar: t_max was
+    # np.float64 at (5, 4, -5, -8), and t_at_min would be at the axis root
+    # t = 1 of (8, 2, 5, 4)
+    profiles = blowup_grid() + [IntersectionProfile(len(d) - 1, d) for d in PINNED]
+    profiles += [blowup_p3(5, 4, -5, -8), blowup_p3(8, 2, 5, 4)]
+    for p in profiles:
+        try:
+            with np.errstate(all="ignore"):
+                report = winding_report(p)
+        except DegeneratePathError as hit:
+            values = [hit.t_origin, hit.abs_z, hit.threshold]
+        else:
+            values = [getattr(report, f.name) for f in fields(report) if f.name != "n"]
+            values = [x for x in values if x is not None]  # t_star without a crossing
+        assert all(type(x) is float for x in values), (p.d, values)
 
 
 def test_trace_report_is_the_winding_report_on_blowup_grid():
